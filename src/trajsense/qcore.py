@@ -220,12 +220,16 @@ def sample_measurement(k: Ket, basis: Sequence[Ket], rng_seed: int,
 # ---------------------------------------------------------------------------
 # serialization (used by the CLI)
 
+def ket_to_dict(k: Ket, tol: float = 0.0) -> dict:
+    """{"n": n, "amps": {bitstring: [re, im]}} over the amplitudes above tol."""
+    idx = np.nonzero(np.abs(k.amps) > tol)[0]
+    kept = k.amps[idx]
+    return {"n": k.n, "amps": {bitstring(k.n, j): [re, im] for j, re, im in
+                               zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())}}
+
+
 def ket_to_json(k: Ket, tol: float = 0.0) -> str:
-    entries = {}
-    for j, a in enumerate(k.amps):
-        if abs(a) > tol:
-            entries[bitstring(k.n, j)] = [float(a.real), float(a.imag)]
-    return json.dumps({"n": k.n, "amps": entries}, sort_keys=True, indent=2) + "\n"
+    return json.dumps(ket_to_dict(k, tol), sort_keys=True, indent=2) + "\n"
 
 
 def ket_from_json(text: str) -> Ket:

@@ -1,17 +1,20 @@
-"""Exact elastic phase-1 simplex over rational arithmetic.
+"""Elastic phase-1 feasibility: certify a float solve, else pivot exactly.
 
 Decides feasibility of {x >= 0 : A x = b} by minimizing the total elastic
 violation sum |A x - b| (split into s+ and s- columns).  Coefficients are
-rationalized exactly (every float is a dyadic rational) and pivoting uses
-Bland's rule, so the reported objective is the exact L1 infeasibility of the
-rationalized system — no roundoff in the decision itself, and systems that
+rationalized exactly (every float is a dyadic rational), so systems that
 miss feasibility by one ulp report a comparably tiny objective instead of
 jumping to O(1) as the classic one-sided artificial formulation would.
+`certified_phase1` brackets that exact objective between rational bounds
+built from a float solve; only when the bracket straddles the tolerance does
+`exact_phase1`, a Bland's-rule rational tableau, compute it outright.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
+
+import numpy as np
 
 
 def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
@@ -80,3 +83,64 @@ def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
         if jb < N:
             x[jb] = rows[i][ncols]
     return obj, x
+
+
+def _float_phase1(A: np.ndarray, b: np.ndarray):
+    """(x >= 0, row duals y) of the elastic program from a float tableau.
+
+    Dantzig pivots, capped, so a stall or a cycle just ends the solve.
+    """
+    m, N = A.shape
+    sign = np.where(b < 0, -1.0, 1.0)   # nonnegative rhs: the s+ basis is feasible
+    M = np.hstack([A * sign[:, None], np.eye(m), -np.eye(m)])
+    cost = np.concatenate([np.zeros(N), np.ones(2 * m)])
+    T = np.hstack([M, (b * sign)[:, None]])
+    red = np.append(cost, 0.0) - T.sum(axis=0)
+    basis = np.arange(N, N + m)
+    for _ in range(10 * (m + len(cost))):
+        enter = int(np.argmin(red[:-1]))
+        col = T[:, enter]
+        if not red[enter] < -1e-12 or not (col > 1e-9).any():
+            break
+        ratios = np.full(m, np.inf)
+        np.divide(T[:, -1], col, out=ratios, where=col > 1e-9)
+        leave = int(np.argmin(ratios))
+        prow = T[leave] / col[leave]
+        T -= np.outer(col, prow)
+        T[leave] = prow
+        red -= red[enter] * prow
+        basis[leave] = enter
+    # re-solve the last basis from the original columns, free of pivoting drift
+    xb = np.linalg.lstsq(M[:, basis], b * sign, rcond=None)[0]
+    y = np.linalg.lstsq(M[:, basis].T, cost[basis], rcond=None)[0]
+    x = np.zeros(N)
+    x[basis[basis < N]] = np.clip(xb[basis < N], 0.0, None)
+    return x, sign * y
+
+
+def certified_phase1(A: Sequence[Sequence[float]], b: Sequence[float], tol: float):
+    """(lower, upper, x): lower <= the `exact_phase1` objective <= upper.
+
+    The bounds are Fractions and x >= 0 (floats) has residual upper; either
+    upper <= tol or lower > tol, since a straddle runs `exact_phase1` and
+    returns its objective as both.  upper = |A x - b|_1 exactly.  lower is
+    weak duality, b.y / max(1, |y|_inf) for any y with A^T y <= 0: the float
+    duals get there by lowering y's last entry, which needs a positive last
+    row (a normalisation row); without one, lower = 0.
+    """
+    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    x, y = _float_phase1(A, b)
+    if np.isfinite(x).all() and np.isfinite(y).all():
+        Aq = [[Fraction(v) for v in row] for row in A.tolist()]
+        bq, yq = [Fraction(v) for v in b.tolist()], [Fraction(v) for v in y.tolist()]
+        support = [(j, Fraction(v)) for j, v in enumerate(x.tolist()) if v]
+        upper = sum(abs(sum(row[j] * v for j, v in support) - bi) for row, bi in zip(Aq, bq))
+        g = [sum(a * yi for a, yi in zip(col, yq)) for col in zip(*Aq)]   # A^T y
+        lower = Fraction(0)
+        if all(gj <= 0 or a > 0 for gj, a in zip(g, Aq[-1])):
+            yq[-1] -= max((gj / a for gj, a in zip(g, Aq[-1]) if gj > 0), default=0)
+            lower = max(lower, sum(bi * yi for bi, yi in zip(bq, yq)) / max(1, *map(abs, yq)))
+        if upper <= tol or lower > tol:
+            return lower, upper, x
+    obj, x_exact = exact_phase1(A.tolist(), b.tolist())
+    return obj, obj, np.array([float(v) for v in x_exact])

@@ -8,8 +8,7 @@ Two independent routes answer the same feasibility question:
   linear system directly; and
 * the LP oracle (`solve_lp`) treats the squared magnitudes p_j = |c_j|^2 as
   variables of a linear feasibility program built from raw bit arithmetic,
-  solved by exact rational phase-1 simplex (float fallback for very large
-  custom instances).
+  whose verdict is certified in exact rationals (`simplex.certified_phase1`).
 
 `build_cyclic` realizes the tensor-composition construction for the cyclic
 family, and every certificate's witness is re-verified against the full set
@@ -27,15 +26,13 @@ import numpy as np
 
 from . import qcore, trajset
 from .qcore import Ket
-from .simplex import exact_phase1
+from .simplex import certified_phase1
 from .trajset import TrajectorySet, Trajectory
 
 #: feasibility slack shared by both routes so verdicts agree at boundaries
 FEAS_TOL = 1e-9
 #: entries this close to zero (after max-normalization) count as boundary ties
 BOUNDARY_TOL = 1e-10
-#: largest rows*cols the exact rational simplex is asked to handle
-EXACT_LP_BUDGET = 60_000
 
 
 class Threshold(NamedTuple):
@@ -102,7 +99,7 @@ class FeasibilityCertificate:
         if self.p is not None:
             obj["p"] = [float(v) for v in self.p]
         if self.witness_state is not None:
-            obj["witness_state"] = json.loads(qcore.ket_to_json(self.witness_state))
+            obj["witness_state"] = qcore.ket_to_dict(self.witness_state)
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -289,17 +286,6 @@ def _lp_system(ts: TrajectorySet, theta: float):
     rhs[-1] = 1.0
     return np.array(rows), rhs, inv
 
-def _phase1_float(A: np.ndarray, b: np.ndarray):
-    """Elastic feasibility LP via scipy for systems too big for exact pivots."""
-    from scipy.optimize import linprog
-    m, ncols = A.shape
-    A_eq = np.hstack([A, np.eye(m), -np.eye(m)])
-    c = np.concatenate([np.zeros(ncols), np.ones(2 * m)])
-    res = linprog(c, A_eq=A_eq, b_eq=b, bounds=(0, None), method="highs")
-    if res.status != 0:
-        raise RuntimeError(f"feasibility LP failed: {res.message}")
-    return float(res.fun), res.x[:ncols]
-
 def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
     """Independent oracle: feasibility of the magnitude-space linear system."""
     ts, theta = problem.trajectories, problem.theta
@@ -314,19 +300,15 @@ def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
         return cert
 
     A, b, inv = _lp_system(ts, theta)
-    if A.shape[0] * A.shape[1] <= EXACT_LP_BUDGET:
-        obj, x_frac = exact_phase1(A.tolist(), b.tolist())
-        infeas = float(obj)
-        x = np.array([float(v) for v in x_frac])
-    else:
-        infeas, x = _phase1_float(A, b)
-    cert.infeasibility = infeas
-    if infeas > FEAS_TOL:
-        cert.detail = f"phase-1 infeasibility {infeas:.3e} exceeds tolerance"
+    lower, upper, x = certified_phase1(A, b, FEAS_TOL)
+    if upper > FEAS_TOL:
+        cert.infeasibility = float(lower)
+        cert.detail = f"phase-1 infeasibility >= {cert.infeasibility:.3e} exceeds tolerance"
         return cert
 
     cert.feasible = True
-    cert.marginal = infeas > 0.0
+    cert.infeasibility = float(upper)       # exact L1 residual |A x - b| of x
+    cert.marginal = upper > 0
     p = np.clip(x[inv], 0.0, None)
     p = p / p.sum()
     witness = Ket(ts.n, np.sqrt(p).astype(complex))

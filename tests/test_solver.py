@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajsense import qcore, solver, trajset
+from trajsense import qcore, simplex, solver, trajset
 from trajsense.solver import TSProblem
 
 PI = math.pi
@@ -142,13 +142,49 @@ def test_lp_witness_expands_orbit_variables():
         assert np.ptp(cls) < 1e-12
 
 
-def test_lp_float_fallback_same_verdicts(monkeypatch):
-    monkeypatch.setattr(solver, "EXACT_LP_BUDGET", 0)
+def test_lp_band_fallback_same_verdicts(monkeypatch):
+    """A float solve that certifies nothing (U = 1, L = 0) hands over to the exact simplex."""
+    exact, calls = simplex.exact_phase1, []
+    monkeypatch.setattr(simplex, "_float_phase1",
+                        lambda A, b: (np.zeros(A.shape[1]), np.zeros(A.shape[0])))
+    monkeypatch.setattr(simplex, "exact_phase1", lambda A, b: calls.append(1) or exact(A, b))
     for theta, feasible in [(0.6 * PI, False), (0.85 * PI, True)]:
         cert = solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), theta))
         assert cert.feasible is feasible
         if feasible:
             assert cert.max_residual < 1e-8
+    assert len(calls) == 2
+
+
+_SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+_FAMILIES = st.one_of(
+    st.sampled_from([(n, m) for n in range(2, 8) for m in range(1, n)]).map(
+        lambda nm: (trajset.gen_symmetric(*nm), solver.threshold_sym(*nm).theta)),
+    st.sampled_from([(k * m, m) for m in range(1, 5) for k in range(2, 10) if k * m <= 9]).map(
+        lambda nm: (trajset.gen_cyclic(*nm), solver.threshold_cyc(nm[0] // nm[1]))),
+    st.lists(st.sampled_from(_SUBSETS), min_size=2, max_size=4, unique=True).map(
+        lambda subsets: (trajset.TrajectorySet(3, "custom", len(subsets[0]),
+                                               tuple(trajset.Trajectory(q) for q in subsets)),
+                         None)),
+)
+_GRID = st.sampled_from([k * PI / 12 for k in range(1, 13)])
+_NEAR = st.tuples(st.sampled_from([10.0 ** -k for k in range(6, 14)]), st.sampled_from([-1, 1]))
+
+
+@given(_FAMILIES, st.data())
+@settings(max_examples=40, deadline=None)
+def test_certified_bounds_bracket_exact_optimum(family, data):
+    """L <= exact optimum <= U in rationals, and the certified verdict is the exact one."""
+    ts, threshold = family
+    if threshold is None:
+        theta = data.draw(_GRID)
+    else:
+        theta = data.draw(_GRID | _NEAR.map(lambda ds: threshold + ds[1] * ds[0]))
+    A, b, _ = solver._lp_system(ts, theta)
+    lower, upper, _ = simplex.certified_phase1(A, b, solver.FEAS_TOL)
+    opt, _ = simplex.exact_phase1(A.tolist(), b.tolist())
+    assert lower <= opt <= upper
+    assert (upper <= solver.FEAS_TOL) == (opt <= solver.FEAS_TOL)
 
 
 def test_lp_custom_family():
@@ -253,3 +289,26 @@ def test_certificate_json():
     assert "witness_state" in payload and "cbar_sq" in payload
     infeasible = json.loads(solver.solve_symmetric(4, 2, 0.6 * PI).to_json())
     assert infeasible["feasible"] is False and "witness_state" not in infeasible
+
+
+def _loop_ket_json(k, tol=0.0):
+    """Reference serialisation, one amplitude at a time."""
+    entries = {}
+    for j, a in enumerate(k.amps):
+        if abs(a) > tol:
+            entries[qcore.bitstring(k.n, j)] = [float(a.real), float(a.imag)]
+    return json.dumps({"n": k.n, "amps": entries}, sort_keys=True, indent=2) + "\n"
+
+
+def test_certificate_json_bytes_match_round_trip():
+    certs = [solver.solve_symmetric(4, 2, 3 * PI / 4),
+             solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), PI / 2)),
+             solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), 0.7 * PI))]
+    for cert in certs:
+        payload = json.loads(cert.to_json())
+        if cert.witness_state is not None:
+            payload["witness_state"] = json.loads(_loop_ket_json(cert.witness_state))
+        assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    k = certs[2].witness_state
+    assert qcore.ket_to_json(k, tol=0.1) == _loop_ket_json(k, tol=0.1)
+    assert 0 < len(qcore.ket_to_dict(k, tol=0.1)["amps"]) < len(qcore.ket_to_dict(k)["amps"])
