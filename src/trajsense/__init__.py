@@ -5,7 +5,7 @@ Subsystems, roughly bottom-up:
 - ``rng``      counter-based uniform streams (reproducible, order-independent)
 - ``qcore``    dense statevectors, collective Z rotations, measurement sampling
 - ``trajset``  trajectory families (symmetric, cyclic windows, custom)
-- ``simplex``  exact rational phase-1 simplex for feasibility questions
+- ``simplex``  phase-1 feasibility: float solve certified in rationals
 - ``solver``   sensing-state construction, closed-form and LP routes
 - ``discrim``  optimal discrimination, failure curves, repetition analysis
 - ``beam``     four-atom beam-crossing scenario, entangled vs unentangled

@@ -6,8 +6,9 @@ rationalized exactly (every float is a dyadic rational), so systems that
 miss feasibility by one ulp report a comparably tiny objective instead of
 jumping to O(1) as the classic one-sided artificial formulation would.
 `certified_phase1` brackets that exact objective between rational bounds
-built from a float solve; only when the bracket straddles the tolerance does
-`exact_phase1`, a Bland's-rule rational tableau, compute it outright.
+built from a float (HiGHS) solve; only when the bracket straddles the
+tolerance does `exact_phase1`, a Bland's-rule rational tableau, compute it
+outright.
 """
 from __future__ import annotations
 
@@ -86,59 +87,79 @@ def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
 
 
 def _float_phase1(A: np.ndarray, b: np.ndarray):
-    """(x >= 0, row duals y) of the elastic program from a float tableau.
-
-    Dantzig pivots, capped, so a stall or a cycle just ends the solve.
-    """
+    """(x >= 0, row duals y) of the elastic program from HiGHS, or None."""
+    from scipy.optimize import linprog      # already loaded by scipy.stats on the CLI path
     m, N = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)   # nonnegative rhs: the s+ basis is feasible
-    M = np.hstack([A * sign[:, None], np.eye(m), -np.eye(m)])
-    cost = np.concatenate([np.zeros(N), np.ones(2 * m)])
-    T = np.hstack([M, (b * sign)[:, None]])
-    red = np.append(cost, 0.0) - T.sum(axis=0)
-    basis = np.arange(N, N + m)
-    for _ in range(10 * (m + len(cost))):
-        enter = int(np.argmin(red[:-1]))
-        col = T[:, enter]
-        if not red[enter] < -1e-12 or not (col > 1e-9).any():
-            break
-        ratios = np.full(m, np.inf)
-        np.divide(T[:, -1], col, out=ratios, where=col > 1e-9)
-        leave = int(np.argmin(ratios))
-        prow = T[leave] / col[leave]
-        T -= np.outer(col, prow)
-        T[leave] = prow
-        red -= red[enter] * prow
-        basis[leave] = enter
-    # re-solve the last basis from the original columns, free of pivoting drift
-    xb = np.linalg.lstsq(M[:, basis], b * sign, rcond=None)[0]
-    y = np.linalg.lstsq(M[:, basis].T, cost[basis], rcond=None)[0]
-    x = np.zeros(N)
-    x[basis[basis < N]] = np.clip(xb[basis < N], 0.0, None)
-    return x, sign * y
+    res = linprog(np.concatenate([np.zeros(N), np.ones(2 * m)]), bounds=(0, None),
+                  A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=b, method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,    # HiGHS's tightest
+                           "dual_feasibility_tolerance": 1e-10})
+    return (np.clip(res.x[:N], 0.0, None), res.eqlin.marginals) if res.status == 0 else None
+
+
+def _dyadic(v: np.ndarray):
+    """(k, e): Python ints k (an object array) and an int e with v == k * 2**e exactly."""
+    mant, exp = np.frexp(v)
+    lo = int(exp.min(initial=0))
+    k = (mant * 2.0 ** 53).astype(np.int64).astype(object)   # exact: 53-bit significands
+    return np.left_shift(k, (exp - lo).astype(object)), lo - 53
+
+
+def _solve_exact(M: list, rhs: list):
+    """A basic z with M z = rhs over the rationals, pivoting on columns in order, or None."""
+    rows, piv = [r + [c] for r, c in zip(M, rhs)], {}
+    for c in range(len(M[0])):
+        p = next((i for i in range(len(piv), len(rows)) if rows[i][c]), None)
+        if p is not None:
+            r0 = piv[c] = len(piv)
+            rows[r0], rows[p] = rows[p], rows[r0]
+            for i, r in enumerate(rows):
+                if i != r0 and r[c]:
+                    f = r[c] / rows[r0][c]
+                    rows[i] = [a - f * q for a, q in zip(r, rows[r0])]
+    if any(r[-1] for r in rows[len(piv):]):
+        return None
+    z = [Fraction(0)] * len(M[0])
+    for c, r in piv.items():
+        z[c] = rows[r][-1] / rows[r][c]
+    return z
 
 
 def certified_phase1(A: Sequence[Sequence[float]], b: Sequence[float], tol: float):
     """(lower, upper, x): lower <= the `exact_phase1` objective <= upper.
 
-    The bounds are Fractions and x >= 0 (floats) has residual upper; either
-    upper <= tol or lower > tol, since a straddle runs `exact_phase1` and
-    returns its objective as both.  upper = |A x - b|_1 exactly.  lower is
-    weak duality, b.y / max(1, |y|_inf) for any y with A^T y <= 0: the float
-    duals get there by lowering y's last entry, which needs a positive last
+    The bounds are Fractions, and either upper <= tol or lower > tol: a
+    straddle runs `exact_phase1` and returns its objective as both.  upper is
+    the exact residual |A x - b|_1 of a rational x >= 0 whose rounding is
+    returned: the float solve's support re-solved exactly when that is
+    nonnegative (then upper = 0), else the float point itself.  lower is weak
+    duality, b.y / max(1, |y|_inf) for any y with A^T y <= 0: the float duals
+    get there by lowering y's last entry, which needs an all-positive last
     row (a normalisation row); without one, lower = 0.
     """
     A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
-    x, y = _float_phase1(A, b)
-    if np.isfinite(x).all() and np.isfinite(y).all():
-        Aq = [[Fraction(v) for v in row] for row in A.tolist()]
+    sol = _float_phase1(A, b)
+    if sol is not None and np.isfinite(sol[0]).all() and np.isfinite(sol[1]).all():
+        x, y = sol
         bq, yq = [Fraction(v) for v in b.tolist()], [Fraction(v) for v in y.tolist()]
-        support = [(j, Fraction(v)) for j, v in enumerate(x.tolist()) if v]
-        upper = sum(abs(sum(row[j] * v for j, v in support) - bi) for row, bi in zip(Aq, bq))
-        g = [sum(a * yi for a, yi in zip(col, yq)) for col in zip(*Aq)]   # A^T y
+        # a basis guess: the support first, then the columns of least reduced cost
+        S = np.argsort(np.where(x > 0, -1.0, np.abs(A.T @ y)), kind="stable")[:len(b)]
+        z = _solve_exact([[Fraction(v) for v in row] for row in A[:, S].tolist()], bq)
+        if z is not None and min(z) >= 0:
+            upper, x = Fraction(0), np.zeros_like(x)
+            x[S] = [float(v) for v in z]
+        else:
+            S = np.flatnonzero(x)
+            xq = [Fraction(v) for v in x[S].tolist()]
+            upper = sum(abs(sum(Fraction(a) * v for a, v in zip(row, xq)) - bi)
+                        for row, bi in zip(A[:, S].tolist(), bq))
         lower = Fraction(0)
-        if all(gj <= 0 or a > 0 for gj, a in zip(g, Aq[-1])):
-            yq[-1] -= max((gj / a for gj, a in zip(g, Aq[-1]) if gj > 0), default=0)
+        Ak, eA = _dyadic(A)
+        if (Ak[-1] > 0).all():
+            yk, ey = _dyadic(y)
+            g = yk @ Ak                         # A^T y == g * 2**(eA + ey)
+            yq[-1] -= max((Fraction(gj, a) for gj, a in zip(g, Ak[-1]) if gj > 0),
+                          default=0) * Fraction(2) ** ey
             lower = max(lower, sum(bi * yi for bi, yi in zip(bq, yq)) / max(1, *map(abs, yq)))
         if upper <= tol or lower > tol:
             return lower, upper, x

@@ -147,6 +147,7 @@ def test_lp_band_fallback_same_verdicts(monkeypatch):
     exact, calls = simplex.exact_phase1, []
     monkeypatch.setattr(simplex, "_float_phase1",
                         lambda A, b: (np.zeros(A.shape[1]), np.zeros(A.shape[0])))
+    monkeypatch.setattr(simplex, "_solve_exact", lambda M, rhs: None)
     monkeypatch.setattr(simplex, "exact_phase1", lambda A, b: calls.append(1) or exact(A, b))
     for theta, feasible in [(0.6 * PI, False), (0.85 * PI, True)]:
         cert = solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), theta))
@@ -154,6 +155,21 @@ def test_lp_band_fallback_same_verdicts(monkeypatch):
         if feasible:
             assert cert.max_residual < 1e-8
     assert len(calls) == 2
+
+
+def test_certified_lower_bound_needs_positive_last_row(monkeypatch):
+    """Shifting duals along a last row with a negative entry can break A^T y <= 0; no bound then."""
+    A, b = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([1.0, 0.0])   # x = (1, 1): opt = 0
+    # y = (1, 1) gives A^T y = (2, -1); lowering y's last entry by 2 makes column 2 positive
+    monkeypatch.setattr(simplex, "_float_phase1", lambda A, b: (np.ones(2), np.ones(2)))
+    lower, upper, _ = simplex.certified_phase1(A, b, solver.FEAS_TOL)
+    assert lower == 0 == upper
+
+
+def test_lp_interior_witness_is_exact():
+    """Away from the onset the LP witness solves the rationalized system exactly."""
+    cert = solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), 0.9 * PI))
+    assert cert.feasible and not cert.marginal and cert.infeasibility == 0.0
 
 
 _SUBSETS = [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
