@@ -6,6 +6,7 @@ is additionally re-verified against the full pairwise orthogonality residual.
 """
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -164,6 +165,13 @@ def test_certified_lower_bound_needs_positive_last_row(monkeypatch):
     monkeypatch.setattr(simplex, "_float_phase1", lambda A, b: (np.ones(2), np.ones(2)))
     lower, upper, _ = simplex.certified_phase1(A, b, solver.FEAS_TOL)
     assert lower == 0 == upper
+
+
+def test_dyadic_integers_are_exact():
+    v = np.array([[0.1, -3.0, 0.0], [5e-324, -1e300, math.cos(2.0)]])
+    k, e = simplex._dyadic(v)
+    assert [[Fraction(int(a)) * Fraction(2) ** e for a in row] for row in k] == \
+        [[Fraction(a) for a in row] for row in v.tolist()]
 
 
 def test_lp_interior_witness_is_exact():
