@@ -64,17 +64,6 @@ class BeamScenario:
             raise ValueError(f"unknown path model {self.path_model!r}")
 
 
-class NearestResult(tuple):
-    """(trajectory, tied flag) with attribute access."""
-    __slots__ = ()
-
-    def __new__(cls, trajectory, tied):
-        return super().__new__(cls, (trajectory, tied))
-
-    trajectory = property(lambda self: self[0])
-    tied = property(lambda self: self[1])
-
-
 def _distances(scenario: BeamScenario, phi, offset):
     """Perpendicular distances of the four atoms to the line(s).
 
@@ -95,18 +84,8 @@ def beam_angles(scenario: BeamScenario, beam_line) -> np.ndarray:
     return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
 
 
-def nearest_trajectory(scenario: BeamScenario, beam_line) -> NearestResult:
-    """Edge minimizing the sum of its two atoms' distances; first wins ties."""
-    phi, offset = beam_line
-    d = _distances(scenario, phi, offset)
-    sums = np.array([d[..., i - 1] + d[..., j - 1] for i, j in EDGES]).T
-    best = float(np.min(sums))
-    winners = np.nonzero(sums <= best + 1e-12)[-1]
-    idx = int(winners[0])
-    return NearestResult(Trajectory(EDGES[idx]), len(winners) > 1)
-
-
 def _nearest_indices(scenario, phi, offset):
+    """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag."""
     d = _distances(scenario, phi, offset)
     sums = np.stack([d[..., i - 1] + d[..., j - 1] for i, j in EDGES], axis=-1)
     order = np.argsort(sums, axis=-1, kind="stable")

@@ -125,7 +125,7 @@ def cmd_curve(args) -> int:
         if any(not 0 < e < 1 for e in eps):
             raise ValueError("epsilons must lie in (0,1)")
         classical = discrim.classical_baseline(ts, theta)
-        cert = discrim._best_feasible_witness(ts, theta)
+        cert = solver.solve(solver.TSProblem(ts, theta))
         if not cert.feasible:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
         ens = discrim.make_ensemble(cert.witness_state, ts, theta)

@@ -88,7 +88,7 @@ def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
 
 def _float_phase1(A: np.ndarray, b: np.ndarray):
     """(x >= 0, row duals y) of the elastic program from HiGHS, or None."""
-    from scipy.optimize import linprog      # already loaded by scipy.stats on the CLI path
+    from scipy.optimize import linprog      # lazy: only LP solves load scipy.optimize
     m, N = A.shape
     res = linprog(np.concatenate([np.zeros(N), np.ones(2 * m)]), bounds=(0, None),
                   A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=b, method="highs-ds",

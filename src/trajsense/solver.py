@@ -384,7 +384,21 @@ def solve(problem: TSProblem, method: str = "auto") -> FeasibilityCertificate:
     if method == "auto":
         if ts.family == "symmetric":
             return solve_symmetric(ts.n, ts.m, problem.theta)
-        if ts.family == "cyclic" and ts.kappa and ts.kappa >= 2:
+        if _composable(ts):
             return build_cyclic(ts.n, ts.m, problem.theta)
         return solve_lp(problem)
     raise ValueError(f"unknown method {method!r}")
+
+
+def onset(ts: TrajectorySet) -> float:
+    """Angle from which `solve` finds a witness: the family's sufficient threshold, else pi."""
+    if ts.family == "symmetric":
+        return threshold_sym(ts.n, ts.m).theta
+    if _composable(ts):
+        return threshold_cyc(ts.kappa)
+    return math.pi
+
+
+def _composable(ts: TrajectorySet) -> bool:
+    """Cyclic families that `build_cyclic` covers (n = kappa*m, kappa >= 2)."""
+    return ts.family == "cyclic" and ts.kappa is not None and ts.kappa >= 2

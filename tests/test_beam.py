@@ -34,24 +34,23 @@ def test_wide_beam_limit_all_angles_theta0():
     assert np.allclose(a, 0.4, atol=1e-12)
 
 
+def nearest(beam_line):
+    idx, tied = beam._nearest_indices(beam.BeamScenario(0.1, 1.0), *beam_line)
+    return Trajectory(beam.EDGES[int(idx)]), bool(tied)
+
+
 def test_nearest_along_edge():
-    res = beam.nearest_trajectory(beam.BeamScenario(0.1, 1.0), TOP_EDGE)
-    assert res.trajectory == Trajectory((1, 2))
-    assert not res.tied
+    assert nearest(TOP_EDGE) == (Trajectory((1, 2)), False)
 
 
 def test_nearest_along_diagonal_is_tied():
-    res = beam.nearest_trajectory(beam.BeamScenario(0.1, 1.0), DIAGONAL)
-    assert res.tied
-    assert res.trajectory == Trajectory((1, 2))   # first in window order
+    # first in window order wins the tie
+    assert nearest(DIAGONAL) == (Trajectory((1, 2)), True)
 
 
 def test_nearest_offset_toward_edge():
-    res = beam.nearest_trajectory(beam.BeamScenario(0.1, 1.0), (0.0, 0.2))
-    assert res.trajectory == Trajectory((1, 2))
-    res = beam.nearest_trajectory(beam.BeamScenario(0.1, 1.0), (0.0, -0.2))
-    assert res.trajectory == Trajectory((3, 4))
-    assert not res.tied
+    assert nearest((0.0, 0.2)) == (Trajectory((1, 2)), False)
+    assert nearest((0.0, -0.2)) == (Trajectory((3, 4)), False)
 
 
 def test_scenario_validation():

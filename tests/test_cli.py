@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, file outputs, determinism, error paths."""
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import trajsense
 from trajsense import cli, qcore
 
 
@@ -120,6 +123,18 @@ def test_curve_inset_table(tmp_path, capsys):
     assert (tmp_path / "inset.csv").exists()
 
 
+@pytest.mark.parametrize("family,n,m", [("cyc", "1", "1"), ("sym", "3", "0"),
+                                          ("sym", "3", "3")])
+def test_single_member_curve_and_inset(tmp_path, capsys, family, n, m):
+    # cyc(1,1) has kappa = 1: no tensor composition, solve takes the LP route
+    base = ["curve", "--family", family, "--n", n, "--m", m, "--out", str(tmp_path)]
+    assert run(base + ["--points", "3"]) == 0
+    capsys.readouterr()
+    assert run(base + ["--inset", "--theta", "pi/2", "--format", "csv"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert [row.split(",")[1:] for row in rows] == [["1", "1"]] * 4      # one shot
+
+
 def test_curve_inset_bad_epsilons(capsys):
     assert run(["curve", "--inset", "--epsilons", "0.5,2.0"]) == 2
 
@@ -219,6 +234,15 @@ def test_verify_qubit_mismatch(tmp_path, capsys):
 
 
 # ----------------------------------------------------------- console script
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    code = ("import sys, trajsense.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(trajsense.__file__).resolve().parents[1])
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src})
+    assert r.stdout.strip() == "[]"
+
 
 def test_installed_entry_point():
     exe = shutil.which("trajsense")

@@ -1,6 +1,7 @@
 """Discrimination layer: oracles, measurement optimality, vote tails."""
 import csv
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -58,12 +59,21 @@ def test_helstrom_single_qubit_formula(theta):
 
 def test_pgm_orthogonal_is_projective():
     cert = solver.solve_symmetric(4, 2, 3 * PI / 4)
-    res = discrim.pgm(make_ensemble(cert.witness_state, TS42, 3 * PI / 4))
+    ens = make_ensemble(cert.witness_state, TS42, 3 * PI / 4)
+    res = discrim.pgm(ens)
     assert res.p_fail < 1e-10
-    total = sum(res.povm)
-    assert np.abs(total - np.eye(16)).max() < 1e-9
+    # reduced elements plus trailing abstain form a POVM on the span ...
+    B, coords = discrim._reduce(ens)
+    d = B.shape[1]
+    assert len(res.povm) == len(ens) + 1
+    assert np.abs(sum(res.povm) - np.eye(d)).max() < 1e-9
     for P in res.povm:
         assert np.linalg.eigvalsh(P).min() > -1e-9
+    # ... and B is an isometry onto it, so B P B^dag (+ I - BB^dag on the
+    # abstain) is a full-space POVM on the actual output states
+    assert np.abs(B.conj().T @ B - np.eye(d)).max() < 1e-12
+    states = np.stack([s.amps for s in ens.states])
+    assert np.abs(coords @ B.T - states).max() < 1e-12
 
 
 def test_pgm_identical_states():
@@ -187,6 +197,18 @@ def test_vote_dp_matches_enumeration():
             assert abs(e1 - e2) < 1e-10
 
 
+@pytest.mark.parametrize("r", [21, 64, 170])
+@pytest.mark.parametrize("p", [Fraction(5, 8), Fraction(3, 8)])
+def test_vote_dp_binary_exact_beyond_enum(r, p):
+    """k = 2: P(Bin(r, p) > r/2) + P(tie)/2, summed in exact rationals."""
+    pmf = [math.comb(r, a) * p ** a * (1 - p) ** (r - a) for a in range(r + 1)]
+    exact = sum(pmf[a] for a in range(r + 1) if 2 * a > r)
+    if r % 2 == 0:
+        exact += pmf[r // 2] / 2
+    got = discrim._plurality_win_dp(np.array([float(p), float(1 - p)]), 0, r)
+    assert abs(got - float(exact)) < 1e-12
+
+
 def test_vote_dp_matches_monte_carlo_beyond_enum():
     conf = np.array([[0.7, 0.1, 0.1, 0.1],
                      [0.1, 0.7, 0.1, 0.1],
@@ -205,6 +227,14 @@ def test_repetition_quantum_single_shot():
     res = discrim.pgm(make_ensemble(cert.witness_state, TS42, 0.8 * PI))
     reports = discrim.repetition_analysis(res, [1e-1, 1e-3, 1e-6])
     assert [rep.r for rep in reports] == [1, 1, 1]
+
+
+def test_repetition_single_member_is_one_shot():
+    ts = trajset.gen_symmetric(3, 0)
+    res = discrim.pgm(make_ensemble(plus_state(3), ts, PI / 2))
+    reports = discrim.repetition_analysis(res, [1e-1, 1e-2, 1e-4])
+    assert [rep.r for rep in reports] == [1, 1, 1]
+    assert all(rep.p_error_after_vote == 0.0 for rep in reports)
 
 
 def test_repetition_chance_level_diverges():

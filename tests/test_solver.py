@@ -305,6 +305,20 @@ def test_solve_dispatch():
         solver.solve(sym, method="nope")
 
 
+@pytest.mark.parametrize("ts,expect", [
+    (trajset.gen_symmetric(4, 2), 3 * PI / 4),
+    (trajset.gen_cyclic(8, 2), solver.threshold_cyc(4)),
+    (trajset.gen_cyclic(1, 1), PI),          # kappa = 1: LP route, no closed onset
+    (trajset.gen_cyclic(6, 4), PI),          # 4 does not divide 6: no kappa
+    (trajset.TrajectorySet(3, "custom", 1, (trajset.Trajectory((1,)),
+                                            trajset.Trajectory((2,)))), PI),
+])
+def test_onset_follows_solve_dispatch(ts, expect):
+    theta = solver.onset(ts)
+    assert theta == expect
+    assert solver.solve(TSProblem(ts, theta)).feasible
+
+
 def test_certificate_json():
     cert = solver.solve_symmetric(4, 2, 0.8 * PI)
     payload = json.loads(cert.to_json())
