@@ -7,8 +7,6 @@ product sensor needs a stack of measurements growing like log(1/epsilon)
 to match what entanglement does in one.
 """
 import math
-import tempfile
-from pathlib import Path
 
 import numpy as np
 
@@ -27,10 +25,8 @@ for q, c in zip(quantum, classical):
 print("  both start at 5/6 (pure guessing among six), the entangled curve")
 print("  hits zero at 3/4 pi and stays there.")
 
-with tempfile.TemporaryDirectory() as d:
-    path = Path(d) / "curve.csv"
-    discrim.write_curve_csv(path, quantum, classical)
-    print(f"\nCSV export round-trips: {len(path.read_text().splitlines())} lines")
+table = discrim.curve_csv(quantum, classical)
+print(f"\nCSV export: {len(table.splitlines())} lines")
 
 # repeated shots at the onset angle
 theta = 3 * math.pi / 4

@@ -3,8 +3,8 @@
 Subsystems, roughly bottom-up:
 
 - ``rng``      counter-based uniform streams (reproducible, order-independent)
-- ``qcore``    dense statevectors, collective Z rotations, measurement sampling
-- ``trajset``  trajectory families (symmetric, cyclic windows, custom)
+- ``qcore``    dense statevectors, symmetrized basis, measurement sampling
+- ``trajset``  trajectory families and the phase matrix of their rotations
 - ``simplex``  phase-1 feasibility: float solve certified in rationals
 - ``solver``   sensing-state construction, closed-form and LP routes
 - ``discrim``  optimal discrimination, failure curves, repetition analysis

@@ -118,17 +118,16 @@ def ts_sensor_state() -> qcore.Ket:
 
 def measurement_basis() -> list[qcore.Ket]:
     """Rotated outputs R^(T)(pi/2)|psi> in window order."""
-    psi = ts_sensor_state()
-    ops = trajset.compile_all(trajset.gen_cyclic(4, 2), math.pi / 2)
-    return [qcore.apply_phase(psi, op) for op in ops]
+    outs = (trajset.phase_matrix(trajset.gen_cyclic(4, 2).members, 4, math.pi / 2)
+            * ts_sensor_state().amps)
+    return [qcore.Ket(4, row) for row in outs]
 
 
 def entangled_outcome_probs_statevector(angles) -> np.ndarray:
     """Same probabilities via explicit statevectors (cross-check route)."""
-    psi = ts_sensor_state()
-    amps = psi.amps.copy()
+    amps = ts_sensor_state().amps
     for i, th in enumerate(angles, start=1):
-        amps = amps * trajset.compile_phase(Trajectory((i,)), 4, float(th)).phase
+        amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
     basis = measurement_basis()
     return np.array([abs(np.vdot(b.amps, amps)) ** 2 for b in basis])
 

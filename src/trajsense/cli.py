@@ -78,16 +78,16 @@ def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
 
 
 def _emit(args, payload: str, filename: str, summary: str) -> None:
-    """Route a primary artifact to --out and/or stdout per --format."""
+    """Write a primary artifact (and the manifest) only under --out.
+
+    Stdout gets a JSON artifact itself under --format json, else the summary.
+    """
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / filename).write_text(payload)
+        (outdir / filename).write_text(payload, newline="")
         _write_manifest(outdir, args)
-    if args.format == "json":
-        print(payload)
-    else:
-        print(summary)
+    print(payload if args.format == "json" and filename.endswith(".json") else summary)
 
 
 # ---------------------------------------------------------------- solve
@@ -130,37 +130,26 @@ def cmd_curve(args) -> int:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
         ens = discrim.make_ensemble(cert.witness_state, ts, theta)
         quantum = discrim.optimal_measurement(ens)
-        cl = discrim.repetition_analysis(classical, eps)
-        qu = discrim.repetition_analysis(quantum, eps)
-        outdir = Path(args.out) if args.out else Path(".")
-        outdir.mkdir(parents=True, exist_ok=True)
-        path = outdir / "inset.csv"
-        discrim.write_repetition_csv(path, eps, cl, qu)
-        if args.out:
-            _write_manifest(outdir, args)
-        lines = path.read_text()
-        if args.format == "csv":
-            print(lines, end="")
-        else:
-            print(f"repetition table written to {path}")
-        return 0
-    lo = parse_angle(args.theta_min) if args.theta_min else 0.0
-    hi = parse_angle(args.theta_max) if args.theta_max else math.pi
-    if not (0.0 <= lo < hi <= math.pi):
-        raise ValueError(f"theta grid [{lo:.4f}, {hi:.4f}] must sit inside [0, pi]")
-    grid = np.linspace(lo, hi, args.points)
-    quantum = discrim.failure_curve(ts, "solver_witness", grid)
-    classical = discrim.failure_curve(ts, args.classical, grid)
-    outdir = Path(args.out) if args.out else Path(".")
-    outdir.mkdir(parents=True, exist_ok=True)
-    path = outdir / "curve.csv"
-    discrim.write_curve_csv(path, quantum, classical)
-    if args.out:
-        _write_manifest(outdir, args)
-    if args.format == "csv":
-        print(path.read_text(), end="")
+        table = discrim.repetition_csv(eps, discrim.repetition_analysis(classical, eps),
+                                       discrim.repetition_analysis(quantum, eps))
+        filename, what = "inset.csv", "repetition table"
     else:
-        print(f"{len(grid)}-point failure curve written to {path}")
+        lo = parse_angle(args.theta_min) if args.theta_min else 0.0
+        hi = parse_angle(args.theta_max) if args.theta_max else math.pi
+        if not (0.0 <= lo < hi <= math.pi):
+            raise ValueError(f"theta grid [{lo:.4f}, {hi:.4f}] must sit inside [0, pi]")
+        grid = np.linspace(lo, hi, args.points)
+        table = discrim.curve_csv(discrim.failure_curve(ts, "solver_witness", grid),
+                                  discrim.failure_curve(ts, args.classical, grid))
+        filename, what = "curve.csv", f"{len(grid)}-point failure curve"
+    if args.format == "csv":
+        # the file keeps csv's \r\n rows; stdout gets plain newlines
+        summary = table.replace("\r\n", "\n").rstrip("\n")
+    elif args.out is not None:
+        summary = f"{what} written to {Path(args.out) / filename}"
+    else:
+        summary = f"{what} computed; --out DIR writes it, --format csv prints it"
+    _emit(args, table, filename, summary)
     return 0
 
 

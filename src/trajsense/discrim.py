@@ -1,15 +1,17 @@
 """Single-shot and repeated trajectory discrimination.
 
 Everything here answers one question from different angles: given the output
-ensemble {R^(T)(theta)|psi>}, how often does a measurement identify T?
+ensemble {R^(T)(theta)|psi>}, how often does a measurement identify T?  The
+ensemble is one (k, 2**n) array, `trajset.phase_matrix` times psi; sweeps
+build the phase matrix once per angle and reuse it for every input state.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
 * `helstrom_pair` is the closed-form two-state optimum, kept as an oracle.
 * `pgm` is the square-root measurement; optimal for the geometrically uniform
   ensembles that appear here, and cheap enough to screen parameter sweeps.
 * `optimal_measurement` runs the fixed-point iteration for the minimum-error
-  POVM (Jezek/Rehacek/Fiurasek style), seeded from the PGM so it can only
-  improve on it.
+  POVM (Jezek, Rehacek & Fiurasek 2002) on stacked (k, d, d) arrays, seeded
+  from the PGM so it can only improve on it.
 * `classical_baseline` evaluates unentangled inputs (|+>^n or a Bloch-angle
   product grid) under the same machinery, so entangled-vs-classical gaps are
   measured with matched generosity on the measurement side.
@@ -25,6 +27,7 @@ a uniform random guess.  The entangled arm takes its witness from
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -41,34 +44,32 @@ _VOTE_R_CAP = 170
 
 @dataclass
 class OutputEnsemble:
-    states: tuple[Ket, ...]
+    """Output states as the rows of one (k, 2**n) amplitude array."""
+
+    states: np.ndarray
     prior: np.ndarray = None
 
     def __post_init__(self):
-        if not self.states:
-            raise ValueError("empty ensemble")
-        n = self.states[0].n
-        if any(s.n != n for s in self.states):
-            raise ValueError("ensemble states live on different registers")
+        # ragged rows (states on different registers) fail in asarray
+        self.states = np.asarray(self.states, dtype=np.complex128)
+        k, dim = self.states.shape if self.states.ndim == 2 else (0, 0)
+        if k == 0 or dim == 0 or dim & (dim - 1):
+            raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
+                             f"got shape {self.states.shape}")
         if self.prior is None:
-            self.prior = np.full(len(self.states), 1.0 / len(self.states))
+            self.prior = np.full(k, 1.0 / k)
         self.prior = np.asarray(self.prior, dtype=float)
-        if len(self.prior) != len(self.states) or abs(self.prior.sum() - 1.0) > 1e-9 \
+        if len(self.prior) != k or abs(self.prior.sum() - 1.0) > 1e-9 \
                 or self.prior.min() < -1e-12:
             raise ValueError("prior must be a probability vector over the states")
 
     def __len__(self):
         return len(self.states)
 
-    @property
-    def n(self):
-        return self.states[0].n
-
 
 def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> OutputEnsemble:
     """Outputs R^(T)(theta)|psi> in trajectory order, uniform prior."""
-    ops = trajset.compile_all(ts, theta)
-    return OutputEnsemble(tuple(qcore.apply_phase(psi, op) for op in ops))
+    return OutputEnsemble(trajset.phase_matrix(ts.members, ts.n, theta) * psi.amps)
 
 
 @dataclass
@@ -115,7 +116,7 @@ def verify_ts(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> V
 
 def _reduce(ens: OutputEnsemble):
     """Orthonormal basis B of the ensemble span and coordinates of each state."""
-    S = np.stack([s.amps for s in ens.states])
+    S = ens.states
     _, sv, vh = np.linalg.svd(S, full_matrices=False)
     d = max(1, int((sv > sv[0] * 1e-12).sum()))
     # rows of vh span the states (unconjugated) and are orthonormal under
@@ -126,16 +127,16 @@ def _reduce(ens: OutputEnsemble):
 
 
 def _result_from_reduced(ens, B, coords, reduced_povm, method, **kw) -> DiscriminationResult:
+    """Confusion matrix and p_fail of the (k, d, d) guess elements, abstain appended."""
     k = len(ens)
     # <c_i|P_j|c_i>; the BLAS matmul first is ~7x faster than a 3-operand einsum at k=20
-    confusion = np.einsum("jib,ib->ij", coords.conj() @ np.asarray(reduced_povm),
-                          coords).real
+    confusion = np.einsum("jib,ib->ij", coords.conj() @ reduced_povm, coords).real
     abstain = np.clip(1.0 - confusion.sum(axis=1), 0.0, None)
     confusion += abstain[:, None] / k          # abstain -> uniform random guess
     confusion = np.clip(confusion, 0.0, 1.0)
     p_succ = confusion.diagonal().copy()
     p_fail = float(max(0.0, 1.0 - ens.prior @ p_succ))
-    abstain_op = np.eye(B.shape[1], dtype=complex) - sum(reduced_povm)
+    abstain_op = np.eye(B.shape[1], dtype=complex) - reduced_povm.sum(axis=0)
     return DiscriminationResult(list(reduced_povm) + [abstain_op], p_succ, p_fail,
                                 method, confusion, **kw)
 
@@ -147,7 +148,7 @@ def helstrom_pair(a: Ket, b: Ket) -> DiscriminationResult:
     """Two-state minimum error at equal priors: (1 - sqrt(1-|<a|b>|^2))/2."""
     if a.n != b.n:
         raise ValueError("states live on different registers")
-    ens = OutputEnsemble((a, b))
+    ens = OutputEnsemble(np.stack([a.amps, b.amps]))
     B, coords = _reduce(ens)
     M = 0.5 * (np.outer(coords[0], coords[0].conj())
                - np.outer(coords[1], coords[1].conj()))
@@ -155,80 +156,68 @@ def helstrom_pair(a: Ket, b: Ket) -> DiscriminationResult:
     pos = vecs[:, vals > 0]
     P0 = pos @ pos.conj().T
     P1 = np.eye(B.shape[1]) - P0
-    res = _result_from_reduced(ens, B, coords, [P0, P1], "helstrom")
+    res = _result_from_reduced(ens, B, coords, np.stack([P0, P1]), "helstrom")
     overlap = abs(np.vdot(a.amps, b.amps))
     res.p_fail = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - overlap ** 2)))
     return res
 
 
+def _hermitize(M):
+    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+
+
+def _inv_sqrt(M: np.ndarray, cut: float):
+    """Pseudo-inverse square root of a PSD matrix; eigenvalues <= cut*max are dropped."""
+    vals, vecs = np.linalg.eigh(M)
+    keep = vals > max(vals.max(), 0.0) * cut
+    return (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T, bool(keep.all())
+
+
+def _pgm_start(ens: OutputEnsemble):
+    """Reduced span, weighted states G_i = pi_i |c_i><c_i| and the PGM elements."""
+    B, coords = _reduce(ens)
+    G = ens.prior[:, None, None] * (coords[:, :, None] * coords[:, None, :].conj())
+    inv_sqrt, full_rank = _inv_sqrt(G.sum(axis=0), 1e-12)
+    return B, coords, G, inv_sqrt @ G @ inv_sqrt, full_rank
+
+
 def pgm(ens: OutputEnsemble) -> DiscriminationResult:
     """Square-root measurement from the prior-weighted ensemble operator."""
-    B, coords = _reduce(ens)
-    d = B.shape[1]
-    rho = np.zeros((d, d), dtype=complex)
-    for pi_i, c in zip(ens.prior, coords):
-        rho += pi_i * np.outer(c, c.conj())
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vals > vals.max() * 1e-12
-    inv_sqrt = (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T
-    note = "" if keep.all() else "rank-deficient ensemble operator (pseudo-inverse)"
-    povm = []
-    for pi_i, c in zip(ens.prior, coords):
-        v = inv_sqrt @ (c * math.sqrt(pi_i))
-        povm.append(np.outer(v, v.conj()))
+    B, coords, _, povm, full_rank = _pgm_start(ens)
+    note = "" if full_rank else "rank-deficient ensemble operator (pseudo-inverse)"
     return _result_from_reduced(ens, B, coords, povm, "pgm", note=note)
-
-
-def _hermitize(M):
-    return 0.5 * (M + M.conj().T)
 
 
 def optimal_measurement(ens: OutputEnsemble, tol: float = 1e-9,
                         max_iter: int = 10_000) -> DiscriminationResult:
     """Fixed-point iteration to the minimum-error POVM, seeded from the PGM.
 
-    Stops when the optimality-condition operator sum_i pi_i Pi_i rho_i - pi_j rho_j
-    is positive semidefinite for every j within `tol`; keeps the best iterate,
-    so the result never does worse than the PGM.
+    The update is P_i <- L G_i P_i G_i L with L = (sum_i G_i P_i G_i)^(-1/2)
+    (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)), run on the stacked
+    (k, d, d) arrays.  Stops when the optimality-condition operator
+    sum_i G_i P_i - G_j is positive semidefinite for every j within `tol`;
+    keeps the best iterate, so the result never does worse than the PGM.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    B, coords = _reduce(ens)
-    d = B.shape[1]
-    k = len(ens)
-    G = [ens.prior[i] * np.outer(coords[i], coords[i].conj()) for i in range(k)]
-    # PGM elements in reduced coordinates as the starting point
-    rho = sum(G)
-    vals, vecs = np.linalg.eigh(rho)
-    keep = vals > vals.max() * 1e-12
-    inv_sqrt = (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T
-    povm = [inv_sqrt @ Gi @ inv_sqrt for Gi in G]
+    B, coords, G, povm, _ = _pgm_start(ens)
 
     def success(p):
-        return float(sum(np.real(np.trace(Gi @ Pi)) for Gi, Pi in zip(G, p)))
+        return float(np.einsum("kab,kba->", G, p).real)
 
     def opt_residual(p):
-        gamma = _hermitize(sum(Gi @ Pi for Gi, Pi in zip(G, p)))
-        worst = 0.0
-        for Gj in G:
-            lam = np.linalg.eigvalsh(gamma - Gj).min()
-            worst = max(worst, -min(lam, 0.0))
-        return worst
+        gamma = _hermitize((G @ p).sum(axis=0))
+        return max(0.0, -float(np.linalg.eigvalsh(gamma - G).min()))
 
-    best = [Pi.copy() for Pi in povm]
-    best_succ = success(povm)
+    best, best_succ = povm, success(povm)
     resid = opt_residual(povm)
     it = 0
     while resid > tol and it < max_iter:
-        lam = sum(Gi @ Pi @ Gi for Gi, Pi in zip(G, povm))
-        vals, vecs = np.linalg.eigh(_hermitize(lam))
-        keep = vals > max(vals.max(), 0.0) * 1e-14
-        lam_inv_sqrt = (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T
-        povm = [_hermitize(lam_inv_sqrt @ Gi @ Pi @ Gi @ lam_inv_sqrt)
-                for Gi, Pi in zip(G, povm)]
+        L, _ = _inv_sqrt(_hermitize((G @ povm @ G).sum(axis=0)), 1e-14)
+        povm = _hermitize(L @ G @ povm @ G @ L)
         s = success(povm)
         if s > best_succ:
-            best_succ, best = s, [Pi.copy() for Pi in povm]
+            best_succ, best = s, povm
         resid = opt_residual(povm)
         it += 1
     converged = resid <= tol
@@ -260,21 +249,22 @@ def classical_baseline(ts: TrajectorySet, theta: float, mode: str = "plus_produc
     best_product_grid additionally scans identical-qubit Bloch angles
     (phi x alpha grid) and keeps the best input.
     """
-    if mode == "plus_product":
-        plus = Ket(ts.n, np.full(1 << ts.n, (1 << ts.n) ** -0.5, dtype=complex))
-        return optimal_measurement(make_ensemble(plus, ts, theta), tol, max_iter)
-    if mode != "best_product_grid":
+    if mode not in ("plus_product", "best_product_grid"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    if ts.n > 10:
+    if mode == "best_product_grid" and ts.n > 10:
         raise ValueError("product grid search limited to n <= 10")
+    plus = Ket(ts.n, np.full(1 << ts.n, (1 << ts.n) ** -0.5, dtype=complex))
+    phases = trajset.phase_matrix(ts.members, ts.n, theta)
+    best = optimal_measurement(OutputEnsemble(phases * plus.amps), tol, max_iter)
+    if mode == "plus_product":
+        return best
     n_phi, n_alpha = grid
-    best = classical_baseline(ts, theta, "plus_product", tol=tol, max_iter=max_iter)
     best.note = "alpha=pi/2 phi=0 (plus product); " + best.note
     for alpha in np.linspace(0.0, math.pi, n_alpha):
         for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False):
             psi = _product_input(ts.n, float(alpha), float(phi))
-            res = optimal_measurement(make_ensemble(psi, ts, theta), tol, max_iter)
-            if best is None or res.p_fail < best.p_fail:
+            res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol, max_iter)
+            if res.p_fail < best.p_fail:
                 best = res
                 best.note = f"alpha={alpha:.6f} phi={phi:.6f}; " + best.note
     return best
@@ -293,7 +283,7 @@ def _symmetrized_candidates(n: int, granularity: int = 6):
     for x in profiles:
         amps = np.zeros(1 << n)
         for e, xv in zip(basis, x):
-            amps[list(e.support)] = math.sqrt(max(xv, 0.0))
+            amps[e.support] = math.sqrt(max(xv, 0.0))
         out.append(Ket(n, amps.astype(complex)))
     return out
 
@@ -349,9 +339,10 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid,
         candidates = _symmetrized_candidates(ts.n)
         if threshold_witness is not None:
             candidates.append(threshold_witness)
+        phases = trajset.phase_matrix(ts.members, ts.n, theta)
         best, label = None, ""
         for idx, psi in enumerate(candidates):
-            res = optimal_measurement(make_ensemble(psi, ts, theta), tol)
+            res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol)
             if best is None or res.p_fail < best.p_fail:
                 best = res
                 label = "threshold witness" if idx == len(candidates) - 1 \
@@ -530,24 +521,26 @@ def repetition_analysis(per_shot: DiscriminationResult, epsilon_grid,
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def write_curve_csv(path, quantum: list[CurvePoint], classical: list[CurvePoint]) -> None:
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def curve_csv(quantum: list[CurvePoint], classical: list[CurvePoint]) -> str:
     """Two-arm table: theta, p_fail_quantum, p_fail_classical, method."""
     if [p.theta for p in quantum] != [p.theta for p in classical]:
         raise ValueError("curve arms evaluated on different theta grids")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theta", "p_fail_quantum", "p_fail_classical", "method"])
-        for qp, cp in zip(quantum, classical):
-            w.writerow([repr(qp.theta), repr(qp.p_fail), repr(cp.p_fail),
-                        f"{qp.method}/{cp.method}"])
+    return _csv_text([["theta", "p_fail_quantum", "p_fail_classical", "method"]]
+                     + [[repr(qp.theta), repr(qp.p_fail), repr(cp.p_fail),
+                         f"{qp.method}/{cp.method}"] for qp, cp in zip(quantum, classical)])
 
 
-def write_repetition_csv(path, epsilons, classical: list[RepetitionReport],
-                         quantum: list[RepetitionReport]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epsilon", "r_classical", "r_quantum"])
-        for eps, rc, rq in zip(epsilons, classical, quantum):
-            w.writerow([repr(float(eps)),
-                        "inf" if math.isinf(rc.r) else int(rc.r),
-                        "inf" if math.isinf(rq.r) else int(rq.r)])
+def repetition_csv(epsilons, classical: list[RepetitionReport],
+                   quantum: list[RepetitionReport]) -> str:
+    """Inset table: epsilon, r_classical, r_quantum (inf when the vote never converges)."""
+    def r(rep):
+        return "inf" if math.isinf(rep.r) else int(rep.r)
+    return _csv_text([["epsilon", "r_classical", "r_quantum"]]
+                     + [[repr(float(eps)), r(rc), r(rq)]
+                        for eps, rc, rq in zip(epsilons, classical, quantum)])

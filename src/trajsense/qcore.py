@@ -1,4 +1,4 @@
-"""Dense statevector core: kets, tensor placement, diagonal phases, sampling.
+"""Dense statevector core: kets, tensor placement, symmetrized basis, sampling.
 
 Convention used everywhere: basis index j enumerates bitstrings j1...jn with
 qubit 1 as the most significant bit, so |j1...jn> lives at integer index
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,9 +41,8 @@ def bitstring(n: int, j: int) -> str:
 
 def bit_table(n: int) -> np.ndarray:
     """(2**n, n) uint8 array; column k-1 holds the bit of qubit k."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
-    return ((idx[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    idx = np.arange(1 << n, dtype=">u4")       # big-endian: qubit 1's bit comes first
+    return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
 
 
 def weight_on(n: int, qubits: Iterable[int]) -> np.ndarray:
@@ -141,16 +140,6 @@ def tensor(a: Ket, b: Ket, place_a: Sequence[int] | None = None,
     return Ket(n_out, a.amps[idx_a] * b.amps[idx_b])
 
 
-def apply_phase(k: Ket, p) -> Ket:
-    """Multiply amplitudes entrywise by a PhaseOp's phase vector."""
-    phase = getattr(p, "phase", None)
-    if phase is None:
-        phase = np.asarray(p, dtype=np.complex128)
-    if phase.shape != k.amps.shape:
-        raise ValueError(f"phase vector dimension {phase.shape} != state dimension {k.amps.shape}")
-    return Ket(k.n, k.amps * phase)
-
-
 def inner(a: Ket, b: Ket) -> complex:
     """<a|b> (conjugate-linear in the first argument)."""
     if a.n != b.n:
@@ -168,18 +157,18 @@ def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-10) -> bool:
     return abs(inner(a, b)) > 1 - tol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymBasisElement:
     """Unnormalized sum of all bitstrings of weight nu or n-nu."""
 
     n: int
     nu: int
-    support: tuple[int, ...]
+    support: np.ndarray          # basis indices, ascending
     norm_sq: int
 
     def vector(self) -> np.ndarray:
         v = np.zeros(1 << self.n, dtype=np.complex128)
-        v[list(self.support)] = 1.0
+        v[self.support] = 1.0
         return v
 
 
@@ -192,7 +181,7 @@ def symmetrized_basis(n: int) -> list[SymBasisElement]:
         support = np.nonzero((w == nu) | (w == n - nu))[0]
         expect = math.comb(n, nu) + (math.comb(n, n - nu) if nu != n - nu else 0)
         assert len(support) == expect
-        out.append(SymBasisElement(n, nu, tuple(int(j) for j in support), expect))
+        out.append(SymBasisElement(n, nu, support, expect))
     return out
 
 

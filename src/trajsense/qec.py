@@ -24,7 +24,7 @@ import numpy as np
 
 from . import qcore, trajset
 from .qcore import Ket
-from .trajset import TrajectorySet
+from .trajset import Trajectory, TrajectorySet
 
 _COMPLETENESS_TOL = 1e-10
 
@@ -61,8 +61,7 @@ class ErrorChannel:
 
     @classmethod
     def from_trajectory_set(cls, ts: TrajectorySet, theta: float) -> "ErrorChannel":
-        ops = trajset.compile_all(ts, theta)
-        phases = np.stack([op.phase for op in ops])
+        phases = trajset.phase_matrix(ts.members, ts.n, theta)
         ch = cls(ts.n, float(theta), ts, phases)
         res = ch.completeness_residual()
         if res > _COMPLETENESS_TOL:
@@ -279,12 +278,6 @@ def css7_logical_states() -> tuple[Ket, Ket]:
     return qcore.from_vector(7, v0, normalize=False), qcore.from_vector(7, v1, normalize=False)
 
 
-def _rz_diag(n: int, theta: float) -> np.ndarray:
-    """Diagonal of a single-angle Z rotation applied to every qubit."""
-    w = qcore.weight_on(n, range(1, n + 1))
-    return np.exp(-0.5j * theta * (n - 2 * w))
-
-
 @dataclass
 class TransversalityReport:
     passed: bool
@@ -316,7 +309,7 @@ def transversal_rotation_check(angle: float = math.pi / 2,
     phase by the wrong amount.
     """
     zero, one = css7_logical_states()
-    diag = _rz_diag(7, angle)
+    diag = trajset.phase_matrix([Trajectory(tuple(range(1, 8)))], 7, angle)[0]
     basis = np.stack([zero.amps, one.amps])           # orthonormal rows
     L = np.zeros((2, 2), dtype=complex)
     leak = 0.0

@@ -106,18 +106,14 @@ class FeasibilityCertificate:
 # ---------------------------------------------------------------------------
 # shared verification
 
-def _phase_rows(ts: TrajectorySet, theta: float) -> np.ndarray:
-    """Stack of diagonal phase vectors, one row per trajectory."""
-    return np.stack([trajset.compile_phase(t, ts.n, theta).phase for t in ts.members])
-
-
 def eq1_gram(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
     """Gram matrix of the post-trajectory outputs <psi|R(T)^dag R(T')|psi>."""
     if psi.n != ts.n:
         raise ValueError("state/trajectory register size mismatch")
     if len(ts) ** 2 * (1 << ts.n) > 2_000_000_000:
         raise ValueError("pairwise verification too large for dense computation")
-    outs = _phase_rows(ts, theta) * psi.amps[None, :]
+    outs = trajset.phase_matrix(ts.members, ts.n, theta)
+    outs *= psi.amps
     return outs.conj() @ outs.T
 
 
@@ -141,16 +137,12 @@ def _sym_pair_reps(n: int, m: int):
 def _sym_constraint_rows(n: int, m: int, theta: float) -> np.ndarray:
     """Rows <nu|R(T)^dag R(T')|nu> over the symmetrized basis, one pair class each."""
     basis = qcore.symmetrized_basis(n)
-    rows = []
-    for _, ta, tb in _sym_pair_reps(n, m):
-        pa = trajset.compile_phase(ta, n, theta).phase
-        pb = trajset.compile_phase(tb, n, theta).phase
-        d = pa.conj() * pb
-        row = np.array([complex(d[list(e.support)].sum()) for e in basis])
-        rows.append(row)
-    if not rows:
+    pairs = [t for _, ta, tb in _sym_pair_reps(n, m) for t in (ta, tb)]
+    if not pairs:
         return np.zeros((0, len(basis)))
-    cmplx = np.stack(rows)
+    phases = trajset.phase_matrix(pairs, n, theta)
+    d = phases[0::2].conj() * phases[1::2]
+    cmplx = np.array([[row[e.support].sum() for e in basis] for row in d])
     # bit-flip symmetry of the supports makes these rows real
     assert np.abs(cmplx.imag).max() < 1e-9, "symmetrized constraint rows must be real"
     return cmplx.real
@@ -221,7 +213,7 @@ def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
     x = x / float(norms @ x)           # sum_nu N_nu |cbar_nu|^2 = 1
     amps = np.zeros(1 << n)
     for e, xv in zip(basis, x):
-        amps[list(e.support)] = math.sqrt(max(xv, 0.0))
+        amps[e.support] = math.sqrt(max(xv, 0.0))
     witness = Ket(n, amps.astype(complex))
     cert.feasible = True
     cert.cbar_sq = [float(v) for v in x]
@@ -364,8 +356,7 @@ def symmetrize(k: Ket) -> Ket:
     """Project onto the permutation/bit-flip invariant span and renormalize."""
     proj = np.zeros_like(k.amps)
     for e in qcore.symmetrized_basis(k.n):
-        sup = list(e.support)
-        proj[sup] = k.amps[sup].sum() / e.norm_sq
+        proj[e.support] = k.amps[e.support].sum() / e.norm_sq
     nrm = np.linalg.norm(proj)
     if nrm < 1e-12:
         raise ValueError("state has zero projection onto the invariant subspace")
@@ -391,7 +382,12 @@ def solve(problem: TSProblem, method: str = "auto") -> FeasibilityCertificate:
 
 
 def onset(ts: TrajectorySet) -> float:
-    """Angle from which `solve` finds a witness: the family's sufficient threshold, else pi."""
+    """A sufficient angle for `solve`: the family's closed-form threshold, else pi.
+
+    Not the onset itself, which can lie lower: 0.7323pi for sym(5,1) against
+    the (n-1)pi/n = 0.8pi returned here, and below `threshold_cyc` for
+    cyclic families with kappa >= 4.
+    """
     if ts.family == "symmetric":
         return threshold_sym(ts.n, ts.m).theta
     if _composable(ts):

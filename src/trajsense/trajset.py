@@ -1,4 +1,4 @@
-"""Trajectory families and their compiled diagonal rotation operators.
+"""Trajectory families and the phase matrix of their diagonal rotations.
 
 A trajectory is the set of qubits rotated by a passing particle.  The
 symmetric family holds every weight-m subset of {1..n}; the cyclic family
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import weight_on
+from .qcore import bit_table
 
 
 @dataclass(frozen=True)
@@ -83,35 +83,23 @@ def gen_cyclic(n: int, m: int) -> TrajectorySet:
     return TrajectorySet(n, "cyclic", m, members, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class PhaseOp:
-    """Diagonal form of R^(T)(theta): each qubit in T gets R_Z(theta)."""
+def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndarray:
+    """Diagonals of R^(T)(theta), one row per trajectory: shape (len(members), 2**n).
 
-    n: int
-    theta: float
-    trajectory: Trajectory
-    phase: np.ndarray
-
-    def conj(self) -> np.ndarray:
-        return self.phase.conj()
-
-
-def compile_phase(t: Trajectory, n: int, theta: float) -> PhaseOp:
-    """Phase vector exp(-i(theta/2) * sum_{k in T} (1 - 2 j_k)).
-
-    R_Z(theta) = e^{-i theta Z/2} on every qubit of the trajectory; the
-    operator is diagonal in the computational basis.
+    R_Z(theta) = e^{-i theta Z/2} on every qubit of T is diagonal in the
+    computational basis, with entry exp(-i(theta/2) * sum_{k in T} (1 - 2 j_k)).
+    That sum is |T| - 2w for the weight w of the bitstring on T, so each row
+    is a lookup into the |T|+1 possible phases.
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
-    t.validate_within(n)
-    w = weight_on(n, t.qubits)               # ones inside T per basis index
-    s = len(t) - 2 * w                       # sum of (1 - 2 j_k) over T
-    return PhaseOp(n, theta, t, np.exp(-0.5j * theta * s))
-
-
-def compile_all(ts: TrajectorySet, theta: float) -> list[PhaseOp]:
-    return [compile_phase(t, ts.n, theta) for t in ts.members]
+    bits = bit_table(n)
+    rows = np.empty((len(members), 1 << n), dtype=np.complex128)
+    for row, t in zip(rows, members):
+        t.validate_within(n)
+        w = bits[:, [q - 1 for q in t.qubits]].sum(axis=1, dtype=np.uint8)
+        row[:] = np.exp(-0.5j * theta * (len(t) - 2 * np.arange(len(t) + 1)))[w]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,10 @@ def test_criterion_2_weight_ratio_identities():
 
 
 def test_criterion_3_cyclic_thresholds():
-    """Window families become feasible at arccos(-1 + 1/ceil(kappa/2))."""
+    """Window families are feasible at arccos(-1 + 1/ceil(kappa/2)).
+
+    A sufficient angle: for kappa >= 4 the true onset lies lower.
+    """
     t0 = time.time()
     worst = 0.0
     cases = 0

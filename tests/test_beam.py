@@ -121,7 +121,7 @@ def test_born_frequencies_match_sampled_outcomes():
     psi = beam.ts_sensor_state()
     amps = psi.amps.copy()
     for i, th in enumerate(ang, start=1):
-        amps = amps * trajset.compile_phase(Trajectory((i,)), 4, float(th)).phase
+        amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
     rotated = qcore.from_vector(4, amps, normalize=False)
     basis = beam.measurement_basis()
     shots = 2000

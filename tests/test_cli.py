@@ -139,6 +139,30 @@ def test_curve_inset_bad_epsilons(capsys):
     assert run(["curve", "--inset", "--epsilons", "0.5,2.0"]) == 2
 
 
+def test_curve_without_out_writes_no_files(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(["curve", "--points", "3", "--format", "csv"]) == 0
+    curve = capsys.readouterr().out
+    assert run(["curve", "--inset", "--epsilons", "1e-1,1e-2", "--format", "csv"]) == 0
+    inset = capsys.readouterr().out
+    assert run(["curve", "--points", "3"]) == 0
+    assert "--out" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert curve.splitlines()[0] == "theta,p_fail_quantum,p_fail_classical,method"
+    assert len(curve.splitlines()) == 4 and "\r" not in curve
+    assert inset.splitlines()[0] == "epsilon,r_classical,r_quantum"
+    assert len(inset.splitlines()) == 3 and "\r" not in inset
+
+
+def test_curve_out_file_is_stdout_table_with_crlf(tmp_path, capsys):
+    assert run(["curve", "--points", "3", "--format", "csv", "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    data = (tmp_path / "curve.csv").read_bytes()
+    assert data.count(b"\r\n") == 4
+    assert data.replace(b"\r\n", b"\n") == out.encode()
+    assert (tmp_path / "manifest.json").exists()
+
+
 # -------------------------------------------------------------------- beam
 
 def test_beam_quadrature_reports_positive_advantage(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Discrimination layer: oracles, measurement optimality, vote tails."""
 import csv
+import io
 import math
 from fractions import Fraction
 
@@ -50,7 +51,7 @@ def test_helstrom_orthogonal_and_identical():
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
 def test_helstrom_single_qubit_formula(theta):
     plus = qcore.Ket(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
-    rot = qcore.apply_phase(plus, trajset.compile_phase(trajset.Trajectory((1,)), 1, theta))
+    rot = qcore.Ket(1, plus.amps * trajset.phase_matrix([trajset.Trajectory((1,))], 1, theta)[0])
     got = discrim.helstrom_pair(plus, rot).p_fail
     assert abs(got - (1 - abs(math.sin(theta / 2))) / 2) < 1e-12
 
@@ -72,12 +73,11 @@ def test_pgm_orthogonal_is_projective():
     # ... and B is an isometry onto it, so B P B^dag (+ I - BB^dag on the
     # abstain) is a full-space POVM on the actual output states
     assert np.abs(B.conj().T @ B - np.eye(d)).max() < 1e-12
-    states = np.stack([s.amps for s in ens.states])
-    assert np.abs(coords @ B.T - states).max() < 1e-12
+    assert np.abs(coords @ B.T - ens.states).max() < 1e-12
 
 
 def test_pgm_identical_states():
-    ens = OutputEnsemble(tuple([qcore.make_ket(2, [("00", 1.0)])] * 6))
+    ens = OutputEnsemble(np.stack([qcore.make_ket(2, [("00", 1.0)]).amps] * 6))
     assert abs(discrim.pgm(ens).p_fail - 5 / 6) < 1e-12
 
 
@@ -93,7 +93,7 @@ def test_optimal_matches_helstrom_on_pairs():
     for theta in [0.4, 1.1, 2.0]:
         ens = make_ensemble(plus_state(2), TS21, theta)
         o = discrim.optimal_measurement(ens)
-        h = discrim.helstrom_pair(ens.states[0], ens.states[1])
+        h = discrim.helstrom_pair(*(qcore.Ket(2, s) for s in ens.states))
         assert abs(o.p_fail - h.p_fail) < 1e-8
         assert o.optimality_residual < 1e-9
 
@@ -110,6 +110,22 @@ def test_optimal_equals_pgm_on_cyclic_ensembles():
     for theta in [0.4 * PI, 0.7 * PI]:
         ens = make_ensemble(plus_state(4), cyc, theta)
         assert abs(discrim.optimal_measurement(ens).p_fail - discrim.pgm(ens).p_fail) < 1e-8
+
+
+@pytest.mark.parametrize("theta_pi,iterations,p_fail", [
+    (0.4, 14, 0.4908863735185425),
+    (0.7, 9, 0.3990645542697552),
+])
+def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
+    """An ensemble where the PGM seed is not optimal, so the update loop runs."""
+    ts = trajset.TrajectorySet(3, "custom", 1, tuple(
+        trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))
+    ens = make_ensemble(discrim._product_input(3, 0.4, 2.0), ts, theta_pi * PI)
+    res = discrim.optimal_measurement(ens)
+    assert res.converged and res.iterations == iterations
+    assert res.optimality_residual <= 1e-9
+    assert abs(res.p_fail - p_fail) < 1e-12
+    assert res.p_fail < discrim.pgm(ens).p_fail
 
 
 def test_optimal_rejects_bad_tol():
@@ -260,27 +276,24 @@ def test_repetition_classical_log_scaling():
 
 # --- CSV emission ----------------------------------------------------------
 
-def test_curve_csv_roundtrip(tmp_path):
+def test_curve_csv_roundtrip():
     grid = [0.0, 0.5 * PI, PI]
     q = discrim.failure_curve(TS21, "solver_witness", grid)
     c = discrim.failure_curve(TS21, "classical_plus", grid)
-    path = tmp_path / "curve.csv"
-    discrim.write_curve_csv(path, q, c)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(discrim.curve_csv(q, c))))
     assert rows[0] == ["theta", "p_fail_quantum", "p_fail_classical", "method"]
     assert len(rows) == 4
     assert float(rows[1][1]) == 0.5  # theta=0 for two hypotheses
 
 
-def test_curve_csv_grid_mismatch(tmp_path):
+def test_curve_csv_grid_mismatch():
     q = discrim.failure_curve(TS21, "solver_witness", [1.0])
     c = discrim.failure_curve(TS21, "classical_plus", [1.0, 2.0])
     with pytest.raises(ValueError):
-        discrim.write_curve_csv(tmp_path / "x.csv", q, c)
+        discrim.curve_csv(q, c)
 
 
-def test_repetition_csv(tmp_path):
+def test_repetition_csv():
     eps = [1e-1, 1e-2]
     flat = discrim.DiscriminationResult(None, np.full(2, 0.5), 0.5, "pgm",
                                         np.full((2, 2), 0.5))
@@ -288,10 +301,7 @@ def test_repetition_csv(tmp_path):
     qres = discrim.pgm(make_ensemble(cert.witness_state, TS21, 0.75 * PI))
     cl = discrim.repetition_analysis(flat, eps)
     qu = discrim.repetition_analysis(qres, eps)
-    path = tmp_path / "inset.csv"
-    discrim.write_repetition_csv(path, eps, cl, qu)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = list(csv.reader(io.StringIO(discrim.repetition_csv(eps, cl, qu))))
     assert rows[0] == ["epsilon", "r_classical", "r_quantum"]
     assert rows[1][1] == "inf" and rows[1][2] == "1"
 
@@ -301,7 +311,11 @@ def test_repetition_csv(tmp_path):
 def test_ensemble_validation():
     with pytest.raises(ValueError):
         OutputEnsemble(())
+    with pytest.raises(ValueError):                  # ragged rows
+        OutputEnsemble([BELL.amps, qcore.make_ket(3, [("000", 1.0)]).amps])
+    with pytest.raises(ValueError):                  # no register has dimension 3
+        OutputEnsemble(np.ones((2, 3)))
+    with pytest.raises(ValueError):                  # one state, not a stack
+        OutputEnsemble(BELL.amps)
     with pytest.raises(ValueError):
-        OutputEnsemble((BELL, qcore.make_ket(3, [("000", 1.0)])))
-    with pytest.raises(ValueError):
-        OutputEnsemble((BELL, BELL), prior=np.array([0.7, 0.7]))
+        OutputEnsemble(np.stack([BELL.amps] * 2), prior=np.array([0.7, 0.7]))

@@ -37,8 +37,8 @@ def test_channel_apply_matches_phase_op():
     ch = qec.ErrorChannel.from_trajectory_set(ts, 0.7)
     psi = window_state()
     out = ch.apply(psi, 2)
-    op = trajset.compile_phase(ts.members[2], 4, 0.7)
-    assert np.allclose(out.amps, psi.amps * op.phase)
+    row = trajset.phase_matrix([ts.members[2]], 4, 0.7)[0]
+    assert np.allclose(out.amps, psi.amps * row)
 
 
 # ------------------------------------------------------------- kl_verify
@@ -222,7 +222,7 @@ def test_other_angles_fail_the_check(angle):
 def test_plus_logical_relative_phase():
     # transversal quarter turn sends |0>+|1> to |0> - i|1> (logically)
     zero, one = qec.css7_logical_states()
-    diag = qec._rz_diag(7, math.pi / 2)
+    diag = trajset.phase_matrix([trajset.Trajectory(tuple(range(1, 8)))], 7, math.pi / 2)[0]
     rotated = diag * (zero.amps + one.amps) / math.sqrt(2)
     c0 = np.vdot(zero.amps, rotated)
     c1 = np.vdot(one.amps, rotated)

@@ -1,10 +1,11 @@
-"""Trajectory families and compiled phase operators."""
+"""Trajectory families and their phase matrix."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trajsense import qcore, trajset
+from trajsense import trajset
 from trajsense.trajset import Trajectory
 
 
@@ -48,18 +49,23 @@ def test_trajectory_set_rejects_duplicates():
                               (Trajectory((1,)), Trajectory((1,))))
 
 
-def test_compile_phase_values():
+def test_phase_matrix_values():
     # single qubit in a 2-qubit register, qubit 1 = MSB
-    op = trajset.compile_phase(Trajectory((1,)), 2, 1.0)
+    rows = trajset.phase_matrix([Trajectory((1,))], 2, 1.0)
     lo, hi = np.exp(-0.5j), np.exp(0.5j)
-    np.testing.assert_allclose(op.phase, [lo, lo, hi, hi])
-    assert op.n == 2 and op.theta == 1.0
+    assert rows.shape == (1, 4)
+    np.testing.assert_allclose(rows[0], [lo, lo, hi, hi])
 
 
 @pytest.mark.parametrize("theta", [-0.3, math.pi + 1e-6, 7.0])
-def test_compile_phase_rejects_bad_angle(theta):
+def test_phase_matrix_rejects_bad_angle(theta):
     with pytest.raises(ValueError):
-        trajset.compile_phase(Trajectory((1,)), 2, theta)
+        trajset.phase_matrix([Trajectory((1,))], 2, theta)
+
+
+def test_phase_matrix_rejects_trajectory_outside_register():
+    with pytest.raises(ValueError):
+        trajset.phase_matrix([Trajectory((1,)), Trajectory((2, 4))], 3, 1.0)
 
 
 def test_phase_matches_single_qubit_matrix_product():
@@ -68,29 +74,52 @@ def test_phase_matches_single_qubit_matrix_product():
     rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
     eye = np.eye(2)
     n = 3
-    for qubits in [(1,), (2,), (1, 3), (1, 2, 3)]:
+    members = [(1,), (2,), (1, 3), (1, 2, 3)]
+    rows = trajset.phase_matrix([Trajectory(q) for q in members], n, theta)
+    for qubits, row in zip(members, rows):
         mats = [rz if q in qubits else eye for q in range(1, n + 1)]
         full = mats[0]
         for m in mats[1:]:
             full = np.kron(full, m)
-        op = trajset.compile_phase(Trajectory(qubits), n, theta)
-        np.testing.assert_allclose(op.phase, np.diag(full), atol=1e-12)
+        np.testing.assert_allclose(row, np.diag(full), atol=1e-12)
 
 
 def test_plus_state_overlap_is_cos_half_theta():
     """<+...+|R|+...+> = cos(theta/2)^|T| — diagonal averaging identity."""
     n = 4
-    plus = qcore.Ket(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
+    plus = np.full(1 << n, (1 << n) ** -0.5, dtype=complex)
+    members = [(2,), (1, 4), (1, 2, 3)]
     for theta in [0.4, 1.7, 3.0]:
-        for qubits in [(2,), (1, 4), (1, 2, 3)]:
-            op = trajset.compile_phase(Trajectory(qubits), n, theta)
-            got = qcore.inner(plus, qcore.apply_phase(plus, op))
+        rows = trajset.phase_matrix([Trajectory(q) for q in members], n, theta)
+        for qubits, got in zip(members, (rows * plus) @ plus.conj()):
             assert abs(got - math.cos(theta / 2) ** len(qubits)) < 1e-12
 
 
-def test_conj_inverts():
-    op = trajset.compile_phase(Trajectory((1, 2)), 3, 0.9)
-    np.testing.assert_allclose(op.phase * op.conj(), np.ones(8), atol=1e-15)
+def test_phase_matrix_unit_modulus():
+    rows = trajset.phase_matrix(trajset.gen_symmetric(3, 2).members, 3, 0.9)
+    np.testing.assert_allclose(rows * rows.conj(), np.ones((3, 8)), atol=1e-15)
+
+
+def _reference_row(qubits, n, theta):
+    """exp(-i(theta/2) sum_{k in T} (1 - 2 j_k)), entry by entry from bitstrings."""
+    row = []
+    for j in range(1 << n):
+        bits = format(j, f"0{n}b")
+        s = sum(1 - 2 * int(bits[k - 1]) for k in qubits)
+        row.append(np.exp(-0.5j * theta * s))
+    return np.array(row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data(),
+       theta=st.floats(0.0, math.pi, allow_nan=False))
+def test_phase_matrix_matches_bitstring_reference(n, data, theta):
+    subsets = st.frozensets(st.integers(1, n), max_size=n)
+    members = data.draw(st.lists(subsets, min_size=1, max_size=6, unique=True))
+    ts = [Trajectory(tuple(m)) for m in members]
+    got = trajset.phase_matrix(ts, n, theta)
+    want = np.array([_reference_row(t.qubits, n, theta) for t in ts])
+    assert np.array_equal(got, want)
 
 
 def test_json_roundtrip(tmp_path):
