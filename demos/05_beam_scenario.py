@@ -13,13 +13,15 @@ import math
 from trajsense import beam
 
 # zero amplitude: pure guessing, failure exactly 3/4
-for sensor in ("entangled_ts", "unentangled_plus"):
-    q = beam.quadrature_failure(beam.BeamScenario(0.0, 10.0), sensor, grid=(128, 128))
-    print(f"theta0 = 0, {sensor:18s}: failure = {q.p_fail:.6f}")
+q = beam.compare_sensors(beam.BeamScenario(0.0, 10.0), grid=(128, 128))
+for sensor, p_fail in (("entangled_ts", q.p_fail_entangled),
+                       ("unentangled_plus", q.p_fail_unentangled)):
+    print(f"theta0 = 0, {sensor:18s}: failure = {p_fail:.6f}")
 
 # a weak, wide beam: tiny but perfectly resolvable advantage
 sc = beam.BeamScenario(0.05, 10.0)
-mean, err = beam.paired_advantage(sc, 100_000, seed=7)
+row = beam.compare_sensors(sc, "mc", 100_000, seed=7)
+mean, err = row.advantage, row.stderr
 print(f"\ntheta0=0.05, w=10: advantage {mean:.3e} +/- {err:.1e} "
       f"({mean/err:.0f} sigma)")
 print("(each sampled line contributes its exact conditional failure for")

@@ -18,11 +18,15 @@ direction angle phi uniform on [0,pi) and signed center offset uniform on
 [-1/2,1/2]; this distribution hits all four edges equally often.
 
 Per-line outcome probabilities are available in closed form (the rotated
-state never leaves the span of the four basis outputs), which lets the Monte
-Carlo average over lines use exact conditional failure probabilities — the
-sampling noise of the measurement itself drops out, and the tiny first-order
-advantage becomes resolvable at modest trial counts.  A deterministic
-midpoint-quadrature mode removes line sampling noise as well.
+state never leaves the span of the four basis outputs).  `line_failures`
+turns a set of lines into both sensors' exact conditional failure
+probabilities in one blocked pass over the geometry, and `compare_sensors`
+averages them, either over Monte Carlo lines (the sampling noise of the
+measurement itself drops out, and the same lines feed both sensors, so the
+tiny first-order advantage becomes resolvable at modest trial counts) or
+over a deterministic midpoint-quadrature grid (no sampling noise at all).
+`run_beam_trials` and `beam_trial_records` also sample the measurement
+outcomes; they are the test oracle for the exact conditional route.
 """
 from __future__ import annotations
 
@@ -43,6 +47,9 @@ EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 _STREAM_LINES = 1      # slots: phi, offset
 _STREAM_MEAS = 2       # slots: one (entangled) or four (per-qubit)
 _STREAM_TIE = 3
+
+#: lines per block in line_failures; bounds the (block, 16) vote temporaries
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,9 +91,11 @@ def beam_angles(scenario: BeamScenario, beam_line) -> np.ndarray:
     return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
 
 
-def _nearest_indices(scenario, phi, offset):
-    """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag."""
-    d = _distances(scenario, phi, offset)
+def _nearest_indices(d):
+    """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag.
+
+    ``d`` holds the four atom distances of each line, shape (..., 4).
+    """
     sums = np.stack([d[..., i - 1] + d[..., j - 1] for i, j in EDGES], axis=-1)
     order = np.argsort(sums, axis=-1, kind="stable")
     best = order[..., 0]
@@ -154,26 +163,34 @@ def _unentangled_win_prob(q: np.ndarray, true_idx: np.ndarray) -> np.ndarray:
     for i in range(4):
         bit = _BITS4[:, i]
         pb *= np.where(bit, q[:, i:i + 1], 1.0 - q[:, i:i + 1])
-    w = _WIN_WEIGHT[:, true_idx].T                     # (L, 16)
+    w = _WIN_WEIGHT.T[true_idx]                        # (L, 16)
     return (pb * w).sum(axis=1)
 
 
-def conditional_failure(scenario: BeamScenario, phi, offset, sensor: str):
-    """Exact per-line failure probability for either sensor (vectorized)."""
-    phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    offset = np.atleast_1d(np.asarray(offset, dtype=float))
-    d = _distances(scenario, phi, offset)
-    angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-    true_idx, tied = _nearest_indices(scenario, phi, offset)
-    if sensor == "entangled_ts":
+def line_failures(scenario: BeamScenario, phi, offset):
+    """Exact per-line failure of both sensors and the tie flags: (pe, pu, tied).
+
+    ``pe`` is the entangled sensor's conditional failure probability on each
+    line, ``pu`` the unentangled one's, and ``tied`` marks lines whose nearest
+    edge is not unique.  Distances, angles and nearest edges are computed once
+    per line, in fixed blocks of lines; every step is element- or row-wise, so
+    the values do not depend on the blocking.
+    """
+    phi = np.asarray(phi, dtype=float).ravel()
+    offset = np.asarray(offset, dtype=float).ravel()
+    pe, pu = np.empty(phi.size), np.empty(phi.size)
+    tied = np.empty(phi.size, dtype=bool)
+    for start in range(0, phi.size, _BLOCK):
+        blk = slice(start, start + _BLOCK)
+        d = _distances(scenario, phi[blk], offset[blk])
+        angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+        true_idx, tied[blk] = _nearest_indices(d)
         probs = entangled_outcome_probs(angles)
         leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
-        win = np.take_along_axis(probs, true_idx[..., None], -1)[..., 0] + leftover / 4
-    elif sensor == "unentangled_plus":
-        win = _unentangled_win_prob(unentangled_flip_probs(angles), true_idx)
-    else:
-        raise ValueError(f"unknown sensor {sensor!r}")
-    return 1.0 - win, tied
+        win = np.take_along_axis(probs, true_idx[:, None], -1)[:, 0] + leftover / 4
+        pe[blk] = 1.0 - win
+        pu[blk] = 1.0 - _unentangled_win_prob(unentangled_flip_probs(angles), true_idx)
+    return pe, pu, tied
 
 
 @dataclass(frozen=True)
@@ -202,16 +219,21 @@ class BeamSummary:
 
 
 def _sample_lines(trials: int, seed: int):
+    if trials < 2:
+        raise ValueError(f"Monte Carlo needs at least 2 trials (one line gives "
+                         f"no standard error), got trials={trials}")
     u = rng.uniforms(seed, _STREAM_LINES, 0, trials, slots=2)
     return u[:, 0] * math.pi, u[:, 1] - 0.5
 
 
 def _sample_outcomes(scenario: BeamScenario, sensor: str, trials: int, seed: int):
     """Sampled (true_idx, guess_idx, complement_mask, tied) for each trial."""
+    if sensor not in ("entangled_ts", "unentangled_plus"):
+        raise ValueError(f"unknown sensor {sensor!r}")
     phi, offset = _sample_lines(trials, seed)
     d = _distances(scenario, phi, offset)
     angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-    true_idx, tied = _nearest_indices(scenario, phi, offset)
+    true_idx, tied = _nearest_indices(d)
     tie_u = rng.uniforms(seed, _STREAM_TIE, 0, trials)[:, 0]
     if sensor == "entangled_ts":
         probs = entangled_outcome_probs(angles)
@@ -234,23 +256,14 @@ def _sample_outcomes(scenario: BeamScenario, sensor: str, trials: int, seed: int
     return true_idx, guess, complement, tied
 
 
-def run_beam_trials(scenario: BeamScenario, sensor: str, trials: int, seed: int,
-                    exact_conditional: bool = False) -> BeamSummary:
-    """Monte Carlo average failure over random beam lines.
+def run_beam_trials(scenario: BeamScenario, sensor: str, trials: int,
+                    seed: int) -> BeamSummary:
+    """Monte Carlo failure over random beam lines with sampled measurements.
 
-    With exact_conditional=True the measurement isn't sampled; each line
-    contributes its exact conditional failure probability instead (same
-    estimand, far smaller variance).
+    Test oracle for `compare_sensors`: same lines, but each trial draws its
+    measurement outcome instead of contributing its exact conditional
+    failure (same estimand, far larger variance).
     """
-    if sensor not in ("entangled_ts", "unentangled_plus"):
-        raise ValueError(f"unknown sensor {sensor!r}")
-    if exact_conditional:
-        phi, offset = _sample_lines(trials, seed)
-        pfail, tied = conditional_failure(scenario, phi, offset, sensor)
-        mean = float(pfail.mean())
-        err = float(pfail.std(ddof=1) / math.sqrt(trials))
-        return BeamSummary(sensor, "exact_conditional", trials, mean, err,
-                           float(tied.mean()), seed, scenario.theta0, scenario.w)
     true_idx, guess, _, tied = _sample_outcomes(scenario, sensor, trials, seed)
     mean = float((guess != true_idx).mean())
     err = float(math.sqrt(max(mean * (1 - mean), 1e-300) / trials))
@@ -260,7 +273,7 @@ def run_beam_trials(scenario: BeamScenario, sensor: str, trials: int, seed: int,
 
 def beam_trial_records(scenario: BeamScenario, sensor: str, trials: int,
                        seed: int) -> list[BeamTrialResult]:
-    """Per-trial records; same draws as run_beam_trials in sample mode."""
+    """Per-trial records; same draws as run_beam_trials (test oracle)."""
     true_idx, guess, complement, _ = _sample_outcomes(scenario, sensor, trials, seed)
     out = []
     for t, g, c in zip(true_idx, guess, complement):
@@ -268,31 +281,6 @@ def beam_trial_records(scenario: BeamScenario, sensor: str, trials: int,
                                    None if c else Trajectory(EDGES[g]),
                                    bool(g == t)))
     return out
-
-
-def quadrature_failure(scenario: BeamScenario, sensor: str,
-                       grid: tuple = (512, 512)) -> BeamSummary:
-    """Deterministic midpoint quadrature over the line distribution."""
-    g_phi, g_off = grid
-    phi = (np.arange(g_phi) + 0.5) * math.pi / g_phi
-    off = -0.5 + (np.arange(g_off) + 0.5) / g_off
-    P, O = np.meshgrid(phi, off, indexing="ij")
-    pfail, tied = conditional_failure(scenario, P.ravel(), O.ravel(), sensor)
-    return BeamSummary(sensor, "quadrature", g_phi * g_off, float(pfail.mean()),
-                       0.0, float(tied.mean()), None, scenario.theta0, scenario.w)
-
-
-def paired_advantage(scenario: BeamScenario, trials: int, seed: int):
-    """(mean, stderr) of the per-line failure gap, unentangled - entangled.
-
-    The same sampled lines feed both sensors and each line contributes its
-    exact conditional failure, so line-to-line variation largely cancels.
-    """
-    phi, offset = _sample_lines(trials, seed)
-    pe, _ = conditional_failure(scenario, phi, offset, "entangled_ts")
-    pu, _ = conditional_failure(scenario, phi, offset, "unentangled_plus")
-    diff = pu - pe
-    return float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(trials))
 
 
 @dataclass
@@ -303,6 +291,34 @@ class BeamSweepRow:
     p_fail_unentangled: float
     advantage: float
     stderr: float
+
+
+def compare_sensors(scenario: BeamScenario, mode: str = "quadrature",
+                    trials: int = 0, seed: int = 0,
+                    grid: tuple = (512, 512)) -> BeamSweepRow:
+    """Both sensors' mean failure and the advantage, unentangled - entangled.
+
+    ``quadrature``: midpoint rule on a (phi, offset) grid; stderr is 0.
+    ``mc``: ``trials`` lines drawn from ``seed``.  Each line contributes its
+    exact conditional failure to both sensors, so line-to-line variation
+    largely cancels in the paired advantage and its stderr.
+    """
+    if mode == "quadrature":
+        g_phi, g_off = grid
+        phi = (np.arange(g_phi) + 0.5) * math.pi / g_phi
+        off = -0.5 + (np.arange(g_off) + 0.5) / g_off
+        P, O = np.meshgrid(phi, off, indexing="ij")
+        pe, pu, _ = line_failures(scenario, P, O)
+        ent, un = float(pe.mean()), float(pu.mean())
+        adv, err = un - ent, 0.0
+    elif mode == "mc":
+        pe, pu, _ = line_failures(scenario, *_sample_lines(trials, seed))
+        diff = pu - pe
+        ent, un = float(pe.mean()), float(pu.mean())
+        adv, err = float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(trials))
+    else:
+        raise ValueError(f"unknown beam mode {mode!r}")
+    return BeamSweepRow(scenario.theta0, scenario.w, ent, un, adv, err)
 
 
 @dataclass(frozen=True)
@@ -350,25 +366,8 @@ class BeamSweep:
 def beam_sweep(theta0_values, w_values, trials: int = 0, seed: int = 0,
                mode: str = "quadrature", grid: tuple = (512, 512)) -> BeamSweep:
     """Failure and advantage across (theta0, w), with linear advantage fits."""
-    rows = []
-    for w in w_values:
-        for t0 in theta0_values:
-            sc = BeamScenario(float(t0), float(w))
-            if mode == "quadrature":
-                ent = quadrature_failure(sc, "entangled_ts", grid)
-                un = quadrature_failure(sc, "unentangled_plus", grid)
-                adv = un.p_fail - ent.p_fail
-                err = 0.0
-            elif mode == "mc":
-                ent = run_beam_trials(sc, "entangled_ts", trials, seed,
-                                      exact_conditional=True)
-                un = run_beam_trials(sc, "unentangled_plus", trials, seed,
-                                     exact_conditional=True)
-                adv, err = paired_advantage(sc, trials, seed)
-            else:
-                raise ValueError(f"unknown sweep mode {mode!r}")
-            rows.append(BeamSweepRow(float(t0), float(w), ent.p_fail,
-                                     un.p_fail, adv, err))
+    rows = [compare_sensors(BeamScenario(float(t0), float(w)), mode, trials, seed, grid)
+            for w in w_values for t0 in theta0_values]
     sweep = BeamSweep(rows)
     for w in w_values:
         pts = [r for r in sweep.rows if r.w == float(w)]

@@ -157,28 +157,21 @@ def cmd_curve(args) -> int:
 
 def cmd_beam(args) -> int:
     scenario = beam.BeamScenario(args.theta0, args.w)
-    if args.mode == "quadrature":
-        ent = beam.quadrature_failure(scenario, "entangled_ts")
-        un = beam.quadrature_failure(scenario, "unentangled_plus")
-        adv, err = un.p_fail - ent.p_fail, 0.0
-    else:
-        if args.seed is None:
-            raise ValueError("--seed is required for --mode mc")
-        ent = beam.run_beam_trials(scenario, "entangled_ts", args.trials,
-                                   args.seed, exact_conditional=True)
-        un = beam.run_beam_trials(scenario, "unentangled_plus", args.trials,
-                                  args.seed, exact_conditional=True)
-        adv, err = beam.paired_advantage(scenario, args.trials, args.seed)
+    if args.mode == "mc" and args.seed is None:
+        raise ValueError("--seed is required for --mode mc")
+    row = beam.compare_sensors(scenario, args.mode, args.trials, args.seed)
+    ent, un, adv, err = (row.p_fail_entangled, row.p_fail_unentangled,
+                         row.advantage, row.stderr)
     report = {
         "theta0": args.theta0, "w": args.w, "mode": args.mode,
         "trials": None if args.mode == "quadrature" else args.trials,
         "seed": args.seed,
-        "p_fail_entangled": ent.p_fail, "p_fail_unentangled": un.p_fail,
+        "p_fail_entangled": ent, "p_fail_unentangled": un,
         "advantage": adv, "stderr": err,
     }
     payload = json.dumps(report, indent=2, sort_keys=True)
-    summary = (f"theta0={args.theta0} w={args.w}: entangled {ent.p_fail:.6f}, "
-               f"unentangled {un.p_fail:.6f}, advantage {adv:.3e}"
+    summary = (f"theta0={args.theta0} w={args.w}: entangled {ent:.6f}, "
+               f"unentangled {un:.6f}, advantage {adv:.3e}"
                + (f" +/- {err:.1e}" if err else ""))
     _emit(args, payload, "beam.json", summary)
     return 0

@@ -23,10 +23,13 @@ def uniforms(seed: int, stream: int, start: int, count: int, slots: int = 1) -> 
         raise ValueError(f"slots must be in 1..{_SLOTS_PER_SAMPLE}, got {slots}")
     if count < 0 or start < 0:
         raise ValueError("start and count must be nonnegative")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if count == 0:
         return np.empty((0, slots))
-    bg = np.random.Philox(key=[seed & (2**64 - 1), stream & (2**64 - 1)],
-                          counter=[start, 0, 0, 0])
+    # a uint64 array: a plain list would pass keys above 2**63 through float
+    key = np.array([seed, stream & (2**64 - 1)], dtype=np.uint64)
+    bg = np.random.Philox(key=key, counter=[start, 0, 0, 0])
     raw = bg.random_raw(_SLOTS_PER_SAMPLE * count).reshape(count, _SLOTS_PER_SAMPLE)
     return (raw[:, :slots] >> np.uint64(11)) * _INV_2POW53
 

@@ -211,11 +211,12 @@ def test_criterion_6_repetition_scaling():
 def test_criterion_7_beam_advantage():
     """Quadrature baseline, 5-sigma advantage, linear and 1/w^2 scaling."""
     t0 = time.time()
-    base = [beam.quadrature_failure(beam.BeamScenario(0.0, 10.0), s).p_fail
-            for s in ("entangled_ts", "unentangled_plus")]
+    q0 = beam.compare_sensors(beam.BeamScenario(0.0, 10.0))
+    base = [q0.p_fail_entangled, q0.p_fail_unentangled]
     base_ok = all(abs(b - 0.75) <= 1e-3 for b in base)
 
-    mean, err = beam.paired_advantage(beam.BeamScenario(0.05, 10.0), 200_000, 2024)
+    mc = beam.compare_sensors(beam.BeamScenario(0.05, 10.0), "mc", 200_000, 2024)
+    mean, err = mc.advantage, mc.stderr
     sig = mean / err
     sig_ok = mean > 0 and sig > 5
 

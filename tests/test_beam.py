@@ -35,7 +35,8 @@ def test_wide_beam_limit_all_angles_theta0():
 
 
 def nearest(beam_line):
-    idx, tied = beam._nearest_indices(beam.BeamScenario(0.1, 1.0), *beam_line)
+    idx, tied = beam._nearest_indices(beam._distances(beam.BeamScenario(0.1, 1.0),
+                                                      *beam_line))
     return Trajectory(beam.EDGES[int(idx)]), bool(tied)
 
 
@@ -135,30 +136,66 @@ def test_born_frequencies_match_sampled_outcomes():
     assert freq[4] == 0.0   # complement never fires for diagonal rotations
 
 
+def _per_sensor_reference(sc, phi, offset):
+    """Each sensor's per-line formulas, on the whole line set in one piece."""
+    d = beam._distances(sc, phi, offset)
+    angles = sc.theta0 * np.exp(-(d ** 2) / sc.w ** 2)
+    sums = np.stack([d[:, i - 1] + d[:, j - 1] for i, j in beam.EDGES], axis=-1)
+    order = np.argsort(sums, axis=-1, kind="stable")
+    true_idx = order[:, 0]
+    gap = (np.take_along_axis(sums, order[:, 1:2], -1)
+           - np.take_along_axis(sums, order[:, :1], -1))[:, 0]
+    probs = beam.entangled_outcome_probs(angles)
+    leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
+    pe = 1.0 - (probs[np.arange(len(phi)), true_idx] + leftover / 4)
+    q = np.sin(angles / 2.0) ** 2
+    pb = np.ones((len(phi), 16))
+    for i in range(4):
+        pb *= np.where(beam._BITS4[:, i], q[:, i:i + 1], 1.0 - q[:, i:i + 1])
+    pu = 1.0 - (pb * beam._WIN_WEIGHT[:, true_idx].T).sum(axis=1)
+    return pe, pu, gap <= 1e-12
+
+
+@pytest.mark.parametrize("theta0,w", [(1.2, 0.8), (0.05, 10.0)])
+def test_line_failures_blocking_keeps_bits(theta0, w):
+    # one line past a block boundary, with a tied diagonal and an edge line
+    phi, offset = beam._sample_lines(beam._BLOCK - 1, 5)
+    phi = np.append(phi, [DIAGONAL[0], TOP_EDGE[0]])
+    offset = np.append(offset, [DIAGONAL[1], TOP_EDGE[1]])
+    assert phi.size == beam._BLOCK + 1
+    sc = beam.BeamScenario(theta0, w)
+    got = beam.line_failures(sc, phi, offset)
+    want = _per_sensor_reference(sc, phi, offset)
+    for g, r in zip(got, want):
+        assert np.array_equal(g, r)
+    assert got[2][-2] and not got[2][-1]
+
+
 # ------------------------------------------------------------- trial running
 
 def test_theta0_zero_failure_is_three_quarters():
-    for sensor in ("entangled_ts", "unentangled_plus"):
-        q = beam.quadrature_failure(beam.BeamScenario(0.0, 5.0), sensor,
-                                    grid=(32, 32))
-        assert q.p_fail == pytest.approx(0.75, abs=1e-12)
+    q = beam.compare_sensors(beam.BeamScenario(0.0, 5.0), grid=(32, 32))
+    for p_fail in (q.p_fail_entangled, q.p_fail_unentangled):
+        assert p_fail == pytest.approx(0.75, abs=1e-12)
 
 
 def test_sample_mode_matches_quadrature():
     sc = beam.BeamScenario(0.8, 1.5)
-    for sensor in ("entangled_ts", "unentangled_plus"):
+    q = beam.compare_sensors(sc, grid=(128, 128))
+    for sensor, q_p_fail in (("entangled_ts", q.p_fail_entangled),
+                             ("unentangled_plus", q.p_fail_unentangled)):
         mc = beam.run_beam_trials(sc, sensor, 4000, 123)
-        q = beam.quadrature_failure(sc, sensor, grid=(128, 128))
-        assert abs(mc.p_fail - q.p_fail) < 4 * mc.stderr
+        assert abs(mc.p_fail - q_p_fail) < 4 * mc.stderr
 
 
 def test_exact_conditional_reduces_variance():
     sc = beam.BeamScenario(0.8, 1.5)
     mc = beam.run_beam_trials(sc, "entangled_ts", 4000, 123)
-    ex = beam.run_beam_trials(sc, "entangled_ts", 4000, 123,
-                              exact_conditional=True)
-    assert ex.stderr < mc.stderr
-    assert abs(ex.p_fail - mc.p_fail) < 4 * mc.stderr
+    # the same lines, each contributing its exact conditional failure
+    pe, _, _ = beam.line_failures(sc, *beam._sample_lines(4000, 123))
+    ex_p_fail, ex_stderr = pe.mean(), pe.std(ddof=1) / math.sqrt(4000)
+    assert ex_stderr < mc.stderr
+    assert abs(ex_p_fail - mc.p_fail) < 4 * mc.stderr
 
 
 def test_trials_deterministic_in_seed():
@@ -187,12 +224,23 @@ def test_trial_records_consistent_with_summary():
             assert r.success == (r.measured == r.true_nearest)
 
 
+def test_monte_carlo_needs_two_trials():
+    sc = beam.BeamScenario(0.5, 2.0)
+    for trials in (0, 1):
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            beam.compare_sensors(sc, "mc", trials, 3)
+        with pytest.raises(ValueError, match="at least 2 trials"):
+            beam.run_beam_trials(sc, "entangled_ts", trials, 3)
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        beam.beam_sweep([0.1], [3.0], mode="mc")
+
+
 def test_unknown_sensor_rejected():
     sc = beam.BeamScenario(0.5, 2.0)
     with pytest.raises(ValueError):
         beam.run_beam_trials(sc, "telepathy", 10, 0)
     with pytest.raises(ValueError):
-        beam.conditional_failure(sc, 0.1, 0.1, "telepathy")
+        beam.beam_trial_records(sc, "telepathy", 10, 0)
 
 
 # -------------------------------------------------------- symmetry/dominance
@@ -205,10 +253,10 @@ def test_four_fold_symmetry():
     phi = (np.arange(g) + 0.5) * math.pi / g
     off = -0.5 + (np.arange(g) + 0.5) / g
     P, O = np.meshgrid(phi, off, indexing="ij")
-    true_idx, _ = beam._nearest_indices(sc, P.ravel(), O.ravel())
+    true_idx, _ = beam._nearest_indices(beam._distances(sc, P.ravel(), O.ravel()))
     shares = np.bincount(true_idx, minlength=4) / true_idx.size
     assert np.allclose(shares, 0.25, atol=0.02)
-    pfail, _ = beam.conditional_failure(sc, P.ravel(), O.ravel(), "entangled_ts")
+    pfail, _, _ = beam.line_failures(sc, P.ravel(), O.ravel())
     means = [pfail[true_idx == e].mean() for e in range(4)]
     assert max(means) - min(means) < 1e-10
 
@@ -217,13 +265,13 @@ def test_four_fold_symmetry():
 @pytest.mark.parametrize("w", [2.0, 5.0, 10.0])
 def test_entangled_never_worse_in_weak_wide_regime(theta0, w):
     sc = beam.BeamScenario(theta0, w)
-    ent = beam.quadrature_failure(sc, "entangled_ts", grid=(96, 96))
-    un = beam.quadrature_failure(sc, "unentangled_plus", grid=(96, 96))
-    assert ent.p_fail <= un.p_fail + 1e-12
+    q = beam.compare_sensors(sc, grid=(96, 96))
+    assert q.p_fail_entangled <= q.p_fail_unentangled + 1e-12
 
 
 def test_paired_advantage_strongly_significant():
-    mean, err = beam.paired_advantage(beam.BeamScenario(0.05, 10.0), 50_000, 11)
+    q = beam.compare_sensors(beam.BeamScenario(0.05, 10.0), "mc", 50_000, 11)
+    mean, err = q.advantage, q.stderr
     assert mean > 0
     assert mean / err > 5
 

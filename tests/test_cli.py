@@ -192,6 +192,52 @@ def test_beam_mc_deterministic_bytes(tmp_path, capsys):
     assert (a / "beam.json").read_bytes() != (c / "beam.json").read_bytes()
 
 
+# --format json stdout at the parent of the blocked line pass; the same
+# bytes must come back (argv, then the reported floats)
+_BEAM_PINNED = [
+    (["--theta0", "0.05", "--w", "10", "--mode", "mc", "--trials", "100000",
+      "--seed", "7"],
+     {"advantage": 0.00010907590351865511, "p_fail_entangled": 0.7498881418602008,
+      "p_fail_unentangled": 0.7499972177637195, "stderr": 2.0283931762883558e-07}),
+    (["--theta0", "0.05", "--w", "10", "--mode", "quadrature"],
+     {"advantage": 0.00010925198582090179, "p_fail_entangled": 0.7498879612902655,
+      "p_fail_unentangled": 0.7499972132760864, "stderr": 0.0}),
+    (["--theta0", "0.3", "--w", "1.0", "--mode", "mc", "--trials", "1000000",
+      "--seed", "12345"],
+     {"advantage": 0.04182188897987825, "p_fail_entangled": 0.7035108173063833,
+      "p_fail_unentangled": 0.7453327062862616, "stderr": 2.437651276905639e-05}),
+]
+
+
+@pytest.mark.parametrize("argv,floats", _BEAM_PINNED,
+                         ids=["readme-mc", "readme-quadrature", "mc-1e6"])
+def test_beam_seeded_json_stdout_pinned(argv, floats, capsys):
+    assert run(["beam", *argv, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    opts = dict(zip(argv[::2], argv[1::2]))
+    mc = opts["--mode"] == "mc"
+    want = {"theta0": float(opts["--theta0"]), "w": float(opts["--w"]),
+            "mode": opts["--mode"], "trials": int(opts["--trials"]) if mc else None,
+            "seed": int(opts["--seed"]) if mc else None, **floats}
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+def test_beam_mc_rejects_too_few_trials(trials, capsys):
+    assert run(["beam", "--theta0", "0.1", "--w", "5", "--mode", "mc",
+                "--trials", trials, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "at least 2 trials" in captured.err
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_beam_mc_rejects_out_of_range_seed(seed, capsys):
+    assert run(["beam", "--theta0", "0.1", "--w", "5", "--mode", "mc",
+                "--trials", "100", "--seed", seed]) == 2
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+
+
 def test_beam_rejects_bad_scenario(capsys):
     assert run(["beam", "--theta0", "-1", "--w", "5"]) == 2
 
