@@ -192,8 +192,8 @@ def test_beam_mc_deterministic_bytes(tmp_path, capsys):
     assert (a / "beam.json").read_bytes() != (c / "beam.json").read_bytes()
 
 
-# --format json stdout at the parent of the blocked line pass; the same
-# bytes must come back (argv, then the reported floats)
+# (argv, reported floats) of seeded --format json runs, recorded before the
+# two sensors shared one blocked pass over the lines; the bytes must not move
 _BEAM_PINNED = [
     (["--theta0", "0.05", "--w", "10", "--mode", "mc", "--trials", "100000",
       "--seed", "7"],
