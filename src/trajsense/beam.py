@@ -50,6 +50,8 @@ _STREAM_TIE = 3
 
 #: lines per block in line_failures; bounds the (block, 16) vote temporaries
 _BLOCK = 1 << 16
+#: upper bound on Monte Carlo lines; memory grows about 73 bytes per line
+MC_TRIALS_MAX = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -222,6 +224,9 @@ def _sample_lines(trials: int, seed: int):
     if trials < 2:
         raise ValueError(f"Monte Carlo needs at least 2 trials (one line gives "
                          f"no standard error), got trials={trials}")
+    if trials > MC_TRIALS_MAX:
+        raise ValueError(f"Monte Carlo takes at most {MC_TRIALS_MAX} trials "
+                         f"(about 73 bytes per line), got trials={trials}")
     u = rng.uniforms(seed, _STREAM_LINES, 0, trials, slots=2)
     return u[:, 0] * math.pi, u[:, 1] - 0.5
 

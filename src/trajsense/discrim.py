@@ -12,11 +12,14 @@ build the phase matrix once per angle and reuse it for every input state.
 * `optimal_measurement` runs the fixed-point iteration for the minimum-error
   POVM (Jezek, Rehacek & Fiurasek 2002) on stacked (k, d, d) arrays, seeded
   from the PGM so it can only improve on it.
-* `classical_baseline` evaluates unentangled inputs (|+>^n or a Bloch-angle
-  product grid) under the same machinery, so entangled-vs-classical gaps are
-  measured with matched generosity on the measurement side.
+* `classical_baseline` evaluates unentangled inputs (|+>^n or identical-qubit
+  product states) under the same machinery, so entangled-vs-classical gaps are
+  measured with matched generosity on the measurement side.  The product
+  grid is an alpha-only scan, because phi cannot matter: every R^(T) is
+  diagonal, so p_fail depends on |psi|^2 alone.
 * `failure_curve` sweeps theta, `repetition_analysis` converts a per-shot
-  result into plurality-vote repetition counts via exact tail computation.
+  result into plurality-vote repetition counts with one exact tail DP
+  (`plurality_error`) for every k and r.
 
 Measurements are computed and returned in the span of the ensemble
 (dimension d <= number of states, isometry B from `_reduce`); I_d minus the
@@ -232,8 +235,8 @@ def optimal_measurement(ens: OutputEnsemble, tol: float = 1e-9,
 # ---------------------------------------------------------------------------
 # classical baselines and curves
 
-def _product_input(n: int, alpha: float, phi: float) -> Ket:
-    one = np.array([math.cos(alpha / 2), np.exp(1j * phi) * math.sin(alpha / 2)])
+def _product_input(n: int, alpha: float) -> Ket:
+    one = np.array([math.cos(alpha / 2), math.sin(alpha / 2)], dtype=complex)
     amps = one
     for _ in range(n - 1):
         amps = np.kron(amps, one)
@@ -241,13 +244,16 @@ def _product_input(n: int, alpha: float, phi: float) -> Ket:
 
 
 def classical_baseline(ts: TrajectorySet, theta: float, mode: str = "plus_product",
-                       grid: tuple = (24, 12), tol: float = 1e-9,
+                       n_alpha: int = 12, tol: float = 1e-9,
                        max_iter: int = 10_000) -> DiscriminationResult:
     """Best unentangled-input performance (measurement side unrestricted).
 
     plus_product evaluates |+>^n under the optimal measurement;
-    best_product_grid additionally scans identical-qubit Bloch angles
-    (phi x alpha grid) and keeps the best input.
+    best_product_grid additionally scans the polar Bloch angle alpha of
+    identical qubits over `n_alpha` points in [0, pi] and keeps the best
+    input.  The scan is alpha-only, because phi cannot matter: every
+    R^(T)(theta) is diagonal, so the output Gram matrix, and with it p_fail,
+    depends on |psi|^2 alone.
     """
     if mode not in ("plus_product", "best_product_grid"):
         raise ValueError(f"unknown baseline mode {mode!r}")
@@ -258,15 +264,13 @@ def classical_baseline(ts: TrajectorySet, theta: float, mode: str = "plus_produc
     best = optimal_measurement(OutputEnsemble(phases * plus.amps), tol, max_iter)
     if mode == "plus_product":
         return best
-    n_phi, n_alpha = grid
-    best.note = "alpha=pi/2 phi=0 (plus product); " + best.note
+    best.note = "alpha=pi/2 (plus product); " + best.note
     for alpha in np.linspace(0.0, math.pi, n_alpha):
-        for phi in np.linspace(0.0, 2 * math.pi, n_phi, endpoint=False):
-            psi = _product_input(ts.n, float(alpha), float(phi))
-            res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol, max_iter)
-            if res.p_fail < best.p_fail:
-                best = res
-                best.note = f"alpha={alpha:.6f} phi={phi:.6f}; " + best.note
+        psi = _product_input(ts.n, float(alpha))
+        res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol, max_iter)
+        if res.p_fail < best.p_fail:
+            best = res
+            best.note = f"alpha={alpha:.6f}; " + best.note
     return best
 
 
@@ -279,13 +283,7 @@ def _symmetrized_candidates(n: int, granularity: int = 6):
     for comp in itertools.combinations_with_replacement(range(K), granularity):
         x = np.bincount(comp, minlength=K).astype(float)
         profiles.append(x / (norms @ x))
-    out = []
-    for x in profiles:
-        amps = np.zeros(1 << n)
-        for e, xv in zip(basis, x):
-            amps[e.support] = math.sqrt(max(xv, 0.0))
-        out.append(Ket(n, amps.astype(complex)))
-    return out
+    return [Ket(n, amps) for amps in qcore.symmetrized_amplitudes(n, profiles)]
 
 
 @dataclass
@@ -355,39 +353,6 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid,
 # ---------------------------------------------------------------------------
 # plurality-vote repetition analysis
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def plurality_error_enum(confusion: np.ndarray, prior: np.ndarray, r: int) -> float:
-    """Exact vote error by multinomial enumeration (r <= 20, few categories)."""
-    k = confusion.shape[0]
-    if r > 20 or k > 6:
-        raise ValueError("enumeration limited to r <= 20 and k <= 6")
-    err = 0.0
-    log_fact = [math.lgamma(i + 1) for i in range(r + 1)]
-    for i in range(k):
-        p = np.clip(confusion[i], 0.0, 1.0)
-        win = 0.0
-        for counts in _compositions(r, k):
-            if any(c > 0 and p[j] <= 0.0 for j, c in enumerate(counts)):
-                continue
-            logp = log_fact[r] - sum(log_fact[c] for c in counts)
-            logp += sum(c * math.log(p[j]) for j, c in enumerate(counts) if c > 0)
-            prob = math.exp(logp)
-            mx = max(counts)
-            winners = [j for j, c in enumerate(counts) if c == mx]
-            if counts[i] == mx:
-                win += prob / len(winners)
-        err += prior[i] * (1.0 - win)
-    return max(0.0, err)
-
-
 def _plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
     """P(category i wins the plurality vote of r iid draws), exact tail DP.
 
@@ -444,42 +409,10 @@ def _plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
 
 
 def plurality_error(confusion: np.ndarray, prior: np.ndarray, r: int) -> float:
-    """Exact average vote error; enumeration for small r, tail DP beyond."""
-    k = confusion.shape[0]
-    if r <= 20 and k <= 6:
-        return plurality_error_enum(confusion, prior, r)
-    err = 0.0
-    for i in range(k):
-        err += prior[i] * (1.0 - _plurality_win_dp(confusion[i], i, r))
+    """Exact average vote error over the true categories, one tail DP each."""
+    err = sum(prior[i] * (1.0 - _plurality_win_dp(confusion[i], i, r))
+              for i in range(confusion.shape[0]))
     return max(0.0, err)
-
-
-def plurality_error_mc(confusion: np.ndarray, prior: np.ndarray, r: int,
-                       trials: int, seed: int, stream: int = 5) -> float:
-    """Monte Carlo cross-check of the exact vote error (counter-based RNG)."""
-    from . import rng
-    k = confusion.shape[0]
-    cdf = np.cumsum(confusion, axis=1)
-    fails = 0
-    per_true = np.random.default_rng(seed).multinomial(trials, prior)  # trial split
-    block = 0
-    for i in range(k):
-        t_i = int(per_true[i])
-        if t_i == 0:
-            continue
-        u = rng.uniforms(seed, stream, block, t_i * r).reshape(t_i, r)
-        block += t_i * r
-        outcomes = np.searchsorted(cdf[i], u, side="right")
-        counts = np.stack([(outcomes == j).sum(axis=1) for j in range(k)], axis=1)
-        mx = counts.max(axis=1)
-        tie_u = rng.uniforms(seed, stream + 1, block, t_i)[:, 0]
-        wins = 0
-        for row, m_, uu in zip(counts, mx, tie_u):
-            winners = np.nonzero(row == m_)[0]
-            pick = winners[int(uu * len(winners))]
-            wins += int(pick == i)
-        fails += t_i - wins
-    return fails / trials
 
 
 def repetition_analysis(per_shot: DiscriminationResult, epsilon_grid,

@@ -185,6 +185,18 @@ def symmetrized_basis(n: int) -> list[SymBasisElement]:
     return out
 
 
+def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
+    """Amplitudes sqrt(x_nu) on every bitstring of weight nu or n-nu.
+
+    `profiles` holds squared magnitudes over `symmetrized_basis(n)`, shape
+    (n//2+1,) or (P, n//2+1); negative entries count as zero.  Returns the
+    matching (2**n,) or (P, 2**n) complex array.
+    """
+    w = weight_on(n, range(1, n + 1))
+    x = np.asarray(profiles, dtype=float)
+    return np.sqrt(np.clip(x, 0.0, None))[..., np.minimum(w, n - w)].astype(complex)
+
+
 def sample_measurement(k: Ket, basis: Sequence[Ket], rng_seed: int,
                        sample_index: int = 0, stream: int = 0) -> int:
     """Draw one projective outcome; index len(basis) is the complement.

@@ -211,10 +211,7 @@ def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
         return cert
 
     x = x / float(norms @ x)           # sum_nu N_nu |cbar_nu|^2 = 1
-    amps = np.zeros(1 << n)
-    for e, xv in zip(basis, x):
-        amps[e.support] = math.sqrt(max(xv, 0.0))
-    witness = Ket(n, amps.astype(complex))
+    witness = Ket(n, qcore.symmetrized_amplitudes(n, x))
     cert.feasible = True
     cert.cbar_sq = [float(v) for v in x]
     cert.boundary = bool(x.min() <= BOUNDARY_TOL * max(1.0, x.max()))
@@ -350,17 +347,6 @@ def build_cyclic(n: int, m: int, theta: float) -> FeasibilityCertificate:
     cert.p = [float(v) for v in witness.probs()]
     cert.max_residual = max_gram_residual(witness, ts, theta)
     return cert
-
-
-def symmetrize(k: Ket) -> Ket:
-    """Project onto the permutation/bit-flip invariant span and renormalize."""
-    proj = np.zeros_like(k.amps)
-    for e in qcore.symmetrized_basis(k.n):
-        proj[e.support] = k.amps[e.support].sum() / e.norm_sq
-    nrm = np.linalg.norm(proj)
-    if nrm < 1e-12:
-        raise ValueError("state has zero projection onto the invariant subspace")
-    return Ket(k.n, proj / nrm)
 
 
 def solve(problem: TSProblem, method: str = "auto") -> FeasibilityCertificate:

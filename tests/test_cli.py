@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import trajsense
-from trajsense import cli, qcore
+from trajsense import beam, cli, qcore
 
 
 def run(argv):
@@ -123,6 +123,20 @@ def test_curve_inset_table(tmp_path, capsys):
     assert (tmp_path / "inset.csv").exists()
 
 
+@pytest.mark.parametrize("family,n,m,theta,r_classical", [
+    ("sym", "4", "2", "3pi/4", [1, 3, 7, 11, 14]),
+    ("cyc", "8", "2", "0.7pi", [1, 4, 8, 13, 17]),
+], ids=["sym42", "cyc82"])
+def test_benchmark_insets_pinned(capsys, family, n, m, theta, r_classical):
+    """The two curve-sweep insets, byte for byte: one shot quantum, log(1/eps) classical."""
+    eps = ["0.1", "0.001", "1e-06", "1e-09", "1e-12"]
+    assert run(["curve", "--inset", "--family", family, "--n", n, "--m", m,
+                "--theta", theta, "--epsilons", "1e-1,1e-3,1e-6,1e-9,1e-12",
+                "--format", "csv"]) == 0
+    assert capsys.readouterr().out == "epsilon,r_classical,r_quantum\n" + "".join(
+        f"{e},{r},1\n" for e, r in zip(eps, r_classical))
+
+
 @pytest.mark.parametrize("family,n,m", [("cyc", "1", "1"), ("sym", "3", "0"),
                                           ("sym", "3", "3")])
 def test_single_member_curve_and_inset(tmp_path, capsys, family, n, m):
@@ -222,13 +236,18 @@ def test_beam_seeded_json_stdout_pinned(argv, floats, capsys):
     assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("trials", ["0", "1"])
-def test_beam_mc_rejects_too_few_trials(trials, capsys):
+@pytest.mark.parametrize("trials", ["0", "1", "10000001"])
+def test_beam_mc_rejects_too_few_trials(trials, capsys, monkeypatch):
+    """Trial counts outside [2, MC_TRIALS_MAX] exit 2 before any line is drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("lines drawn before the trial count was checked")
+    monkeypatch.setattr(beam.rng, "uniforms", no_draws)
     assert run(["beam", "--theta0", "0.1", "--w", "5", "--mode", "mc",
                 "--trials", trials, "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "at least 2 trials" in captured.err
+    limit = "at least 2 trials" if int(trials) < 2 else f"at most {beam.MC_TRIALS_MAX} trials"
+    assert limit in captured.err
 
 
 @pytest.mark.parametrize("seed", ["-3", str(2**64)])

@@ -1,5 +1,6 @@
 """Discrimination layer: oracles, measurement optimality, vote tails."""
 import csv
+import functools
 import io
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from trajsense import discrim, qcore, solver, trajset
+from trajsense import discrim, qcore, rng, solver, trajset
 from trajsense.discrim import OutputEnsemble, make_ensemble
 
 PI = math.pi
@@ -120,7 +121,7 @@ def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
     """An ensemble where the PGM seed is not optimal, so the update loop runs."""
     ts = trajset.TrajectorySet(3, "custom", 1, tuple(
         trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))
-    ens = make_ensemble(discrim._product_input(3, 0.4, 2.0), ts, theta_pi * PI)
+    ens = make_ensemble(discrim._product_input(3, 0.4), ts, theta_pi * PI)
     res = discrim.optimal_measurement(ens)
     assert res.converged and res.iterations == iterations
     assert res.optimality_residual <= 1e-9
@@ -150,9 +151,33 @@ def test_classical_plus_positive_below_pi():
 def test_classical_grid_never_worse_than_plus():
     theta = 0.7 * PI
     plus = discrim.classical_baseline(TS42, theta, "plus_product")
-    grid = discrim.classical_baseline(TS42, theta, "best_product_grid", grid=(8, 5))
+    grid = discrim.classical_baseline(TS42, theta, "best_product_grid", n_alpha=5)
     assert grid.p_fail <= plus.p_fail + 1e-9
     assert "alpha=" in grid.note
+
+
+def _phased_product_input(n, alpha, phi):
+    one = np.array([math.cos(alpha / 2), np.exp(1j * phi) * math.sin(alpha / 2)])
+    amps = one
+    for _ in range(n - 1):
+        amps = np.kron(amps, one)
+    return qcore.Ket(n, amps)
+
+
+@pytest.mark.parametrize("ts", [
+    trajset.gen_symmetric(3, 1), TS42,
+    trajset.TrajectorySet(3, "custom", 1, tuple(
+        trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))],
+    ids=["sym31", "sym42", "custom"])
+def test_product_p_fail_independent_of_phi(ts):
+    """Every R^(T) is diagonal, so the product grid needs no phase axis."""
+    for theta in [0.3 * PI, 0.55 * PI, 0.8 * PI]:
+        for alpha in [0.4, 1.3, 2.5]:
+            ref = discrim.optimal_measurement(
+                make_ensemble(discrim._product_input(ts.n, alpha), ts, theta)).p_fail
+            for phi in [0.0, 0.7, 2.0, 4.1]:
+                ens = make_ensemble(_phased_product_input(ts.n, alpha, phi), ts, theta)
+                assert abs(discrim.optimal_measurement(ens).p_fail - ref) <= 1e-12
 
 
 def test_classical_grid_size_guard():
@@ -201,16 +226,83 @@ def test_vote_error_r1_equals_per_shot():
     assert abs(discrim.plurality_error(res.confusion, prior, 1) - res.p_fail) < 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every way to split `total` draws over `parts` categories, one row each."""
+    if parts == 1:
+        return np.array([[total]])
+    return np.concatenate([np.hstack([np.full((len(rest), 1), first), rest])
+                           for first in range(total + 1)
+                           for rest in [_compositions(total - first, parts - 1)]])
+
+
+def plurality_error_enum(confusion: np.ndarray, prior: np.ndarray, r: int) -> float:
+    """Oracle: exact vote error by multinomial enumeration (r <= 20, k <= 6)."""
+    k = confusion.shape[0]
+    if r > 20 or k > 6:
+        raise ValueError("enumeration limited to r <= 20 and k <= 6")
+    counts = _compositions(r, k)
+    log_fact = np.array([math.lgamma(c + 1) for c in range(r + 1)])
+    log_multinomial = log_fact[r] - log_fact[counts].sum(axis=1)
+    top = counts.max(axis=1)
+    n_winners = (counts == top[:, None]).sum(axis=1)
+    err = 0.0
+    for i in range(k):
+        p = np.clip(confusion[i], 0.0, 1.0)
+        possible = ~((counts > 0) & (p <= 0.0)).any(axis=1)
+        log_p = np.where(counts > 0, counts * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
+        prob = np.where(possible, np.exp(log_multinomial + log_p.sum(axis=1)), 0.0)
+        win = (prob / n_winners)[counts[:, i] == top].sum()
+        err += prior[i] * (1.0 - win)
+    return max(0.0, err)
+
+
+def plurality_error_mc(confusion: np.ndarray, prior: np.ndarray, r: int,
+                       trials: int, seed: int, stream: int = 5) -> float:
+    """Oracle: Monte Carlo vote error (counter-based RNG)."""
+    k = confusion.shape[0]
+    cdf = np.cumsum(confusion, axis=1)
+    fails = 0
+    per_true = np.random.default_rng(seed).multinomial(trials, prior)  # trial split
+    block = 0
+    for i in range(k):
+        t_i = int(per_true[i])
+        if t_i == 0:
+            continue
+        u = rng.uniforms(seed, stream, block, t_i * r).reshape(t_i, r)
+        block += t_i * r
+        outcomes = np.searchsorted(cdf[i], u, side="right")
+        counts = np.stack([(outcomes == j).sum(axis=1) for j in range(k)], axis=1)
+        mx = counts.max(axis=1)
+        tie_u = rng.uniforms(seed, stream + 1, block, t_i)[:, 0]
+        wins = 0
+        for row, m_, uu in zip(counts, mx, tie_u):
+            winners = np.nonzero(row == m_)[0]
+            pick = winners[int(uu * len(winners))]
+            wins += int(pick == i)
+        fails += t_i - wins
+    return fails / trials
+
+
+def _vote_rows(k: int, rng_: np.random.Generator) -> list[np.ndarray]:
+    """Confusion matrices: random, with zero entries, uniform (exact ties), 0.999 diagonal."""
+    zeros = rng_.dirichlet(np.ones(k), size=k)
+    zeros[:, 1:][:, ::2] = 0.0                 # zero off-diagonal entries
+    zeros /= zeros.sum(axis=1, keepdims=True)
+    near = np.full((k, k), 0.001 / (k - 1))
+    np.fill_diagonal(near, 0.999)
+    return [rng_.dirichlet(np.ones(k), size=k), zeros,
+            np.full((k, k), 1.0 / k), near]
+
+
 def test_vote_dp_matches_enumeration():
-    rng = np.random.default_rng(3)
-    for _ in range(4):
-        raw = rng.dirichlet(np.ones(5), size=5)
-        prior = np.full(5, 1 / 5)
-        for r in [4, 9, 14]:
-            e1 = discrim.plurality_error_enum(raw, prior, r)
-            e2 = sum(prior[i] * (1 - discrim._plurality_win_dp(raw[i], i, r))
-                     for i in range(5))
-            assert abs(e1 - e2) < 1e-10
+    """The tail DP reproduces the enumeration on its whole old domain (k <= 6, r <= 20)."""
+    for k in range(2, 7):
+        prior = np.full(k, 1 / k)
+        for conf in _vote_rows(k, np.random.default_rng(3 + k)):
+            for r in [1, 2, 3, 4, 7, 10, 13, 16, 20]:
+                dp = discrim.plurality_error(conf, prior, r)
+                assert abs(dp - plurality_error_enum(conf, prior, r)) <= 1e-12, (k, r, conf)
 
 
 @pytest.mark.parametrize("r", [21, 64, 170])
@@ -233,7 +325,7 @@ def test_vote_dp_matches_monte_carlo_beyond_enum():
     prior = np.full(4, 0.25)
     r = 25
     exact = discrim.plurality_error(conf, prior, r)
-    mc = discrim.plurality_error_mc(conf, prior, r, trials=120_000, seed=9)
+    mc = plurality_error_mc(conf, prior, r, trials=120_000, seed=9)
     sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / 120_000)
     assert abs(mc - exact) < 4 * sigma + 1e-6
 

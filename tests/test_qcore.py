@@ -110,6 +110,20 @@ def test_symmetrized_basis_vectors_orthogonal():
             assert abs(np.vdot(vi, vk) - expect) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_symmetrized_amplitudes_match_basis_loop(n):
+    """One lookup per bitstring, bitwise equal to filling each basis support."""
+    basis = qcore.symmetrized_basis(n)
+    profiles = np.random.default_rng(n).uniform(-0.2, 1.0, size=(4, len(basis)))
+    got = qcore.symmetrized_amplitudes(n, profiles)
+    for x, row in zip(profiles, got):
+        amps = np.zeros(1 << n)
+        for e, xv in zip(basis, x):
+            amps[e.support] = math.sqrt(max(xv, 0.0))
+        assert np.array_equal(row, amps.astype(complex))
+        assert np.array_equal(qcore.symmetrized_amplitudes(n, x), row)
+
+
 def test_sample_measurement_deterministic():
     k = make_ket(2, [("00", 1.0), ("11", 1.0)])
     basis = [make_ket(2, [(qcore.bitstring(2, j), 1.0)]) for j in range(4)]

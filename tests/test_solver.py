@@ -280,19 +280,6 @@ def test_larger_composition():
 
 # --- helpers and dispatch --------------------------------------------------
 
-def test_symmetrize_projects():
-    k = qcore.make_ket(4, [("0000", 1.0)])
-    s = solver.symmetrize(k)
-    assert abs(abs(s.amps[0]) - 2 ** -0.5) < 1e-12
-    assert abs(abs(s.amps[15]) - 2 ** -0.5) < 1e-12
-
-
-def test_symmetrize_rejects_zero_projection():
-    k = qcore.make_ket(2, [("01", 1.0), ("10", -1.0)])
-    with pytest.raises(ValueError):
-        solver.symmetrize(k)
-
-
 def test_solve_dispatch():
     sym = TSProblem(trajset.gen_symmetric(4, 2), 0.9 * PI)
     assert solver.solve(sym).method == "closed_form"
