@@ -9,6 +9,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -222,15 +224,64 @@ def sample_measurement(k: Ket, basis: Sequence[Ket], rng_seed: int,
 # serialization (used by the CLI)
 
 def ket_to_dict(k: Ket, tol: float = 0.0) -> dict:
-    """{"n": n, "amps": {bitstring: [re, im]}} over the amplitudes above tol."""
+    """{"n": n, "amps": {bitstring: (re, im)}} over the amplitudes above tol."""
     idx = np.nonzero(np.abs(k.amps) > tol)[0]
     kept = k.amps[idx]
-    return {"n": k.n, "amps": {bitstring(k.n, j): [re, im] for j, re, im in
-                               zip(idx.tolist(), kept.real.tolist(), kept.imag.tolist())}}
+    fmt = f"0{k.n}b"
+    keys = [format(j, fmt) for j in idx.tolist()]
+    return {"n": k.n, "amps": dict(zip(keys, zip(kept.real.tolist(), kept.imag.tolist())))}
 
 
 def ket_to_json(k: Ket, tol: float = 0.0) -> str:
-    return json.dumps(ket_to_dict(k, tol), sort_keys=True, indent=2) + "\n"
+    return indented_json(ket_to_dict(k, tol)) + "\n"
+
+
+def indented_json(obj, _pad: str = "\n") -> str:
+    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed JSON values.
+
+    With an indent the standard library runs its pure-Python encoder, one
+    generator step per value.  Here a list of finite floats, and a dict whose
+    values all are such lists (a witness's {bitstring: [re, im]} map), are
+    joined from ``float.__repr__`` strings in one comprehension each; anything
+    else recurses, and other scalars go through ``json.dumps`` itself.
+    """
+    inner = _pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        keys = sorted(obj)
+        vals = [obj[key] for key in keys]
+        texts = _float_lists(vals, inner) or [indented_json(v, inner) for v in vals]
+        return ("{" + ",".join([f"{inner}{encode_basestring_ascii(key)}: {text}"
+                                for key, text in zip(keys, texts)]) + _pad + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        texts = _float_reprs(obj) or [indented_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(texts) + _pad + "]"
+    return json.dumps(obj)
+
+
+def _float_reprs(vals) -> list[str] | None:
+    """``float.__repr__`` of every value if all are finite floats, else None."""
+    if not (set(map(type, vals)) <= {float} and all(map(math.isfinite, vals))):
+        return None
+    # one repr per distinct value; 0.0 == -0.0, so zeros skip the memo
+    memo = {v: float.__repr__(v) for v in set(vals) if v}
+    return [memo.get(v) or float.__repr__(v) for v in vals]
+
+
+def _float_lists(lists, pad: str) -> list[str] | None:
+    """Indented texts of equal-length float lists, or None if `lists` holds anything else."""
+    if not all(isinstance(v, (list, tuple)) for v in lists):
+        return None
+    lengths = set(map(len, lists))
+    reprs = _float_reprs(list(chain.from_iterable(lists))) if len(lengths) == 1 else None
+    if not reprs:
+        return None
+    inner = pad + "  "
+    sep = "," + inner
+    return [f"[{inner}{sep.join(row)}{pad}]" for row in zip(*[iter(reprs)] * lengths.pop())]
 
 
 def ket_from_json(text: str) -> Ket:

@@ -11,13 +11,15 @@ Two independent routes answer the same feasibility question:
   whose verdict is certified in exact rationals (`simplex.certified_phase1`).
 
 `build_cyclic` realizes the tensor-composition construction for the cyclic
-family, and every certificate's witness is re-verified against the full set
-of pairwise orthogonality conditions afterwards.
+family.  Every certificate's witness is re-verified afterwards by
+`max_gram_residual`: for the symmetric and cyclic families on one
+representative pair of members per orbit of member pairs, with a proven bound
+on every other pair, and for custom families (or states whose |psi|^2 is not
+constant on orbits) against the full set of pairwise orthogonality conditions.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -33,6 +35,10 @@ from .trajset import TrajectorySet, Trajectory
 FEAS_TOL = 1e-9
 #: entries this close to zero (after max-normalization) count as boundary ties
 BOUNDARY_TOL = 1e-10
+#: largest |T|^2 * 2^n the dense Gram check computes
+DENSE_GRAM_CAP = 2_000_000_000
+#: largest ||p - p o rep||_1 for which `max_gram_residual` checks orbit representatives
+ORBIT_TOL = 1e-12
 
 
 class Threshold(NamedTuple):
@@ -100,7 +106,7 @@ class FeasibilityCertificate:
             obj["p"] = [float(v) for v in self.p]
         if self.witness_state is not None:
             obj["witness_state"] = qcore.ket_to_dict(self.witness_state)
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return qcore.indented_json(obj) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -110,34 +116,86 @@ def eq1_gram(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
     """Gram matrix of the post-trajectory outputs <psi|R(T)^dag R(T')|psi>."""
     if psi.n != ts.n:
         raise ValueError("state/trajectory register size mismatch")
-    if len(ts) ** 2 * (1 << ts.n) > 2_000_000_000:
-        raise ValueError("pairwise verification too large for dense computation")
+    volume = len(ts) ** 2 * (1 << ts.n)
+    if volume > DENSE_GRAM_CAP:
+        raise ValueError(f"pairwise verification too large for the dense Gram check: "
+                         f"|T|^2*2^n = {len(ts)}^2*2^{ts.n} = {volume:.3g} "
+                         f"> {DENSE_GRAM_CAP:.3g}")
     outs = trajset.phase_matrix(ts.members, ts.n, theta)
     outs *= psi.amps
     return outs.conj() @ outs.T
 
 
 def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
+    """max |G - I| over the Gram matrix G of `eq1_gram`, or an upper bound on it.
+
+    For the symmetric and cyclic families, let p = |psi|^2 and p' = p o rep,
+    where rep sends each bitstring to a fixed member of its orbit (its weight
+    class, or its cyclic rotations).  A group element g maps each pair (a, b)
+    of members to its representative r from `_orbit_pairs`, and G_ab(p') =
+    G_r(p') because p' is orbit-constant.  Each entry is sum_j p_j e^{i phi_j},
+    so |G_ab(p) - G_ab(p')| <= ||p - p'||_1 = delta, and
+
+        |G_ab - G_r| <= 2 ||p - p'||_1.
+
+    When delta <= ORBIT_TOL the value is max(|sum p - 1|, max_r |G_r|) +
+    2 delta, computed from the phase rows of the representative pairs in
+    O(#pairs * 2^n).  It is never below the dense residual and exceeds it by
+    at most 2 delta.  Custom families and states that are not orbit-constant
+    take the dense `eq1_gram`, which refuses |T|^2 * 2^n > DENSE_GRAM_CAP.
+    """
+    pairs = _orbit_pairs(ts) if psi.n == ts.n else None
+    if pairs is not None:
+        p = psi.probs()
+        delta = float(np.abs(p - p[_orbit_rep(ts)]).sum())
+        if delta <= ORBIT_TOL:
+            members = list(dict.fromkeys(t for pair in pairs for t in pair))
+            rows = dict(zip(members, trajset.phase_matrix(members, ts.n, theta)))
+            off = max((abs(np.vdot(rows[a], p * rows[b])) for a, b in pairs), default=0.0)
+            return max(abs(float(p.sum()) - 1.0), float(off)) + 2.0 * delta
     g = eq1_gram(psi, ts, theta)
     return float(np.abs(g - np.eye(len(ts))).max())
+
+
+def _orbit_pairs(ts: TrajectorySet):
+    """One pair of members per orbit of member pairs under the family's group.
+
+    The permutations of the qubits act on the weight-m family and the cyclic
+    shift on the window family.  `_lp_system` writes one constraint per pair
+    and `max_gram_residual` checks one Gram entry per pair.  None for custom
+    families, and for sets labelled symmetric or cyclic whose members are not
+    the whole family.
+    """
+    n, m = ts.n, ts.m
+    if (ts.family == "symmetric" and len(ts) == math.comb(n, m)
+            and all(len(t) == m for t in ts.members)):
+        return _sym_pair_reps(n, m)
+    if (ts.family == "cyclic" and 1 <= m < n
+            and ts.members == trajset.gen_cyclic(n, m).members):
+        return [(ts.members[0], ts.members[d]) for d in range(1, len(ts))]
+    return None
+
+
+def _orbit_rep(ts: TrajectorySet) -> np.ndarray:
+    """For every bitstring, a fixed member of its orbit under the family's group."""
+    if ts.family == "symmetric":
+        return (1 << qcore.weight_on(ts.n, range(1, ts.n + 1))) - 1
+    return _rotation_reps(ts.n)
 
 
 # ---------------------------------------------------------------------------
 # closed-form symmetrized route
 
-def _sym_pair_reps(n: int, m: int):
-    """One representative trajectory pair per intersection size."""
-    reps = []
-    for t in range(max(0, 2 * m - n), m):
-        a = Trajectory(tuple(range(1, m + 1)))
-        b = Trajectory(tuple(range(m - t + 1, 2 * m - t + 1)))
-        reps.append((t, a, b))
-    return reps
+def _sym_pair_reps(n: int, m: int) -> list[tuple[Trajectory, Trajectory]]:
+    """One representative trajectory pair per intersection size t < m."""
+    a = Trajectory(tuple(range(1, m + 1)))
+    return [(a, Trajectory(tuple(range(m - t + 1, 2 * m - t + 1))))
+            for t in range(max(0, 2 * m - n), m)]
 
 def _sym_constraint_rows(n: int, m: int, theta: float) -> np.ndarray:
     """Rows <nu|R(T)^dag R(T')|nu> over the symmetrized basis, one pair class each."""
     basis = qcore.symmetrized_basis(n)
-    pairs = [t for _, ta, tb in _sym_pair_reps(n, m) for t in (ta, tb)]
+    pairs = [t for pair in _sym_pair_reps(n, m) for t in pair]
     if not pairs:
         return np.zeros((0, len(basis)))
     phases = trajset.phase_matrix(pairs, n, theta)
@@ -175,11 +233,16 @@ def _nonneg_solution(A: np.ndarray, norms: np.ndarray):
                 best = x
     return None, best
 
-def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
-    """Decide existence for the all-weight-m family via the invariant subspace."""
+def solve_symmetric(n: int, m: int, theta: float,
+                    ts: TrajectorySet | None = None) -> FeasibilityCertificate:
+    """Decide existence for the all-weight-m family via the invariant subspace.
+
+    `ts` is `gen_symmetric(n, m)` when the caller has built it already.
+    """
     if not 0.0 < theta <= math.pi:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
-    ts = trajset.gen_symmetric(n, m)
+    if ts is None:
+        ts = trajset.gen_symmetric(n, m)
     cert = FeasibilityCertificate(False, "closed_form", n, theta, "symmetric")
     if len(ts) < 2:
         uniform = Ket(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
@@ -223,17 +286,19 @@ def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
 # ---------------------------------------------------------------------------
 # linear-feasibility oracle over squared magnitudes
 
+def _rotation_reps(n: int) -> np.ndarray:
+    """The smallest cyclic rotation of every bitstring."""
+    mask = (1 << n) - 1
+    rep = cur = np.arange(1 << n, dtype=np.int64)
+    for _ in range(n - 1):
+        cur = ((cur << 1) | (cur >> (n - 1))) & mask
+        rep = np.minimum(rep, cur)
+    return rep
+
 def _cyclic_orbit_ids(n: int) -> np.ndarray:
     """Orbit labels of bitstrings under cyclic shift and global bit flip."""
-    mask = (1 << n) - 1
-    idx = np.arange(1 << n, dtype=np.int64)
-    rep = idx.copy()
-    for variant in (idx, ~idx & mask):
-        cur = variant.copy()
-        for _ in range(n):
-            cur = ((cur << 1) | (cur >> (n - 1))) & mask
-            rep = np.minimum(rep, cur)
-    _, inv = np.unique(rep, return_inverse=True)
+    rep = _rotation_reps(n)
+    _, inv = np.unique(np.minimum(rep, rep[::-1]), return_inverse=True)
     return inv
 
 def _pair_coeffs(n: int, ta: Trajectory, tb: Trajectory, theta: float) -> np.ndarray:
@@ -251,16 +316,15 @@ def _lp_system(ts: TrajectorySet, theta: float):
     so the reduction preserves the verdict.
     """
     n = ts.n
-    if ts.family == "symmetric":
+    pairs = _orbit_pairs(ts)
+    if pairs is None:
+        inv = np.arange(1 << n)
+        pairs = list(itertools.combinations(ts.members, 2))
+    elif ts.family == "symmetric":
         w = qcore.weight_on(n, range(1, n + 1))
         inv = np.minimum(w, n - w)
-        pairs = [(a, b) for _, a, b in _sym_pair_reps(n, ts.m)]
-    elif ts.family == "cyclic":
-        inv = _cyclic_orbit_ids(n)
-        pairs = [(ts.members[0], ts.members[d]) for d in range(1, len(ts))]
     else:
-        inv = np.arange(1 << n)
-        pairs = [(a, b) for a, b in itertools.combinations(ts.members, 2)]
+        inv = _cyclic_orbit_ids(n)
     ncols = int(inv.max()) + 1
     rows = []
     for ta, tb in pairs:
@@ -310,19 +374,22 @@ def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
 # ---------------------------------------------------------------------------
 # tensor composition for the cyclic family
 
-def build_cyclic(n: int, m: int, theta: float) -> FeasibilityCertificate:
+def build_cyclic(n: int, m: int, theta: float,
+                 ts: TrajectorySet | None = None) -> FeasibilityCertificate:
     """Compose the width-m window TS state from m copies of a small one.
 
     Copy r lives on qubit positions {r, r+m, r+2m, ...}; each window of m
     consecutive positions touches every copy exactly once, so orthogonality
-    of the small single-rotation states lifts to the full family.
+    of the small single-rotation states lifts to the full family.  `ts` is
+    `gen_cyclic(n, m)` when the caller has built it already.
     """
     if n % m != 0:
         raise ValueError(f"n={n} is not divisible by m={m}")
     kappa = n // m
     if kappa < 2:
         raise ValueError("tensor composition needs kappa = n/m >= 2")
-    ts = trajset.gen_cyclic(n, m)
+    if ts is None:
+        ts = trajset.gen_cyclic(n, m)
     sub = solve_symmetric(kappa, 1, theta)
     cert = FeasibilityCertificate(False, "tensor_composition", n, theta, "cyclic",
                                   cbar_sq=sub.cbar_sq, boundary=sub.boundary,
@@ -355,14 +422,14 @@ def solve(problem: TSProblem, method: str = "auto") -> FeasibilityCertificate:
     if method in ("closed", "closed_form"):
         if ts.family != "symmetric":
             raise ValueError("closed-form route applies to the symmetric family")
-        return solve_symmetric(ts.n, ts.m, problem.theta)
+        return solve_symmetric(ts.n, ts.m, problem.theta, ts)
     if method == "lp":
         return solve_lp(problem)
     if method == "auto":
         if ts.family == "symmetric":
-            return solve_symmetric(ts.n, ts.m, problem.theta)
+            return solve_symmetric(ts.n, ts.m, problem.theta, ts)
         if _composable(ts):
-            return build_cyclic(ts.n, ts.m, problem.theta)
+            return build_cyclic(ts.n, ts.m, problem.theta, ts)
         return solve_lp(problem)
     raise ValueError(f"unknown method {method!r}")
 

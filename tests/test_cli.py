@@ -1,12 +1,15 @@
 """CLI behavior: exit codes, file outputs, determinism, error paths."""
+import itertools
 import json
 import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import trajsense
@@ -83,6 +86,23 @@ def test_usage_errors_exit_two(capsys):
     assert run(["bogus"]) == 2
     assert run(["solve", "--family", "nope", "--n", "4", "--m", "2",
                 "--theta", "1"]) == 2
+
+
+@pytest.mark.parametrize("n,m,theta", [(12, 6, "11pi/12"), (16, 8, "0.96pi")])
+def test_solve_certifies_beyond_the_dense_cap(n, m, theta, capsys):
+    """|T|^2 * 2^n is above 2e9 here; the witness passes a Gram check done in the test."""
+    assert run(["solve", "--family", "sym", "--n", str(n), "--m", str(m),
+                "--theta", theta, "--format", "json"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    assert cert["feasible"] is True and cert["max_residual"] <= 1e-12
+    amps = np.zeros(1 << n, dtype=complex)
+    for bits, (re, im) in cert["witness_state"]["amps"].items():
+        amps[int(bits, 2)] = complex(re, im)
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+    members = random.Random(0).sample(list(itertools.combinations(range(n), m)), 40)
+    outs = np.exp(1j * cli.parse_angle(theta) * bits[:, members].sum(axis=2)).T * amps
+    gram = outs.conj() @ outs.T
+    assert np.abs(gram - np.eye(len(members))).max() < 1e-8
 
 
 # ------------------------------------------------------------------- curve
@@ -320,6 +340,16 @@ def test_verify_qubit_mismatch(tmp_path, capsys):
     p = bell_file(tmp_path)
     assert run(["verify", "--state", str(p), "--family", "sym", "--n", "4",
                 "--m", "2", "--theta", "pi/2"]) == 2
+
+
+def test_verify_refusal_names_the_dense_cap(tmp_path, capsys):
+    """A state that is not constant on weight classes needs the dense Gram check."""
+    p = tmp_path / "one.json"
+    p.write_text(qcore.ket_to_json(qcore.make_ket(12, [("000000000001", 1)])))
+    assert run(["verify", "--state", str(p), "--family", "sym", "--n", "12",
+                "--m", "6", "--theta", "pi/2"]) == 2
+    err = capsys.readouterr().err
+    assert "|T|^2*2^n = 924^2*2^12 = 3.5e+09 > 2e+09" in err
 
 
 # ----------------------------------------------------------- console script

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trajsense import qcore
 from trajsense.qcore import Ket, make_ket
@@ -168,6 +168,26 @@ def test_ket_json_roundtrip():
     np.testing.assert_allclose(back.amps, k.amps, atol=1e-15)
     payload = json.loads(qcore.ket_to_json(k))
     assert set(payload) == {"n", "amps"}
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(max_size=6)
+                 | st.floats(allow_nan=True, allow_infinity=True))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS | st.lists(st.floats(-1e3, 1e3), max_size=5),
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4),
+                                     st.tuples(st.floats(allow_nan=False), st.floats()),
+                                     max_size=4)),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES)
+@example({"01": (0.0, -0.0), "10": (-0.0, 0.5)})
+@example([0.0, -0.0, float("nan"), 1e-300])
+@settings(max_examples=300, deadline=None)
+def test_indented_json_matches_stdlib_bytes(obj):
+    assert qcore.indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 @given(st.integers(0, 3), st.integers(0, 7), st.floats(0.0, 2 * math.pi))

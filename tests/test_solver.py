@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trajsense import qcore, simplex, solver, trajset
+from trajsense.qcore import Ket
 from trajsense.solver import TSProblem
 
 PI = math.pi
@@ -233,6 +234,75 @@ def test_lp_certificates_are_sound(subsets, theta):
         assert cert.max_residual < 1e-7
 
 
+# --- witness check on orbit representatives --------------------------------
+
+def _dense_residual(psi, ts, theta):
+    g = solver.eq1_gram(psi, ts, theta)
+    return float(np.abs(g - np.eye(len(ts))).max())
+
+
+def _orbit_labels(ts):
+    """Weight class (symmetric) or smallest cyclic rotation (cyclic) of each bitstring."""
+    n, mask = ts.n, (1 << ts.n) - 1
+    if ts.family == "symmetric":
+        return np.array([bin(j).count("1") for j in range(1 << n)])
+    return np.array([min(((j << r) | (j >> (n - r))) & mask for r in range(n))
+                     for j in range(1 << n)])
+
+
+_ORBIT_FAMILIES = st.one_of(
+    st.sampled_from([(n, m) for n in range(2, 9) for m in range(0, n + 1)]).map(
+        lambda nm: trajset.gen_symmetric(*nm)),
+    st.sampled_from([(n, m) for n in range(2, 11) for m in range(1, n)]).map(
+        lambda nm: trajset.gen_cyclic(*nm)),
+)
+
+
+@given(_ORBIT_FAMILIES, st.floats(0.05, PI), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_orbit_reduced_residual_matches_dense(ts, theta, seed):
+    """Witnesses of both routes and random orbit-constant |psi|^2 give the dense value."""
+    problem = TSProblem(ts, theta)
+    states = [solver.solve(problem, method).witness_state for method in ("auto", "lp")]
+    labels = _orbit_labels(ts)
+    rng = np.random.default_rng(seed)
+    p = rng.random(labels.max() + 1)[labels]
+    p *= rng.uniform(0.5, 1.5) / p.sum()
+    states.append(Ket(ts.n, np.sqrt(p) * np.exp(1j * rng.uniform(0, 2 * PI, p.size))))
+    for psi in filter(None, states):
+        dense = _dense_residual(psi, ts, theta)
+        assert abs(solver.max_gram_residual(psi, ts, theta) - dense) <= 1e-12
+
+
+@pytest.mark.parametrize("ts,theta", [
+    (trajset.gen_symmetric(6, 3), 0.9 * PI),
+    (trajset.gen_cyclic(8, 2), 0.7 * PI),
+    (trajset.gen_cyclic(9, 4), 0.9 * PI),
+])
+def test_orbit_breaking_state_takes_dense_check(ts, theta):
+    p = solver.solve(TSProblem(ts, theta)).witness_state.probs()
+    p[1] += 1e-6                       # bitstring 0...01: an orbit of n members
+    psi = Ket(ts.n, np.sqrt(p).astype(complex))
+    assert solver.max_gram_residual(psi, ts, theta) == _dense_residual(psi, ts, theta)
+
+
+def test_partial_family_takes_dense_check():
+    """A set labelled symmetric that misses members is checked pair by pair."""
+    full = trajset.gen_symmetric(4, 2)
+    ts = trajset.TrajectorySet(4, "symmetric", 2, full.members[:3])
+    psi = solver.solve_symmetric(4, 2, 0.9 * PI).witness_state
+    assert solver._orbit_pairs(ts) is None
+    assert solver.max_gram_residual(psi, ts, 0.9 * PI) == _dense_residual(psi, ts, 0.9 * PI)
+
+
+def test_dense_check_refusal_names_the_cap():
+    members = trajset.gen_symmetric(12, 6).members
+    ts = trajset.TrajectorySet(12, "custom", 6, members)
+    psi = Ket(12, np.full(1 << 12, 2.0 ** -6, dtype=complex))
+    with pytest.raises(ValueError, match=r"\|T\|\^2\*2\^n = 924\^2\*2\^12 = 3\.5e\+09 > 2e\+09"):
+        solver.max_gram_residual(psi, ts, PI)
+
+
 # --- tensor composition ----------------------------------------------------
 
 def test_build_cyclic_four_qubit_windows():
@@ -328,7 +398,11 @@ def _loop_ket_json(k, tol=0.0):
 def test_certificate_json_bytes_match_round_trip():
     certs = [solver.solve_symmetric(4, 2, 3 * PI / 4),
              solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), PI / 2)),
-             solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), 0.7 * PI))]
+             solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), 0.7 * PI)),
+             solver.solve(TSProblem(trajset.gen_symmetric(10, 5), 9 * PI / 10), "lp"),
+             solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), PI / 2))]
+    assert len(certs[3].p) == 2 ** 10
+    assert certs[4].sign_violations == [] and certs[4].nullspace_dim is None
     for cert in certs:
         payload = json.loads(cert.to_json())
         if cert.witness_state is not None:
@@ -336,4 +410,6 @@ def test_certificate_json_bytes_match_round_trip():
         assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
     k = certs[2].witness_state
     assert qcore.ket_to_json(k, tol=0.1) == _loop_ket_json(k, tol=0.1)
+    assert qcore.ket_to_json(k, tol=0.1) == json.dumps(qcore.ket_to_dict(k, tol=0.1),
+                                                        sort_keys=True, indent=2) + "\n"
     assert 0 < len(qcore.ket_to_dict(k, tol=0.1)["amps"]) < len(qcore.ket_to_dict(k)["amps"])
