@@ -241,9 +241,9 @@ def indented_json(obj, _pad: str = "\n") -> str:
 
     With an indent the standard library runs its pure-Python encoder, one
     generator step per value.  Here a list of finite floats, and a dict whose
-    values all are such lists (a witness's {bitstring: [re, im]} map), are
-    joined from ``float.__repr__`` strings in one comprehension each; anything
-    else recurses, and other scalars go through ``json.dumps`` itself.
+    values are such lists of one length (a witness's {bitstring: (re, im)}
+    map), are joined from ``float.__repr__`` strings in one comprehension
+    each; anything else recurses, and other scalars go through ``json.dumps``.
     """
     inner = _pad + "  "
     if isinstance(obj, dict):
