@@ -28,16 +28,17 @@ print(f"matches the solver's constructed witness: "
       f"{np.allclose(np.abs(built.amps), np.abs(state.amps))}")
 
 # the random-window channel is perfectly correctable on this state
-ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
-kl = qec.kl_verify(state, ch)
+windows = trajset.gen_cyclic(4, 2)
+kl = qec.kl_verify(state, windows, math.pi / 2)
 print(f"\nerror-channel matrix M_ij = <psi|K_i^dag K_j|psi>, "
       f"verdict: {kl.verdict}")
 print(np.round(kl.matrix.real, 10))
 
 # a product state fails the orthogonality half of the test
 plus = qcore.from_vector(4, np.full(16, 0.25))
-print(f"|+>^4 verdict: {qec.kl_verify(plus, ch).verdict} "
-      f"(off-diagonals up to {qec.kl_verify(plus, ch).max_offdiag:.3f})")
+plus_kl = qec.kl_verify(plus, windows, math.pi / 2)
+print(f"|+>^4 verdict: {plus_kl.verdict} "
+      f"(off-diagonals up to {plus_kl.max_offdiag:.3f})")
 
 # transversal quarter turn on the seven-qubit code
 good = qec.transversal_rotation_check(math.pi / 2)

@@ -39,7 +39,8 @@ import numpy as np
 from . import qcore, rng, solver, trajset
 from .trajset import Trajectory
 
-_DEFAULT_ATOMS = ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))
+#: atoms 1..4 at the unit-square corners, counterclockwise
+ATOM_POSITIONS = ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))
 #: the four edges in cyclic-window order
 EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 
@@ -58,29 +59,22 @@ MC_TRIALS_MAX = 10_000_000
 class BeamScenario:
     theta0: float
     w: float
-    atom_positions: tuple = _DEFAULT_ATOMS
-    path_model: str = "uniform_line"
 
     def __post_init__(self):
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError(f"theta0={self.theta0} outside [0, pi]")
         if self.w <= 0:
             raise ValueError("beam waist must be positive")
-        pts = {tuple(p) for p in self.atom_positions}
-        if len(pts) != 4:
-            raise ValueError("need four distinct atom positions")
-        if self.path_model != "uniform_line":
-            raise ValueError(f"unknown path model {self.path_model!r}")
 
 
-def _distances(scenario: BeamScenario, phi, offset):
+def _distances(phi, offset):
     """Perpendicular distances of the four atoms to the line(s).
 
     Accepts scalars or equal-length arrays; returns shape (..., 4).
     """
     phi = np.asarray(phi, dtype=float)
     offset = np.asarray(offset, dtype=float)
-    pos = np.asarray(scenario.atom_positions)          # (4, 2)
+    pos = np.asarray(ATOM_POSITIONS)                   # (4, 2)
     nx, ny = -np.sin(phi), np.cos(phi)                 # unit normal
     proj = np.multiply.outer(nx, pos[:, 0]) + np.multiply.outer(ny, pos[:, 1])
     return np.abs(proj - offset[..., None])
@@ -89,7 +83,7 @@ def _distances(scenario: BeamScenario, phi, offset):
 def beam_angles(scenario: BeamScenario, beam_line) -> np.ndarray:
     """Rotation angles theta0 * exp(-d^2/w^2) for a (phi, offset) line."""
     phi, offset = beam_line
-    d = _distances(scenario, phi, offset)
+    d = _distances(phi, offset)
     return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
 
 
@@ -184,7 +178,7 @@ def line_failures(scenario: BeamScenario, phi, offset):
     tied = np.empty(phi.size, dtype=bool)
     for start in range(0, phi.size, _BLOCK):
         blk = slice(start, start + _BLOCK)
-        d = _distances(scenario, phi[blk], offset[blk])
+        d = _distances(phi[blk], offset[blk])
         angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
         true_idx, tied[blk] = _nearest_indices(d)
         probs = entangled_outcome_probs(angles)
@@ -236,7 +230,7 @@ def _sample_outcomes(scenario: BeamScenario, sensor: str, trials: int, seed: int
     if sensor not in ("entangled_ts", "unentangled_plus"):
         raise ValueError(f"unknown sensor {sensor!r}")
     phi, offset = _sample_lines(trials, seed)
-    d = _distances(scenario, phi, offset)
+    d = _distances(phi, offset)
     angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
     true_idx, tied = _nearest_indices(d)
     tie_u = rng.uniforms(seed, _STREAM_TIE, 0, trials)[:, 0]

@@ -185,8 +185,7 @@ def cmd_qec(args) -> int:
         state = qec.window_code_state()
         stab = qec.stabilizer_check(state, qec.window_code_group())
         built = solver.build_cyclic(4, 2, math.pi / 2).witness_state
-        ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
-        kl = qec.kl_verify(state, ch)
+        kl = qec.kl_verify(state, trajset.gen_cyclic(4, 2), math.pi / 2)
         checks["window"] = {
             "stabilized": stab.all_plus_one,
             "matches_builder": qcore.equal_up_to_phase(built, state),

@@ -22,11 +22,9 @@ from functools import reduce
 
 import numpy as np
 
-from . import qcore, trajset
+from . import qcore, solver, trajset
 from .qcore import Ket
 from .trajset import Trajectory, TrajectorySet
-
-_COMPLETENESS_TOL = 1e-10
 
 _PAULI_MATS = {
     "I": np.eye(2, dtype=complex),
@@ -51,40 +49,6 @@ for _a in "XYZ":
 # ---------------------------------------------------------------------------
 # the uniform trajectory channel
 
-@dataclass(frozen=True)
-class ErrorChannel:
-    """Kraus family { R^(T)(theta) / sqrt(N) } for the members of a set."""
-    n: int
-    theta: float
-    trajectories: TrajectorySet
-    phases: np.ndarray = field(repr=False)   # (N, 2^n) unit-modulus diagonals
-
-    @classmethod
-    def from_trajectory_set(cls, ts: TrajectorySet, theta: float) -> "ErrorChannel":
-        phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        ch = cls(ts.n, float(theta), ts, phases)
-        res = ch.completeness_residual()
-        if res > _COMPLETENESS_TOL:
-            raise ValueError(f"Kraus completeness violated: residual {res:.3e}")
-        return ch
-
-    @property
-    def size(self) -> int:
-        return self.phases.shape[0]
-
-    def kraus_diag(self, i: int) -> np.ndarray:
-        """Diagonal of the i-th Kraus operator (weight included)."""
-        return self.phases[i] / math.sqrt(self.size)
-
-    def completeness_residual(self) -> float:
-        total = (np.abs(self.phases) ** 2).sum(axis=0) / self.size
-        return float(np.abs(total - 1.0).max())
-
-    def apply(self, psi: Ket, i: int) -> Ket:
-        """Post-error state for the i-th member (unitary branch, renormalized)."""
-        return qcore.from_vector(self.n, psi.amps * self.phases[i], normalize=False)
-
-
 @dataclass
 class KLReport:
     verdict: str               # discriminating code | KL-recoverable only | not a code state
@@ -107,9 +71,12 @@ class KLReport:
         return json.dumps(d, indent=2, sort_keys=True)
 
 
-def kl_verify(psi: Ket, channel: ErrorChannel, tol: float = 1e-8) -> KLReport:
-    """Classify psi against the channel via M_ij = <psi|K_i^dag K_j|psi>.
+def kl_verify(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> KLReport:
+    """Classify psi against the channel of `ts` at theta via M_ij = <psi|K_i^dag K_j|psi>.
 
+    The Kraus operators K_i = R^(T_i)(theta)/sqrt(N) are diagonal with
+    entries of modulus 1/sqrt(N), so sum_i K_i^dag K_i = I holds for every
+    family and angle, and M is the Gram matrix of `solver.eq1_gram` over N.
     A 'discriminating code' state has M = I/N: every pair of corrupted
     states is orthogonal, so the error is identifiable and reversible.  If
     the diagonal still splits the trace evenly but off-diagonals survive,
@@ -118,10 +85,8 @@ def kl_verify(psi: Ket, channel: ErrorChannel, tol: float = 1e-8) -> KLReport:
     for unit-modulus diagonal Kraus families can only arise from a
     malformed input state — is 'not a code state'.
     """
-    a = psi.amps
-    N = channel.size
-    # K_i^dag K_j is diagonal; sandwich without forming matrices
-    M = (channel.phases.conj() * (np.abs(a) ** 2)) @ channel.phases.T / N
+    N = len(ts)
+    M = solver.eq1_gram(psi, ts, theta) / N
     herm = float(np.abs(M - M.conj().T).max())
     diag_dev = float(np.abs(np.diag(M) - 1.0 / N).max())
     off = M - np.diag(np.diag(M))

@@ -132,7 +132,7 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
     For the symmetric and cyclic families, let p = |psi|^2 and p' = p o rep,
     where rep sends each bitstring to a fixed member of its orbit (its weight
     class, or its cyclic rotations).  A group element g maps each pair (a, b)
-    of members to its representative r from `_orbit_pairs`, and G_ab(p') =
+    of members to its representative r from `_orbits`, and G_ab(p') =
     G_r(p') because p' is orbit-constant.  Each entry is sum_j p_j e^{i phi_j},
     so |G_ab(p) - G_ab(p')| <= ||p - p'||_1 = delta, and
 
@@ -144,10 +144,11 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
     at most 2 delta.  Custom families and states that are not orbit-constant
     take the dense `eq1_gram`, which refuses |T|^2 * 2^n > DENSE_GRAM_CAP.
     """
-    pairs = _orbit_pairs(ts) if psi.n == ts.n else None
-    if pairs is not None:
+    orbits = _orbits(ts) if psi.n == ts.n else None
+    if orbits is not None:
+        pairs, rep = orbits
         p = psi.probs()
-        delta = float(np.abs(p - p[_orbit_rep(ts)]).sum())
+        delta = float(np.abs(p - p[rep]).sum())
         if delta <= ORBIT_TOL:
             members = list(dict.fromkeys(t for pair in pairs for t in pair))
             rows = dict(zip(members, trajset.phase_matrix(members, ts.n, theta)))
@@ -157,30 +158,22 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
     return float(np.abs(g - np.eye(len(ts))).max())
 
 
-def _orbit_pairs(ts: TrajectorySet):
-    """One pair of members per orbit of member pairs under the family's group.
+def _orbits(ts: TrajectorySet):
+    """(representative pairs, orbit rep) under the family's group, or None for custom.
 
     The permutations of the qubits act on the weight-m family and the cyclic
-    shift on the window family.  `_lp_system` writes one constraint per pair
-    and `max_gram_residual` checks one Gram entry per pair.  None for custom
-    families, and for sets labelled symmetric or cyclic whose members are not
-    the whole family.
+    shift on the window family.  The pairs hold one pair of members per orbit
+    of member pairs: `_lp_system` writes one constraint per pair and
+    `max_gram_residual` checks one Gram entry per pair.  rep maps every
+    bitstring to a fixed member of its orbit: the lowest bitstring of its
+    weight, or its smallest cyclic rotation.
     """
-    n, m = ts.n, ts.m
-    if (ts.family == "symmetric" and len(ts) == math.comb(n, m)
-            and all(len(t) == m for t in ts.members)):
-        return _sym_pair_reps(n, m)
-    if (ts.family == "cyclic" and 1 <= m < n
-            and ts.members == trajset.gen_cyclic(n, m).members):
-        return [(ts.members[0], ts.members[d]) for d in range(1, len(ts))]
-    return None
-
-
-def _orbit_rep(ts: TrajectorySet) -> np.ndarray:
-    """For every bitstring, a fixed member of its orbit under the family's group."""
     if ts.family == "symmetric":
-        return (1 << qcore.weight_on(ts.n, range(1, ts.n + 1))) - 1
-    return _rotation_reps(ts.n)
+        weight = qcore.weight_on(ts.n, range(1, ts.n + 1))
+        return _sym_pair_reps(ts.n, ts.m), (1 << weight) - 1
+    if ts.family == "cyclic":
+        return [(ts.members[0], t) for t in ts.members[1:]], _rotation_reps(ts.n)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +288,6 @@ def _rotation_reps(n: int) -> np.ndarray:
         rep = np.minimum(rep, cur)
     return rep
 
-def _cyclic_orbit_ids(n: int) -> np.ndarray:
-    """Orbit labels of bitstrings under cyclic shift and global bit flip."""
-    rep = _rotation_reps(n)
-    _, inv = np.unique(np.minimum(rep, rep[::-1]), return_inverse=True)
-    return inv
-
 def _pair_coeffs(n: int, ta: Trajectory, tb: Trajectory, theta: float) -> np.ndarray:
     """Per-bitstring coefficient of <psi|R(Ta)^dag R(Tb)|psi> as a function of p."""
     sa = len(ta) - 2 * qcore.weight_on(n, ta.qubits)
@@ -310,21 +297,20 @@ def _pair_coeffs(n: int, ta: Trajectory, tb: Trajectory, theta: float) -> np.nda
 def _lp_system(ts: TrajectorySet, theta: float):
     """Build (rows, rhs, orbit_inverse) with symmetry-reduced variables.
 
-    Variables are one per orbit of the relevant symmetry group (trivial for
-    custom families); a feasible reduced vector expands to an orbit-constant
-    p, and conversely averaging any feasible p over the group stays feasible,
-    so the reduction preserves the verdict.
+    Variables are one per orbit of the family's group times the global bit
+    flip (one per bitstring for custom families); a feasible reduced vector
+    expands to an orbit-constant p, and conversely averaging any feasible p
+    over the group stays feasible, so the reduction preserves the verdict.
     """
     n = ts.n
-    pairs = _orbit_pairs(ts)
-    if pairs is None:
+    orbits = _orbits(ts)
+    if orbits is None:
         inv = np.arange(1 << n)
-        pairs = list(itertools.combinations(ts.members, 2))
-    elif ts.family == "symmetric":
-        w = qcore.weight_on(n, range(1, n + 1))
-        inv = np.minimum(w, n - w)
+        pairs = itertools.combinations(ts.members, 2)
     else:
-        inv = _cyclic_orbit_ids(n)
+        pairs, rep = orbits
+        # rep[::-1] is the orbit rep of the flipped bitstring
+        _, inv = np.unique(np.minimum(rep, rep[::-1]), return_inverse=True)
     ncols = int(inv.max()) + 1
     rows = []
     for ta, tb in pairs:
@@ -450,4 +436,4 @@ def onset(ts: TrajectorySet) -> float:
 
 def _composable(ts: TrajectorySet) -> bool:
     """Cyclic families that `build_cyclic` covers (n = kappa*m, kappa >= 2)."""
-    return ts.family == "cyclic" and ts.kappa is not None and ts.kappa >= 2
+    return ts.kappa is not None and ts.kappa >= 2

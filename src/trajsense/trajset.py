@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .qcore import bit_table
+from .qcore import _check_n, bit_table
 
 
 @dataclass(frozen=True)
@@ -44,43 +45,74 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class TrajectorySet:
+    """Distinct trajectories on n qubits whose members match the family label.
+
+    "symmetric" holds all C(n,m) weight-m subsets (in any order), "cyclic" the
+    n width-m windows in start order, "custom" any members.
+    """
+
     n: int
     family: str  # symmetric | cyclic | custom
     m: int
     members: tuple[Trajectory, ...]
-    kappa: int | None = None
-    degenerate: bool = False
 
     def __post_init__(self):
-        if self.family not in ("symmetric", "cyclic", "custom"):
-            raise ValueError(f"unknown family {self.family!r}")
+        _check_n(self.n)
         seen = set()
         for t in self.members:
             t.validate_within(self.n)
             if t.qubits in seen:
                 raise ValueError(f"duplicate member {t.qubits}")
             seen.add(t.qubits)
+        n, m = self.n, self.m
+        if self.family == "symmetric":
+            if not (0 <= m <= n and len(self) == math.comb(n, m)
+                    and all(len(t) == m for t in self.members)):
+                raise ValueError(f"label 'symmetric' needs all C({n},{m}) weight-{m} "
+                                 f"subsets of 1..{n}, got {self._describe()}")
+        elif self.family == "cyclic":
+            if not (1 <= m <= n and self.members == _windows(n, m)):
+                raise ValueError(f"label 'cyclic' needs the {n} width-{m} windows "
+                                 f"in start order, got {self._describe()}")
+        elif self.family != "custom":
+            raise ValueError(f"unknown family {self.family!r}")
 
     def __len__(self):
         return len(self.members)
 
+    @property
+    def kappa(self) -> int | None:
+        """n/m for a cyclic family whose width m divides n, else None."""
+        if self.family == "cyclic" and self.n % self.m == 0:
+            return self.n // self.m
+        return None
+
+    def _describe(self, shown: int = 6) -> str:
+        labels = ",".join(t.label() for t in self.members[:shown])
+        return f"{len(self)} members " + labels + (",..." if len(self) > shown else "")
+
+
+def _windows(n: int, m: int) -> tuple[Trajectory, ...]:
+    """The n windows z^j({1..m}) under the cyclic shift z = (1...n), j = 0..n-1."""
+    return tuple(Trajectory(tuple((start + off) % n + 1 for off in range(m)))
+                 for start in range(n))
+
 
 def gen_symmetric(n: int, m: int) -> TrajectorySet:
     """All C(n,m) weight-m trajectories in lexicographic order."""
+    _check_n(n)
     if not 0 <= m <= n:
         raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
     members = tuple(Trajectory(c) for c in itertools.combinations(range(1, n + 1), m))
-    return TrajectorySet(n, "symmetric", m, members, degenerate=(m == 0))
+    return TrajectorySet(n, "symmetric", m, members)
 
 
 def gen_cyclic(n: int, m: int) -> TrajectorySet:
     """The n windows z^j({1..m}) under the cyclic shift z = (1...n)."""
+    _check_n(n)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    members = tuple(Trajectory(tuple((start + off) % n + 1 for off in range(m)))
-                    for start in range(n))
-    kappa = n // m if n % m == 0 else None
-    return TrajectorySet(n, "cyclic", m, members, kappa=kappa)
+    return TrajectorySet(n, "cyclic", m, _windows(n, m))
 
 
 def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndarray:
@@ -116,9 +148,7 @@ def to_json(ts: TrajectorySet) -> str:
 def from_json(text: str) -> TrajectorySet:
     obj = json.loads(text)
     members = tuple(Trajectory(tuple(t)) for t in obj["members"])
-    fam = obj.get("family", "custom")
-    return TrajectorySet(obj["n"], fam, obj["m"], members, kappa=obj.get("kappa"),
-                         degenerate=any(len(t) == 0 for t in members))
+    return TrajectorySet(obj["n"], obj.get("family", "custom"), obj["m"], members)
 
 
 def load(path: str | Path) -> TrajectorySet:

@@ -256,8 +256,7 @@ def test_criterion_8_code_checks():
             cert = solver.solve(solver.TSProblem(ts, float(theta)))
             if not cert.feasible:
                 continue
-            ch = qec.ErrorChannel.from_trajectory_set(ts, float(theta))
-            verdict = qec.kl_verify(cert.witness_state, ch).verdict
+            verdict = qec.kl_verify(cert.witness_state, ts, float(theta)).verdict
             assert verdict == "discriminating code", (ts.family, ts.n, theta)
             kl_count += 1
     assert kl_count >= 10

@@ -35,8 +35,7 @@ def test_wide_beam_limit_all_angles_theta0():
 
 
 def nearest(beam_line):
-    idx, tied = beam._nearest_indices(beam._distances(beam.BeamScenario(0.1, 1.0),
-                                                      *beam_line))
+    idx, tied = beam._nearest_indices(beam._distances(*beam_line))
     return Trajectory(beam.EDGES[int(idx)]), bool(tied)
 
 
@@ -61,10 +60,6 @@ def test_scenario_validation():
         beam.BeamScenario(3.2, 1.0)
     with pytest.raises(ValueError):
         beam.BeamScenario(0.1, 0.0)
-    with pytest.raises(ValueError):
-        beam.BeamScenario(0.1, 1.0, atom_positions=((0, 0), (0, 0), (1, 0), (0, 1)))
-    with pytest.raises(ValueError):
-        beam.BeamScenario(0.1, 1.0, path_model="brownian")
     beam.BeamScenario(0.0, 1.0)   # zero amplitude is a valid baseline
 
 
@@ -138,7 +133,7 @@ def test_born_frequencies_match_sampled_outcomes():
 
 def _per_sensor_reference(sc, phi, offset):
     """Each sensor's per-line formulas, on the whole line set in one piece."""
-    d = beam._distances(sc, phi, offset)
+    d = beam._distances(phi, offset)
     angles = sc.theta0 * np.exp(-(d ** 2) / sc.w ** 2)
     sums = np.stack([d[:, i - 1] + d[:, j - 1] for i, j in beam.EDGES], axis=-1)
     order = np.argsort(sums, axis=-1, kind="stable")
@@ -253,7 +248,7 @@ def test_four_fold_symmetry():
     phi = (np.arange(g) + 0.5) * math.pi / g
     off = -0.5 + (np.arange(g) + 0.5) / g
     P, O = np.meshgrid(phi, off, indexing="ij")
-    true_idx, _ = beam._nearest_indices(beam._distances(sc, P.ravel(), O.ravel()))
+    true_idx, _ = beam._nearest_indices(beam._distances(P.ravel(), O.ravel()))
     shares = np.bincount(true_idx, minlength=4) / true_idx.size
     assert np.allclose(shares, 0.25, atol=0.02)
     pfail, _, _ = beam.line_failures(sc, P.ravel(), O.ravel())

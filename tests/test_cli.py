@@ -352,6 +352,17 @@ def test_verify_refusal_names_the_dense_cap(tmp_path, capsys):
     assert "|T|^2*2^n = 924^2*2^12 = 3.5e+09 > 2e+09" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "sym", "--n", "30", "--m", "15", "--theta", "pi"],
+    ["--family", "cyc", "--n", "40", "--m", "2", "--theta", "pi", "--method", "lp"],
+])
+def test_solve_over_the_size_limit_exits_2(capsys, argv):
+    """Refused before any member is built: C(30,15) members would take minutes."""
+    assert run(["solve", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: qubit count ") and "exceeds N_MAX=20" in err
+
+
 # ----------------------------------------------------------- console script
 
 def test_cli_import_skips_scipy_stats_and_optimize():

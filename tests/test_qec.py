@@ -21,40 +21,51 @@ def window_state():
     (trajset.gen_cyclic(6, 3), 0.4),
 ])
 def test_channel_trace_preserving(ts, theta):
-    ch = qec.ErrorChannel.from_trajectory_set(ts, theta)
-    assert ch.completeness_residual() <= 1e-12
-    assert ch.size == len(ts)
+    """tr M = sum_i <psi|K_i^dag K_i|psi> = <psi|psi> for random states."""
+    rs = np.random.default_rng(3)
+    for _ in range(5):
+        v = rs.normal(size=1 << ts.n) + 1j * rs.normal(size=1 << ts.n)
+        rep = qec.kl_verify(qcore.from_vector(ts.n, v), ts, theta)
+        assert rep.size == len(ts)
+        assert abs(np.trace(rep.matrix) - 1.0) <= 1e-12
 
 
 def test_kraus_diag_carries_weight():
-    ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), 0.9)
-    k0 = ch.kraus_diag(0)
-    assert np.allclose(np.abs(k0), 1 / 2)   # 1/sqrt(4), unit-modulus phases
-
-
-def test_channel_apply_matches_phase_op():
+    """On a basis state M_ii = |K_i(j)|^2 = 1/N: each Kraus operator has weight 1/N."""
     ts = trajset.gen_cyclic(4, 2)
-    ch = qec.ErrorChannel.from_trajectory_set(ts, 0.7)
-    psi = window_state()
-    out = ch.apply(psi, 2)
-    row = trajset.phase_matrix([ts.members[2]], 4, 0.7)[0]
-    assert np.allclose(out.amps, psi.amps * row)
+    for j in range(16):
+        basis_state = qcore.from_vector(4, np.eye(16)[j])
+        np.testing.assert_allclose(np.diag(qec.kl_verify(basis_state, ts, 0.9).matrix),
+                                   1 / 4, atol=1e-15)
+
+
+def test_kl_matrix_matches_explicit_rotations():
+    """M_ij = <psi|R(T_i)^dag R(T_j)|psi>/N with R built from 2x2 matrices by kron."""
+    ts, theta = trajset.gen_cyclic(4, 2), 0.7
+    rz = np.diag([np.exp(-0.5j * theta), np.exp(0.5j * theta)])
+    psi = qcore.from_vector(4, np.random.default_rng(4).normal(size=16) + 0.5j)
+    outs = []
+    for t in ts.members:
+        full = np.eye(1)
+        for q in range(1, 5):
+            full = np.kron(full, rz if q in t.qubits else np.eye(2))
+        outs.append(full @ psi.amps)
+    want = np.array([[np.vdot(a, b) for b in outs] for a in outs]) / len(ts)
+    np.testing.assert_allclose(qec.kl_verify(psi, ts, theta).matrix, want, atol=1e-14)
 
 
 # ------------------------------------------------------------- kl_verify
 
 def test_window_state_is_discriminating():
-    ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
-    rep = qec.kl_verify(window_state(), ch)
+    rep = qec.kl_verify(window_state(), trajset.gen_cyclic(4, 2), math.pi / 2)
     assert rep.verdict == "discriminating code"
     assert rep.max_offdiag < 1e-12
     assert rep.max_diag_dev < 1e-12
 
 
 def test_plus_product_is_recoverable_only():
-    ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
     plus = qcore.from_vector(4, np.full(16, 0.25))
-    rep = qec.kl_verify(plus, ch)
+    rep = qec.kl_verify(plus, trajset.gen_cyclic(4, 2), math.pi / 2)
     assert rep.verdict == "KL-recoverable only"
     # adjacent windows overlap in one qubit; the two fresh qubits each
     # contribute cos(pi/4), and the 1/4 channel weight scales the entry
@@ -63,20 +74,17 @@ def test_plus_product_is_recoverable_only():
 
 def test_single_member_channel_trivially_discriminating():
     one = trajset.TrajectorySet(4, "custom", 2, (trajset.Trajectory((1, 2)),))
-    ch = qec.ErrorChannel.from_trajectory_set(one, math.pi / 2)
     plus = qcore.from_vector(4, np.full(16, 0.25))
-    assert qec.kl_verify(plus, ch).verdict == "discriminating code"
+    assert qec.kl_verify(plus, one, math.pi / 2).verdict == "discriminating code"
 
 
 def test_unnormalized_state_flagged():
-    ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
     bad = qcore.from_vector(4, np.full(16, 1.0), normalize=False)
-    assert qec.kl_verify(bad, ch).verdict == "not a code state"
+    assert qec.kl_verify(bad, trajset.gen_cyclic(4, 2), math.pi / 2).verdict == "not a code state"
 
 
 def test_kl_report_json():
-    ch = qec.ErrorChannel.from_trajectory_set(trajset.gen_cyclic(4, 2), math.pi / 2)
-    d = json.loads(qec.kl_verify(window_state(), ch).to_json())
+    d = json.loads(qec.kl_verify(window_state(), trajset.gen_cyclic(4, 2), math.pi / 2).to_json())
     assert d["verdict"] == "discriminating code"
     assert d["size"] == 4
     assert d["max_offdiag"] < 1e-12
@@ -93,8 +101,7 @@ def test_kl_report_json():
 ])
 def test_kl_agrees_with_output_orthogonality(make_state, ts, theta):
     psi = make_state()
-    ch = qec.ErrorChannel.from_trajectory_set(ts, theta)
-    kl = qec.kl_verify(psi, ch).verdict == "discriminating code"
+    kl = qec.kl_verify(psi, ts, theta).verdict == "discriminating code"
     assert kl == discrim.verify_ts(psi, ts, theta).is_ts
 
 

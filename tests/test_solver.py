@@ -241,13 +241,31 @@ def _dense_residual(psi, ts, theta):
     return float(np.abs(g - np.eye(len(ts))).max())
 
 
-def _orbit_labels(ts):
-    """Weight class (symmetric) or smallest cyclic rotation (cyclic) of each bitstring."""
+def _orbit_labels(ts, flip=False):
+    """Weight class (symmetric) or smallest cyclic rotation (cyclic) of each bitstring.
+
+    With ``flip`` the group also holds the global bit flip j -> ~j.
+    """
     n, mask = ts.n, (1 << ts.n) - 1
+    images = (lambda j: (j, j ^ mask)) if flip else (lambda j: (j,))
     if ts.family == "symmetric":
-        return np.array([bin(j).count("1") for j in range(1 << n)])
-    return np.array([min(((j << r) | (j >> (n - r))) & mask for r in range(n))
+        return np.array([min(bin(k).count("1") for k in images(j)) for j in range(1 << n)])
+    return np.array([min(((k << r) | (k >> (n - r))) & mask for k in images(j) for r in range(n))
                      for j in range(1 << n)])
+
+
+def _same_partition(a, b):
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))
+
+
+@pytest.mark.parametrize("ts", [trajset.gen_symmetric(n, m) for n in range(1, 9)
+                                for m in range(0, n + 1)]
+                         + [trajset.gen_cyclic(n, m) for n in range(2, 11) for m in range(1, n)]
+                         + [trajset.gen_cyclic(1, 1)], ids=lambda ts: f"{ts.family}({ts.n},{ts.m})")
+def test_lp_variables_are_orbits_under_group_and_flip(ts):
+    """One LP variable per orbit of the family's group times the global bit flip."""
+    _, _, inv = solver._lp_system(ts, 0.6 * PI)
+    assert _same_partition(inv, _orbit_labels(ts, flip=True))
 
 
 _ORBIT_FAMILIES = st.one_of(
@@ -286,13 +304,23 @@ def test_orbit_breaking_state_takes_dense_check(ts, theta):
     assert solver.max_gram_residual(psi, ts, theta) == _dense_residual(psi, ts, theta)
 
 
-def test_partial_family_takes_dense_check():
-    """A set labelled symmetric that misses members is checked pair by pair."""
-    full = trajset.gen_symmetric(4, 2)
-    ts = trajset.TrajectorySet(4, "symmetric", 2, full.members[:3])
-    psi = solver.solve_symmetric(4, 2, 0.9 * PI).witness_state
-    assert solver._orbit_pairs(ts) is None
-    assert solver.max_gram_residual(psi, ts, 0.9 * PI) == _dense_residual(psi, ts, 0.9 * PI)
+@pytest.mark.parametrize("n,m,members,theta", [
+    (4, 2, trajset.gen_symmetric(4, 2).members[:3], 0.7 * PI),
+    (6, 2, tuple(trajset.Trajectory(q) for q in ((1, 2), (3, 4), (5, 6))), PI / 2),
+], ids=["sym_prefix", "disjoint_windows"])
+def test_partial_family_is_rejected(n, m, members, theta):
+    """A partial family cannot carry a sym/cyc label; as custom, both routes say feasible."""
+    for label in ("symmetric", "cyclic"):
+        with pytest.raises(ValueError, match=f"label '{label}'"):
+            trajset.TrajectorySet(n, label, m, members)
+    problem = TSProblem(trajset.TrajectorySet(n, "custom", m, members), theta)
+    auto, lp = solver.solve(problem), solver.solve(problem, "lp")
+    assert auto.method == lp.method == "lp"
+    assert auto.feasible and lp.feasible and auto.max_residual < 1e-12
+    psi = auto.witness_state
+    assert solver._orbits(problem.trajectories) is None
+    assert solver.max_gram_residual(psi, problem.trajectories, theta) == _dense_residual(
+        psi, problem.trajectories, theta)
 
 
 def test_dense_check_refusal_names_the_cap():

@@ -1,4 +1,5 @@
 """Trajectory families and their phase matrix."""
+import itertools
 import math
 
 import numpy as np
@@ -28,8 +29,7 @@ def test_gen_symmetric_counts_and_order():
     assert ts.members[0].qubits == (1, 2)
     assert ts.members[1].qubits == (1, 3)
     assert ts.members[-1].qubits == (4, 5)
-    assert not ts.degenerate
-    assert trajset.gen_symmetric(3, 0).degenerate
+    assert ts.kappa is None
 
 
 def test_gen_cyclic_windows_wrap():
@@ -47,6 +47,68 @@ def test_trajectory_set_rejects_duplicates():
     with pytest.raises(ValueError):
         trajset.TrajectorySet(3, "custom", 1,
                               (Trajectory((1,)), Trajectory((1,))))
+
+
+def _window_tuples(n, m):
+    return [tuple(sorted((s + k) % n + 1 for k in range(m))) for s in range(n)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 8), data=st.data())
+def test_label_accepted_iff_members_are_the_family(n, data):
+    """symmetric: all C(n,m) weight-m subsets in any order; cyclic: the windows in start order."""
+    m = data.draw(st.integers(0, n))
+    sources = [trajset.gen_symmetric(n, m)]
+    if 1 <= m < n or m == n == 1:
+        sources.append(trajset.gen_cyclic(n, m))
+    members = list(data.draw(st.sampled_from(sources)).members)
+    edit = data.draw(st.sampled_from(["none", "subset", "shuffle"]))
+    if edit == "subset":
+        keep = data.draw(st.lists(st.integers(0, len(members) - 1), unique=True,
+                                  max_size=len(members) - 1))
+        members = [members[i] for i in sorted(keep)]
+    elif edit == "shuffle":
+        members = data.draw(st.permutations(members))
+    members = tuple(members)
+    label = data.draw(st.sampled_from(["symmetric", "cyclic"]))
+    m_label = data.draw(st.one_of(st.just(m), st.integers(0, n)))
+    got = [t.qubits for t in members]
+    if label == "symmetric":
+        ok = sorted(got) == list(itertools.combinations(range(1, n + 1), m_label))
+    else:
+        ok = m_label >= 1 and got == _window_tuples(n, m_label)
+    if ok:
+        assert trajset.TrajectorySet(n, label, m_label, members).members == members
+    else:
+        with pytest.raises(ValueError, match=f"label '{label}'"):
+            trajset.TrajectorySet(n, label, m_label, members)
+
+
+def test_mislabeled_sets_raise_at_construction():
+    partial = trajset.gen_symmetric(4, 2).members[:3]
+    with pytest.raises(ValueError, match=r"label 'symmetric' needs all C\(4,2\) weight-2 "
+                                         r"subsets of 1\.\.4, got 3 members \{1,2\},\{1,3\},\{1,4\}"):
+        trajset.TrajectorySet(4, "symmetric", 2, partial)
+    text = '{"family": "cyclic", "n": 6, "m": 2, "members": [[1,2],[3,4],[5,6]]}'
+    with pytest.raises(ValueError, match=r"label 'cyclic' needs the 6 width-2 windows in "
+                                         r"start order, got 3 members \{1,2\},\{3,4\},\{5,6\}"):
+        trajset.from_json(text)
+    custom = trajset.from_json(text.replace('"cyclic"', '"custom"'))
+    assert custom.family == "custom" and custom.kappa is None
+    with pytest.raises(ValueError, match="unknown family 'windows'"):
+        trajset.TrajectorySet(4, "windows", 2, partial)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: trajset.gen_symmetric(n, n // 2),
+    lambda n: trajset.gen_cyclic(n, 2),
+    lambda n: trajset.TrajectorySet(n, "custom", 1, (Trajectory((1,)),)),
+])
+@pytest.mark.parametrize("n,message", [(21, "qubit count 21 exceeds N_MAX=20"),
+                                       (0, "qubit count must be a positive integer")])
+def test_register_size_checked_before_members_are_built(build, n, message):
+    with pytest.raises(ValueError, match=message):
+        build(n)
 
 
 def test_phase_matrix_values():
@@ -127,6 +189,11 @@ def test_json_roundtrip(tmp_path):
     back = trajset.from_json(trajset.to_json(ts))
     assert back == ts
     assert back.kappa == 2
+    assert trajset.to_json(ts) == (
+        '{\n  "family": "cyclic",\n  "kappa": 2,\n  "m": 3,\n  "members": [\n'
+        + ",\n".join("    [\n" + ",\n".join(f"      {q}" for q in w) + "\n    ]"
+                     for w in _window_tuples(6, 3))
+        + '\n  ],\n  "n": 6\n}\n')
     p = tmp_path / "fam.json"
     trajset.save(ts, p)
     assert trajset.load(p) == ts
