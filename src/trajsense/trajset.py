@@ -87,9 +87,10 @@ class TrajectorySet:
             return self.n // self.m
         return None
 
-    def _describe(self, shown: int = 6) -> str:
-        labels = ",".join(t.label() for t in self.members[:shown])
-        return f"{len(self)} members " + labels + (",..." if len(self) > shown else "")
+    def _describe(self) -> str:
+        """Member count and the first six members, for error messages."""
+        labels = ",".join(t.label() for t in self.members[:6])
+        return f"{len(self)} members " + labels + (",..." if len(self) > 6 else "")
 
 
 def _windows(n: int, m: int) -> tuple[Trajectory, ...]:

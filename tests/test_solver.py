@@ -1,8 +1,9 @@
 """Feasibility solvers: closed-form route vs LP oracle vs tensor composition.
 
-The two decision routes share only the phase-vector primitives, so their
-agreement on a grid is a genuine cross-check, and every feasible certificate
-is additionally re-verified against the full pairwise orthogonality residual.
+The two decision routes share only the representative trajectory pairs and
+the witness check, so their agreement on a grid is a genuine cross-check, and
+every feasible certificate is additionally re-verified against the full
+pairwise orthogonality residual.
 """
 import json
 import math
