@@ -25,12 +25,11 @@ averages them, either over Monte Carlo lines (the sampling noise of the
 measurement itself drops out, and the same lines feed both sensors, so the
 tiny first-order advantage becomes resolvable at modest trial counts) or
 over a deterministic midpoint-quadrature grid (no sampling noise at all).
-`run_beam_trials` and `beam_trial_records` also sample the measurement
-outcomes; they are the test oracle for the exact conditional route.
+`run_beam_trials` also samples the measurement outcomes; it is the test
+oracle for the exact conditional route.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -189,31 +188,6 @@ def line_failures(scenario: BeamScenario, phi, offset):
     return pe, pu, tied
 
 
-@dataclass(frozen=True)
-class BeamTrialResult:
-    """One sampled line: the right answer, the guess, and whether they agree.
-
-    ``measured`` is None when the complement outcome fired (the guess that
-    follows is uniform and recorded only through ``success``).
-    """
-    true_nearest: Trajectory
-    measured: Trajectory | None
-    success: bool
-
-
-@dataclass
-class BeamSummary:
-    sensor: str
-    mode: str
-    trials: int
-    p_fail: float
-    stderr: float
-    tie_rate: float = 0.0
-    seed: int | None = None
-    theta0: float = 0.0
-    w: float = 0.0
-
-
 def _sample_lines(trials: int, seed: int):
     if trials < 2:
         raise ValueError(f"Monte Carlo needs at least 2 trials (one line gives "
@@ -256,30 +230,16 @@ def _sample_outcomes(scenario: BeamScenario, sensor: str, trials: int, seed: int
 
 
 def run_beam_trials(scenario: BeamScenario, sensor: str, trials: int,
-                    seed: int) -> BeamSummary:
-    """Monte Carlo failure over random beam lines with sampled measurements.
+                    seed: int) -> tuple[float, float]:
+    """Monte Carlo failure over random beam lines with sampled measurements: (p_fail, stderr).
 
     Test oracle for `compare_sensors`: same lines, but each trial draws its
     measurement outcome instead of contributing its exact conditional
     failure (same estimand, far larger variance).
     """
-    true_idx, guess, _, tied = _sample_outcomes(scenario, sensor, trials, seed)
+    true_idx, guess, _, _ = _sample_outcomes(scenario, sensor, trials, seed)
     mean = float((guess != true_idx).mean())
-    err = float(math.sqrt(max(mean * (1 - mean), 1e-300) / trials))
-    return BeamSummary(sensor, "sample", trials, mean, err,
-                       float(tied.mean()), seed, scenario.theta0, scenario.w)
-
-
-def beam_trial_records(scenario: BeamScenario, sensor: str, trials: int,
-                       seed: int) -> list[BeamTrialResult]:
-    """Per-trial records; same draws as run_beam_trials (test oracle)."""
-    true_idx, guess, complement, _ = _sample_outcomes(scenario, sensor, trials, seed)
-    out = []
-    for t, g, c in zip(true_idx, guess, complement):
-        out.append(BeamTrialResult(Trajectory(EDGES[t]),
-                                   None if c else Trajectory(EDGES[g]),
-                                   bool(g == t)))
-    return out
+    return mean, float(math.sqrt(max(mean * (1 - mean), 1e-300) / trials))
 
 
 @dataclass
@@ -325,12 +285,6 @@ class LinearFit:
     slope: float
     intercept: float
     r2: float
-    slope_stderr: float
-
-    @property
-    def slope_ci95(self) -> tuple:
-        lo = self.slope - 1.96 * self.slope_stderr
-        return (lo, self.slope + 1.96 * self.slope_stderr)
 
 
 def _linear_fit(x, y) -> LinearFit:
@@ -342,10 +296,7 @@ def _linear_fit(x, y) -> LinearFit:
     rss = float(((y - pred) ** 2).sum())
     tss = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if tss == 0 else 1.0 - rss / tss
-    dof = len(x) - 2
-    sxx = float(((x - x.mean()) ** 2).sum())
-    se = math.sqrt(rss / dof / sxx) if dof > 0 and sxx > 0 else float("nan")
-    return LinearFit(float(slope), float(intercept), r2, se)
+    return LinearFit(float(slope), float(intercept), r2)
 
 
 @dataclass
@@ -380,12 +331,3 @@ def beam_sweep(theta0_values, w_values, trials: int = 0, seed: int = 0,
                 [1.0 / r.w ** 2 for r in pts], [r.advantage for r in pts])
     return sweep
 
-
-def write_beam_csv(path, sweep: BeamSweep) -> None:
-    with open(path, "w", newline="") as fh:
-        wtr = csv.writer(fh)
-        wtr.writerow(["theta0", "w", "p_fail_entangled", "p_fail_unentangled",
-                      "advantage", "stderr"])
-        for r in sweep.rows:
-            wtr.writerow([repr(r.theta0), repr(r.w), repr(r.p_fail_entangled),
-                          repr(r.p_fail_unentangled), repr(r.advantage), repr(r.stderr)])

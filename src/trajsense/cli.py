@@ -47,12 +47,8 @@ def parse_angle(text: str) -> float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
-def _family_set(family: str, n: int, m: int) -> trajset.TrajectorySet:
-    if family == "sym":
-        return trajset.gen_symmetric(n, m)
-    if family == "cyc":
-        return trajset.gen_cyclic(n, m)
-    raise ValueError(f"unknown family {family!r} (expected sym or cyc)")
+#: --family choices and the generator each one names
+_FAMILIES = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}
 
 
 def _git_describe() -> str:
@@ -94,7 +90,7 @@ def _emit(args, payload: str, filename: str, summary: str) -> None:
 
 def cmd_solve(args) -> int:
     theta = parse_angle(args.theta)
-    ts = _family_set(args.family, args.n, args.m)
+    ts = _FAMILIES[args.family](args.n, args.m)
     problem = solver.TSProblem(ts, theta)
     # "closed" = the family's constructive route (symmetrized closed form
     # for sym, tensor composition for cyc); "lp" = the independent check
@@ -118,7 +114,7 @@ def cmd_solve(args) -> int:
 # ---------------------------------------------------------------- curve
 
 def cmd_curve(args) -> int:
-    ts = _family_set(args.family, args.n, args.m)
+    ts = _FAMILIES[args.family](args.n, args.m)
     if args.inset:
         theta = parse_angle(args.theta) if args.theta else 3 * math.pi / 4
         eps = [float(e) for e in args.epsilons.split(",")]
@@ -128,8 +124,8 @@ def cmd_curve(args) -> int:
         cert = solver.solve(solver.TSProblem(ts, theta))
         if not cert.feasible:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
-        ens = discrim.make_ensemble(cert.witness_state, ts, theta)
-        quantum = discrim.optimal_measurement(ens)
+        quantum = discrim.optimal_measurement(
+            discrim.make_ensemble(cert.witness_state, ts, theta))
         table = discrim.repetition_csv(eps, discrim.repetition_analysis(classical, eps),
                                        discrim.repetition_analysis(quantum, eps))
         filename, what = "inset.csv", "repetition table"
@@ -225,7 +221,7 @@ def cmd_verify(args) -> int:
         psi = qcore.ket_from_json(text)
     except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from None
-    ts = _family_set(args.family, args.n, args.m)
+    ts = _FAMILIES[args.family](args.n, args.m)
     if psi.n != ts.n:
         raise ValueError(f"state has {psi.n} qubits but family needs {ts.n}")
     rep = discrim.verify_ts(psi, ts, theta)
@@ -251,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["text", "json", "csv"])
 
     sp = sub.add_parser("solve", help="feasibility certificate for a family")
-    sp.add_argument("--family", required=True)
+    sp.add_argument("--family", required=True, choices=_FAMILIES)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--theta", required=True)
@@ -260,7 +256,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("curve", help="failure-probability sweep or inset table")
-    sp.add_argument("--family", default="sym")
+    sp.add_argument("--family", default="sym", choices=_FAMILIES)
     sp.add_argument("--n", type=int, default=4)
     sp.add_argument("--m", type=int, default=2)
     sp.add_argument("--theta-min", default=None)
@@ -291,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="test a state file against a family")
     sp.add_argument("--state", required=True)
-    sp.add_argument("--family", required=True)
+    sp.add_argument("--family", required=True, choices=_FAMILIES)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--theta", required=True)

@@ -2,8 +2,10 @@
 
 Everything here answers one question from different angles: given the output
 ensemble {R^(T)(theta)|psi>}, how often does a measurement identify T?  The
-ensemble is one (k, 2**n) array, `trajset.phase_matrix` times psi; sweeps
-build the phase matrix once per angle and reuse it for every input state.
+trajectory is unknown, so every T is equally likely: all measurements and
+vote tails here are under the uniform prior.  The ensemble is one (k, 2**n)
+array, `make_ensemble` (`trajset.phase_matrix` times psi); sweeps build the
+phase matrix once per angle and reuse it for every input state.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
 * `helstrom_pair` is the closed-form two-state optimum, kept as an oracle.
@@ -43,42 +45,25 @@ from .trajset import TrajectorySet
 
 #: exact factorial arithmetic in the vote tail runs out of float range here
 _VOTE_R_CAP = 170
+#: the fixed point stops once the optimality operator is PSD within this
+_FP_TOL = 1e-9
+_FP_MAX_ITER = 10_000
+#: polar angles in the identical-qubit product grid
+_N_ALPHA = 12
+#: `verify_ts` calls a state a TS state below this Gram residual
+_VERIFY_TOL = 1e-8
+#: draws per profile in the symmetrized candidate sweep below the onset
+_GRANULARITY = 6
 
 
-@dataclass
-class OutputEnsemble:
-    """Output states as the rows of one (k, 2**n) amplitude array."""
-
-    states: np.ndarray
-    prior: np.ndarray = None
-
-    def __post_init__(self):
-        # ragged rows (states on different registers) fail in asarray
-        self.states = np.asarray(self.states, dtype=np.complex128)
-        k, dim = self.states.shape if self.states.ndim == 2 else (0, 0)
-        if k == 0 or dim == 0 or dim & (dim - 1):
-            raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
-                             f"got shape {self.states.shape}")
-        if self.prior is None:
-            self.prior = np.full(k, 1.0 / k)
-        self.prior = np.asarray(self.prior, dtype=float)
-        if len(self.prior) != k or abs(self.prior.sum() - 1.0) > 1e-9 \
-                or self.prior.min() < -1e-12:
-            raise ValueError("prior must be a probability vector over the states")
-
-    def __len__(self):
-        return len(self.states)
-
-
-def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> OutputEnsemble:
-    """Outputs R^(T)(theta)|psi> in trajectory order, uniform prior."""
-    return OutputEnsemble(trajset.phase_matrix(ts.members, ts.n, theta) * psi.amps)
+def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
+    """Outputs R^(T)(theta)|psi> in trajectory order, one row each."""
+    return trajset.phase_matrix(ts.members, ts.n, theta) * psi.amps
 
 
 @dataclass
 class DiscriminationResult:
     povm: list | None            # reduced d x d elements, trailing abstain I_d - sum
-    p_success_by_T: np.ndarray
     p_fail: float
     method: str                  # projective_orthogonal | helstrom | pgm | fixed_point_optimal
     confusion: np.ndarray        # row = true T, column = guess (abstain folded in)
@@ -108,18 +93,23 @@ class VerifyReport:
                 "n": self.n, "members": self.members}
 
 
-def verify_ts(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> VerifyReport:
+def verify_ts(psi: Ket, ts: TrajectorySet, theta: float) -> VerifyReport:
     """Max deviation of the output Gram matrix from the identity."""
     resid = solver.max_gram_residual(psi, ts, theta)
-    return VerifyReport(resid, resid < tol, ts.n, len(ts))
+    return VerifyReport(resid, resid < _VERIFY_TOL, ts.n, len(ts))
 
 
 # ---------------------------------------------------------------------------
 # span reduction
 
-def _reduce(ens: OutputEnsemble):
-    """Orthonormal basis B of the ensemble span and coordinates of each state."""
-    S = ens.states
+def _reduce(states):
+    """Orthonormal basis B of the span of the (k, 2**n) states and their coordinates."""
+    # ragged rows (states on different registers) fail in asarray
+    S = np.asarray(states, dtype=np.complex128)
+    k, dim = S.shape if S.ndim == 2 else (0, 0)
+    if k == 0 or dim == 0 or dim & (dim - 1):
+        raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
+                         f"got shape {S.shape}")
     _, sv, vh = np.linalg.svd(S, full_matrices=False)
     d = max(1, int((sv > sv[0] * 1e-12).sum()))
     # rows of vh span the states (unconjugated) and are orthonormal under
@@ -129,39 +119,36 @@ def _reduce(ens: OutputEnsemble):
     return B, coords
 
 
-def _result_from_reduced(ens, B, coords, reduced_povm, method, **kw) -> DiscriminationResult:
+def _result_from_reduced(coords, reduced_povm, method, **kw) -> DiscriminationResult:
     """Confusion matrix and p_fail of the (k, d, d) guess elements, abstain appended."""
-    k = len(ens)
+    k, d = coords.shape
     # <c_i|P_j|c_i>; the BLAS matmul first is ~7x faster than a 3-operand einsum at k=20
     confusion = np.einsum("jib,ib->ij", coords.conj() @ reduced_povm, coords).real
     abstain = np.clip(1.0 - confusion.sum(axis=1), 0.0, None)
     confusion += abstain[:, None] / k          # abstain -> uniform random guess
     confusion = np.clip(confusion, 0.0, 1.0)
-    p_succ = confusion.diagonal().copy()
-    p_fail = float(max(0.0, 1.0 - ens.prior @ p_succ))
-    abstain_op = np.eye(B.shape[1], dtype=complex) - reduced_povm.sum(axis=0)
-    return DiscriminationResult(list(reduced_povm) + [abstain_op], p_succ, p_fail,
+    # the copy is contiguous: BLAS sums a strided diagonal in another order,
+    # which moves the last bit of the p_fail that `curve` prints with repr
+    p_fail = float(max(0.0, 1.0 - np.full(k, 1.0 / k) @ confusion.diagonal().copy()))
+    abstain_op = np.eye(d, dtype=complex) - reduced_povm.sum(axis=0)
+    return DiscriminationResult(list(reduced_povm) + [abstain_op], p_fail,
                                 method, confusion, **kw)
 
 
 # ---------------------------------------------------------------------------
-# measurements
+# measurements (every trajectory equally likely)
 
-def helstrom_pair(a: Ket, b: Ket) -> DiscriminationResult:
-    """Two-state minimum error at equal priors: (1 - sqrt(1-|<a|b>|^2))/2."""
-    if a.n != b.n:
-        raise ValueError("states live on different registers")
-    ens = OutputEnsemble(np.stack([a.amps, b.amps]))
-    B, coords = _reduce(ens)
-    M = 0.5 * (np.outer(coords[0], coords[0].conj())
-               - np.outer(coords[1], coords[1].conj()))
+def helstrom_pair(states) -> DiscriminationResult:
+    """Two-state minimum error: (1 - sqrt(1-|<a|b>|^2))/2 for the rows a, b."""
+    _, coords = _reduce(states)
+    a, b = coords
+    M = 0.5 * (np.outer(a, a.conj()) - np.outer(b, b.conj()))
     vals, vecs = np.linalg.eigh(M)
     pos = vecs[:, vals > 0]
     P0 = pos @ pos.conj().T
-    P1 = np.eye(B.shape[1]) - P0
-    res = _result_from_reduced(ens, B, coords, np.stack([P0, P1]), "helstrom")
-    overlap = abs(np.vdot(a.amps, b.amps))
-    res.p_fail = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - overlap ** 2)))
+    P1 = np.eye(len(a)) - P0
+    res = _result_from_reduced(coords, np.stack([P0, P1]), "helstrom")
+    res.p_fail = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - abs(np.vdot(*states)) ** 2)))
     return res
 
 
@@ -176,34 +163,32 @@ def _inv_sqrt(M: np.ndarray, cut: float):
     return (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T, bool(keep.all())
 
 
-def _pgm_start(ens: OutputEnsemble):
-    """Reduced span, weighted states G_i = pi_i |c_i><c_i| and the PGM elements."""
-    B, coords = _reduce(ens)
-    G = ens.prior[:, None, None] * (coords[:, :, None] * coords[:, None, :].conj())
+def _pgm_start(states):
+    """Reduced coordinates, weighted states G_i = |c_i><c_i|/k and the PGM elements."""
+    _, coords = _reduce(states)
+    G = (1.0 / len(coords)) * (coords[:, :, None] * coords[:, None, :].conj())
     inv_sqrt, full_rank = _inv_sqrt(G.sum(axis=0), 1e-12)
-    return B, coords, G, inv_sqrt @ G @ inv_sqrt, full_rank
+    return coords, G, inv_sqrt @ G @ inv_sqrt, full_rank
 
 
-def pgm(ens: OutputEnsemble) -> DiscriminationResult:
-    """Square-root measurement from the prior-weighted ensemble operator."""
-    B, coords, _, povm, full_rank = _pgm_start(ens)
+def pgm(states) -> DiscriminationResult:
+    """Square-root measurement from the ensemble operator."""
+    coords, _, povm, full_rank = _pgm_start(states)
     note = "" if full_rank else "rank-deficient ensemble operator (pseudo-inverse)"
-    return _result_from_reduced(ens, B, coords, povm, "pgm", note=note)
+    return _result_from_reduced(coords, povm, "pgm", note=note)
 
 
-def optimal_measurement(ens: OutputEnsemble, tol: float = 1e-9,
-                        max_iter: int = 10_000) -> DiscriminationResult:
+def optimal_measurement(states) -> DiscriminationResult:
     """Fixed-point iteration to the minimum-error POVM, seeded from the PGM.
 
     The update is P_i <- L G_i P_i G_i L with L = (sum_i G_i P_i G_i)^(-1/2)
     (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)), run on the stacked
     (k, d, d) arrays.  Stops when the optimality-condition operator
-    sum_i G_i P_i - G_j is positive semidefinite for every j within `tol`;
-    keeps the best iterate, so the result never does worse than the PGM.
+    sum_i G_i P_i - G_j is positive semidefinite for every j within
+    `_FP_TOL`; keeps the best iterate, so the result never does worse than
+    the PGM.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    B, coords, G, povm, _ = _pgm_start(ens)
+    coords, G, povm, _ = _pgm_start(states)
 
     def success(p):
         return float(np.einsum("kab,kba->", G, p).real)
@@ -215,7 +200,7 @@ def optimal_measurement(ens: OutputEnsemble, tol: float = 1e-9,
     best, best_succ = povm, success(povm)
     resid = opt_residual(povm)
     it = 0
-    while resid > tol and it < max_iter:
+    while resid > _FP_TOL and it < _FP_MAX_ITER:
         L, _ = _inv_sqrt(_hermitize((G @ povm @ G).sum(axis=0)), 1e-14)
         povm = _hermitize(L @ G @ povm @ G @ L)
         s = success(povm)
@@ -223,12 +208,12 @@ def optimal_measurement(ens: OutputEnsemble, tol: float = 1e-9,
             best_succ, best = s, povm
         resid = opt_residual(povm)
         it += 1
-    converged = resid <= tol
-    res = _result_from_reduced(ens, B, coords, best, "fixed_point_optimal",
+    converged = resid <= _FP_TOL
+    res = _result_from_reduced(coords, best, "fixed_point_optimal",
                                converged=converged, iterations=it,
                                optimality_residual=resid)
     if not converged:
-        res.note = f"fixed point not reached after {max_iter} iterations"
+        res.note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
     return res
 
 
@@ -243,44 +228,42 @@ def _product_input(n: int, alpha: float) -> Ket:
     return Ket(n, amps)
 
 
-def classical_baseline(ts: TrajectorySet, theta: float, mode: str = "plus_product",
-                       n_alpha: int = 12, tol: float = 1e-9,
-                       max_iter: int = 10_000) -> DiscriminationResult:
+def classical_baseline(ts: TrajectorySet, theta: float,
+                       mode: str = "classical_plus") -> DiscriminationResult:
     """Best unentangled-input performance (measurement side unrestricted).
 
-    plus_product evaluates |+>^n under the optimal measurement;
-    best_product_grid additionally scans the polar Bloch angle alpha of
-    identical qubits over `n_alpha` points in [0, pi] and keeps the best
+    classical_plus evaluates |+>^n under the optimal measurement;
+    classical_best additionally scans the polar Bloch angle alpha of
+    identical qubits over `_N_ALPHA` points in [0, pi] and keeps the best
     input.  The scan is alpha-only, because phi cannot matter: every
     R^(T)(theta) is diagonal, so the output Gram matrix, and with it p_fail,
     depends on |psi|^2 alone.
     """
-    if mode not in ("plus_product", "best_product_grid"):
+    if mode not in ("classical_plus", "classical_best"):
         raise ValueError(f"unknown baseline mode {mode!r}")
-    if mode == "best_product_grid" and ts.n > 10:
+    if mode == "classical_best" and ts.n > 10:
         raise ValueError("product grid search limited to n <= 10")
-    plus = Ket(ts.n, np.full(1 << ts.n, (1 << ts.n) ** -0.5, dtype=complex))
     phases = trajset.phase_matrix(ts.members, ts.n, theta)
-    best = optimal_measurement(OutputEnsemble(phases * plus.amps), tol, max_iter)
-    if mode == "plus_product":
+    best = optimal_measurement(phases * np.full(1 << ts.n, (1 << ts.n) ** -0.5,
+                                                dtype=complex))
+    if mode == "classical_plus":
         return best
     best.note = "alpha=pi/2 (plus product); " + best.note
-    for alpha in np.linspace(0.0, math.pi, n_alpha):
-        psi = _product_input(ts.n, float(alpha))
-        res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol, max_iter)
+    for alpha in np.linspace(0.0, math.pi, _N_ALPHA):
+        res = optimal_measurement(phases * _product_input(ts.n, float(alpha)).amps)
         if res.p_fail < best.p_fail:
             best = res
             best.note = f"alpha={alpha:.6f}; " + best.note
     return best
 
 
-def _symmetrized_candidates(n: int, granularity: int = 6):
+def _symmetrized_candidates(n: int):
     """Coarse sweep over squared-magnitude profiles in the invariant subspace."""
     basis = qcore.symmetrized_basis(n)
     norms = np.array([e.norm_sq for e in basis], dtype=float)
     K = len(basis)
     profiles = [np.full(K, 1.0 / (1 << n))]          # the uniform (|+>^n) profile
-    for comp in itertools.combinations_with_replacement(range(K), granularity):
+    for comp in itertools.combinations_with_replacement(range(K), _GRANULARITY):
         x = np.bincount(comp, minlength=K).astype(float)
         profiles.append(x / (norms @ x))
     return [Ket(n, amps) for amps in qcore.symmetrized_amplitudes(n, profiles)]
@@ -291,16 +274,13 @@ class CurvePoint:
     theta: float
     p_fail: float
     method: str
-    source: str
-    meta: str = ""
 
 
-def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid,
-                  tol: float = 1e-9) -> list[CurvePoint]:
+def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurvePoint]:
     """p_fail(theta) for one protocol arm.
 
     psi_source: solver_witness (entangled; exact witness above threshold, best
-    of a symmetrized-state sweep below), classical_plus, or classical_best.
+    of a symmetrized-state sweep below), or a `classical_baseline` mode.
     """
     if psi_source not in ("solver_witness", "classical_plus", "classical_best"):
         raise ValueError(f"unknown psi_source {psi_source!r}")
@@ -315,38 +295,25 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid,
     for theta in theta_grid:
         theta = float(theta)
         if theta == 0.0:
-            points.append(CurvePoint(theta, 1.0 - 1.0 / k, "degenerate",
-                                     psi_source, "all outputs identical"))
+            points.append(CurvePoint(theta, 1.0 - 1.0 / k, "degenerate"))
             continue
-        if psi_source == "classical_plus":
-            res = classical_baseline(ts, theta, "plus_product", tol=tol)
-            points.append(CurvePoint(theta, res.p_fail, res.method, psi_source))
+        if psi_source != "solver_witness":
+            res = classical_baseline(ts, theta, psi_source)
+            points.append(CurvePoint(theta, res.p_fail, res.method))
             continue
-        if psi_source == "classical_best":
-            res = classical_baseline(ts, theta, "best_product_grid", tol=tol)
-            points.append(CurvePoint(theta, res.p_fail, res.method, psi_source, res.note))
-            continue
-
         cert = solver.solve(solver.TSProblem(ts, theta))
         if cert.feasible:
             res = pgm(make_ensemble(cert.witness_state, ts, theta))
-            points.append(CurvePoint(theta, res.p_fail, "projective_orthogonal",
-                                     psi_source, "feasible witness"))
+            points.append(CurvePoint(theta, res.p_fail, "projective_orthogonal"))
             continue
         # below threshold: best of a deterministic symmetrized-state sweep
         candidates = _symmetrized_candidates(ts.n)
         if threshold_witness is not None:
             candidates.append(threshold_witness)
         phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        best, label = None, ""
-        for idx, psi in enumerate(candidates):
-            res = optimal_measurement(OutputEnsemble(phases * psi.amps), tol)
-            if best is None or res.p_fail < best.p_fail:
-                best = res
-                label = "threshold witness" if idx == len(candidates) - 1 \
-                    and threshold_witness is not None else f"sweep[{idx}]"
-        points.append(CurvePoint(theta, best.p_fail, best.method, psi_source,
-                                 f"infeasible; best candidate {label}"))
+        best = min((optimal_measurement(phases * psi.amps) for psi in candidates),
+                   key=lambda res: res.p_fail)
+        points.append(CurvePoint(theta, best.p_fail, best.method))
     return points
 
 
@@ -408,26 +375,24 @@ def _plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
     return float(min(1.0, max(0.0, win)))
 
 
-def plurality_error(confusion: np.ndarray, prior: np.ndarray, r: int) -> float:
+def plurality_error(confusion: np.ndarray, r: int) -> float:
     """Exact average vote error over the true categories, one tail DP each."""
-    err = sum(prior[i] * (1.0 - _plurality_win_dp(confusion[i], i, r))
-              for i in range(confusion.shape[0]))
+    k = confusion.shape[0]
+    err = sum((1.0 / k) * (1.0 - _plurality_win_dp(confusion[i], i, r)) for i in range(k))
     return max(0.0, err)
 
 
-def repetition_analysis(per_shot: DiscriminationResult, epsilon_grid,
-                        prior: np.ndarray | None = None,
-                        r_cap: int = _VOTE_R_CAP) -> list[RepetitionReport]:
+def repetition_analysis(per_shot: DiscriminationResult,
+                        epsilon_grid) -> list[RepetitionReport]:
     """Minimal repetition count r reaching each target error epsilon.
 
-    Exact plurality-vote tail per r; reports r = inf when the per-shot success
-    cannot beat chance (the vote then never converges).
+    Exact plurality-vote tail per r, up to r = `_VOTE_R_CAP`; reports r = inf
+    when the per-shot success cannot beat chance (the vote then never
+    converges) or the cap is reached first.
     """
     conf = per_shot.confusion
     k = conf.shape[0]
-    if prior is None:
-        prior = np.full(k, 1.0 / k)
-    per_succ = float(prior @ conf.diagonal())
+    per_succ = float(np.full(k, 1.0 / k) @ conf.diagonal())
     if k > 1 and per_succ <= 1.0 / k + 1e-15:
         return [RepetitionReport(math.inf, per_succ, 1.0 - per_succ, float(eps))
                 for eps in epsilon_grid]
@@ -435,17 +400,17 @@ def repetition_analysis(per_shot: DiscriminationResult, epsilon_grid,
 
     def err_at(r):
         if r not in errs:
-            errs[r] = plurality_error(conf, prior, r)
+            errs[r] = plurality_error(conf, r)
         return errs[r]
 
     reports = []
     for eps in epsilon_grid:
         eps = float(eps)
         r = 1
-        while r <= r_cap and err_at(r) > eps:
+        while r <= _VOTE_R_CAP and err_at(r) > eps:
             r += 1
-        if r > r_cap:
-            reports.append(RepetitionReport(math.inf, per_succ, err_at(r_cap), eps))
+        if r > _VOTE_R_CAP:
+            reports.append(RepetitionReport(math.inf, per_succ, err_at(_VOTE_R_CAP), eps))
         else:
             reports.append(RepetitionReport(r, per_succ, err_at(r), eps))
     return reports

@@ -84,6 +84,11 @@ def kl_verify(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> K
     discrimination property ('KL-recoverable only').  Anything else — which
     for unit-modulus diagonal Kraus families can only arise from a
     malformed input state — is 'not a code state'.
+
+    M is the full dense N x N matrix, so this check inherits `eq1_gram`'s
+    size limit: it raises ValueError when N^2 * 2^n exceeds
+    `solver.DENSE_GRAM_CAP` (sym(12,6) is 3.5e9).  The `qec` command only
+    checks cyc(4,2).
     """
     N = len(ts)
     M = solver.eq1_gram(psi, ts, theta) / N

@@ -2,7 +2,7 @@
 
 A trajectory is the set of qubits rotated by a passing particle.  The
 symmetric family holds every weight-m subset of {1..n}; the cyclic family
-holds the n contiguous windows of width m (indices mod n).
+holds the n contiguous windows of width m < n (indices mod n).
 """
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +47,7 @@ class TrajectorySet:
     """Distinct trajectories on n qubits whose members match the family label.
 
     "symmetric" holds all C(n,m) weight-m subsets (in any order), "cyclic" the
-    n width-m windows in start order, "custom" any members.
+    n width-m windows in start order (1 <= m < n), "custom" any members.
     """
 
     n: int
@@ -71,7 +70,8 @@ class TrajectorySet:
                 raise ValueError(f"label 'symmetric' needs all C({n},{m}) weight-{m} "
                                  f"subsets of 1..{n}, got {self._describe()}")
         elif self.family == "cyclic":
-            if not (1 <= m <= n and self.members == _windows(n, m)):
+            _check_cyclic_width(n, m)
+            if self.members != _windows(n, m):
                 raise ValueError(f"label 'cyclic' needs the {n} width-{m} windows "
                                  f"in start order, got {self._describe()}")
         elif self.family != "custom":
@@ -93,6 +93,13 @@ class TrajectorySet:
         return f"{len(self)} members " + labels + (",..." if len(self) > 6 else "")
 
 
+def _check_cyclic_width(n: int, m: int) -> None:
+    """1 <= m < n, since at m = n > 1 all n windows are the whole register."""
+    if not 1 <= m < max(n, 2):
+        raise ValueError(f"label 'cyclic' needs window width 1 <= m < n "
+                         f"(m = 1 for n = 1), got m={m}, n={n}")
+
+
 def _windows(n: int, m: int) -> tuple[Trajectory, ...]:
     """The n windows z^j({1..m}) under the cyclic shift z = (1...n), j = 0..n-1."""
     return tuple(Trajectory(tuple((start + off) % n + 1 for off in range(m)))
@@ -111,8 +118,7 @@ def gen_symmetric(n: int, m: int) -> TrajectorySet:
 def gen_cyclic(n: int, m: int) -> TrajectorySet:
     """The n windows z^j({1..m}) under the cyclic shift z = (1...n)."""
     _check_n(n)
-    if not 1 <= m <= n:
-        raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+    _check_cyclic_width(n, m)
     return TrajectorySet(n, "cyclic", m, _windows(n, m))
 
 
@@ -150,11 +156,3 @@ def from_json(text: str) -> TrajectorySet:
     obj = json.loads(text)
     members = tuple(Trajectory(tuple(t)) for t in obj["members"])
     return TrajectorySet(obj["n"], obj.get("family", "custom"), obj["m"], members)
-
-
-def load(path: str | Path) -> TrajectorySet:
-    return from_json(Path(path).read_text())
-
-
-def save(ts: TrajectorySet, path: str | Path) -> None:
-    Path(path).write_text(to_json(ts))

@@ -179,44 +179,42 @@ def test_sample_mode_matches_quadrature():
     q = beam.compare_sensors(sc, grid=(128, 128))
     for sensor, q_p_fail in (("entangled_ts", q.p_fail_entangled),
                              ("unentangled_plus", q.p_fail_unentangled)):
-        mc = beam.run_beam_trials(sc, sensor, 4000, 123)
-        assert abs(mc.p_fail - q_p_fail) < 4 * mc.stderr
+        p_fail, stderr = beam.run_beam_trials(sc, sensor, 4000, 123)
+        assert abs(p_fail - q_p_fail) < 4 * stderr
 
 
 def test_exact_conditional_reduces_variance():
     sc = beam.BeamScenario(0.8, 1.5)
-    mc = beam.run_beam_trials(sc, "entangled_ts", 4000, 123)
+    mc_p_fail, mc_stderr = beam.run_beam_trials(sc, "entangled_ts", 4000, 123)
     # the same lines, each contributing its exact conditional failure
     pe, _, _ = beam.line_failures(sc, *beam._sample_lines(4000, 123))
     ex_p_fail, ex_stderr = pe.mean(), pe.std(ddof=1) / math.sqrt(4000)
-    assert ex_stderr < mc.stderr
-    assert abs(ex_p_fail - mc.p_fail) < 4 * mc.stderr
+    assert ex_stderr < mc_stderr
+    assert abs(ex_p_fail - mc_p_fail) < 4 * mc_stderr
 
 
 def test_trials_deterministic_in_seed():
     sc = beam.BeamScenario(0.5, 2.0)
     a = beam.run_beam_trials(sc, "unentangled_plus", 2000, 7)
     b = beam.run_beam_trials(sc, "unentangled_plus", 2000, 7)
-    assert a.p_fail == b.p_fail
+    assert a == b
     # a different seed changes the underlying draws (aggregate rates can
     # still collide by chance, so compare per-trial outcomes)
-    r7 = beam.beam_trial_records(sc, "unentangled_plus", 500, 7)
-    r8 = beam.beam_trial_records(sc, "unentangled_plus", 500, 8)
-    assert any(x.success != y.success for x, y in zip(r7, r8))
+    true7, guess7, _, _ = beam._sample_outcomes(sc, "unentangled_plus", 500, 7)
+    true8, guess8, _, _ = beam._sample_outcomes(sc, "unentangled_plus", 500, 8)
+    assert ((guess7 == true7) != (guess8 == true8)).any()
 
 
-def test_trial_records_consistent_with_summary():
+def test_sampled_outcomes_give_the_trial_failure():
     sc = beam.BeamScenario(0.8, 1.5)
-    summ = beam.run_beam_trials(sc, "entangled_ts", 1500, 42)
-    recs = beam.beam_trial_records(sc, "entangled_ts", 1500, 42)
-    assert len(recs) == 1500
-    fail = 1.0 - sum(r.success for r in recs) / len(recs)
-    assert fail == pytest.approx(summ.p_fail, abs=1e-12)
-    windows = set(trajset.gen_cyclic(4, 2).members)
-    for r in recs[:200]:
-        assert r.true_nearest in windows
-        if r.measured is not None:
-            assert r.success == (r.measured == r.true_nearest)
+    true_idx, guess, complement, _ = beam._sample_outcomes(sc, "entangled_ts", 1500, 42)
+    assert len(true_idx) == len(guess) == len(complement) == 1500
+    assert set(true_idx) <= {0, 1, 2, 3} and set(guess) <= {0, 1, 2, 3}
+    p_fail, _ = beam.run_beam_trials(sc, "entangled_ts", 1500, 42)
+    assert p_fail == (guess != true_idx).mean()
+    # the four rotated outputs exhaust the norm, so the complement outcome,
+    # which measures no edge, does not fire
+    assert not complement.any()
 
 
 def test_monte_carlo_needs_two_trials():
@@ -234,8 +232,6 @@ def test_unknown_sensor_rejected():
     sc = beam.BeamScenario(0.5, 2.0)
     with pytest.raises(ValueError):
         beam.run_beam_trials(sc, "telepathy", 10, 0)
-    with pytest.raises(ValueError):
-        beam.beam_trial_records(sc, "telepathy", 10, 0)
 
 
 # -------------------------------------------------------- symmetry/dominance
@@ -280,8 +276,6 @@ def test_sweep_linear_in_theta0_and_inverse_w_squared():
         fit = sw.fits_vs_theta0[w]
         assert fit.slope > 0
         assert fit.r2 > 0.98
-        lo, hi = fit.slope_ci95
-        assert lo < fit.slope < hi
     # doubling the waist cuts the slope about fourfold
     for w in (5.0, 10.0):
         ratio = sw.fits_vs_theta0[w].slope / sw.fits_vs_theta0[2 * w].slope
@@ -302,14 +296,3 @@ def test_sweep_mc_mode_agrees_with_quadrature():
     with pytest.raises(ValueError):
         beam.beam_sweep([0.1], [3.0], mode="exhaustive")
 
-
-def test_sweep_csv_round_trip(tmp_path):
-    sw = beam.beam_sweep([0.05, 0.1], [4.0], grid=(32, 32))
-    path = tmp_path / "sweep.csv"
-    beam.write_beam_csv(path, sw)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "theta0,w,p_fail_entangled,p_fail_unentangled,advantage,stderr"
-    assert len(lines) == 3
-    first = lines[1].split(",")
-    assert float(first[0]) == 0.05
-    assert float(first[2]) == pytest.approx(sw.rows[0].p_fail_entangled)

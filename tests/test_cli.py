@@ -84,8 +84,21 @@ def test_solve_lp_only_method(capsys):
 def test_usage_errors_exit_two(capsys):
     assert run(["solve", "--family", "sym", "--n", "4", "--theta", "1"]) == 2
     assert run(["bogus"]) == 2
-    assert run(["solve", "--family", "nope", "--n", "4", "--m", "2",
-                "--theta", "1"]) == 2
+    capsys.readouterr()
+    # --family takes sym or cyc on every command that builds a family
+    for argv in (["solve", "--family", "nope", "--n", "4", "--m", "2", "--theta", "1"],
+                 ["curve", "--family", "nope"],
+                 ["verify", "--state", "bell.json", "--family", "nope", "--n", "2",
+                  "--m", "1", "--theta", "1"]):
+        assert run(argv) == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_cyclic_width_of_the_whole_register_exits_two(capsys):
+    """At m = n > 1 every window is the whole register; the message names m < n."""
+    assert run(["solve", "--family", "cyc", "--n", "3", "--m", "3", "--theta", "pi"]) == 2
+    assert "needs window width 1 <= m < n (m = 1 for n = 1), got m=3, n=3" \
+        in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n,m,theta", [(12, 6, "11pi/12"), (16, 8, "0.96pi")])

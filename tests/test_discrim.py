@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from trajsense import discrim, qcore, rng, solver, trajset
-from trajsense.discrim import OutputEnsemble, make_ensemble
+from trajsense.discrim import make_ensemble
 
 PI = math.pi
 BELL = qcore.make_ket(2, [("01", 1.0), ("10", 1.0)])
@@ -45,15 +45,15 @@ def test_verify_ts_zero_theta():
 def test_helstrom_orthogonal_and_identical():
     a = qcore.make_ket(1, [("0", 1.0)])
     b = qcore.make_ket(1, [("1", 1.0)])
-    assert discrim.helstrom_pair(a, b).p_fail < 1e-12
-    assert abs(discrim.helstrom_pair(a, a).p_fail - 0.5) < 1e-12
+    assert discrim.helstrom_pair(np.stack([a.amps, b.amps])).p_fail < 1e-12
+    assert abs(discrim.helstrom_pair(np.stack([a.amps, a.amps])).p_fail - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
 def test_helstrom_single_qubit_formula(theta):
     plus = qcore.Ket(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     rot = qcore.Ket(1, plus.amps * trajset.phase_matrix([trajset.Trajectory((1,))], 1, theta)[0])
-    got = discrim.helstrom_pair(plus, rot).p_fail
+    got = discrim.helstrom_pair(np.stack([plus.amps, rot.amps])).p_fail
     assert abs(got - (1 - abs(math.sin(theta / 2))) / 2) < 1e-12
 
 
@@ -74,11 +74,11 @@ def test_pgm_orthogonal_is_projective():
     # ... and B is an isometry onto it, so B P B^dag (+ I - BB^dag on the
     # abstain) is a full-space POVM on the actual output states
     assert np.abs(B.conj().T @ B - np.eye(d)).max() < 1e-12
-    assert np.abs(coords @ B.T - ens.states).max() < 1e-12
+    assert np.abs(coords @ B.T - ens).max() < 1e-12
 
 
 def test_pgm_identical_states():
-    ens = OutputEnsemble(np.stack([qcore.make_ket(2, [("00", 1.0)]).amps] * 6))
+    ens = np.stack([qcore.make_ket(2, [("00", 1.0)]).amps] * 6)
     assert abs(discrim.pgm(ens).p_fail - 5 / 6) < 1e-12
 
 
@@ -94,7 +94,7 @@ def test_optimal_matches_helstrom_on_pairs():
     for theta in [0.4, 1.1, 2.0]:
         ens = make_ensemble(plus_state(2), TS21, theta)
         o = discrim.optimal_measurement(ens)
-        h = discrim.helstrom_pair(*(qcore.Ket(2, s) for s in ens.states))
+        h = discrim.helstrom_pair(ens)
         assert abs(o.p_fail - h.p_fail) < 1e-8
         assert o.optimality_residual < 1e-9
 
@@ -129,29 +129,24 @@ def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
     assert res.p_fail < discrim.pgm(ens).p_fail
 
 
-def test_optimal_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        discrim.optimal_measurement(make_ensemble(BELL, TS21, 1.0), tol=0.0)
-
-
 # --- classical baselines ---------------------------------------------------
 
 def test_classical_plus_endpoints():
-    res = discrim.classical_baseline(TS42, PI, "plus_product")
+    res = discrim.classical_baseline(TS42, PI, "classical_plus")
     assert res.p_fail < 1e-9
-    res0 = discrim.classical_baseline(TS42, 0.0, "plus_product")
+    res0 = discrim.classical_baseline(TS42, 0.0, "classical_plus")
     assert abs(res0.p_fail - 5 / 6) < 1e-9
 
 
 def test_classical_plus_positive_below_pi():
     for theta in [0.5 * PI, 0.9 * PI, 0.99 * PI]:
-        assert discrim.classical_baseline(TS42, theta, "plus_product").p_fail > 0
+        assert discrim.classical_baseline(TS42, theta, "classical_plus").p_fail > 0
 
 
 def test_classical_grid_never_worse_than_plus():
     theta = 0.7 * PI
-    plus = discrim.classical_baseline(TS42, theta, "plus_product")
-    grid = discrim.classical_baseline(TS42, theta, "best_product_grid", n_alpha=5)
+    plus = discrim.classical_baseline(TS42, theta, "classical_plus")
+    grid = discrim.classical_baseline(TS42, theta, "classical_best")
     assert grid.p_fail <= plus.p_fail + 1e-9
     assert "alpha=" in grid.note
 
@@ -182,7 +177,7 @@ def test_product_p_fail_independent_of_phi(ts):
 
 def test_classical_grid_size_guard():
     with pytest.raises(ValueError):
-        discrim.classical_baseline(trajset.gen_symmetric(11, 5), 1.0, "best_product_grid")
+        discrim.classical_baseline(trajset.gen_symmetric(11, 5), 1.0, "classical_best")
     with pytest.raises(ValueError):
         discrim.classical_baseline(TS42, 1.0, "nope")
 
@@ -214,16 +209,14 @@ def test_failure_curve_rejects_unknown_source():
 def test_vote_error_binary_hand_values():
     # two-category confusion with q = 0.9: r=2 keeps error 0.1 (tie), r=3 gives 0.028
     conf = np.array([[0.9, 0.1], [0.1, 0.9]])
-    prior = np.array([0.5, 0.5])
-    assert abs(discrim.plurality_error(conf, prior, 1) - 0.1) < 1e-12
-    assert abs(discrim.plurality_error(conf, prior, 2) - 0.1) < 1e-12
-    assert abs(discrim.plurality_error(conf, prior, 3) - 0.028) < 1e-12
+    assert abs(discrim.plurality_error(conf, 1) - 0.1) < 1e-12
+    assert abs(discrim.plurality_error(conf, 2) - 0.1) < 1e-12
+    assert abs(discrim.plurality_error(conf, 3) - 0.028) < 1e-12
 
 
 def test_vote_error_r1_equals_per_shot():
-    res = discrim.classical_baseline(TS42, 0.8 * PI, "plus_product")
-    prior = np.full(6, 1 / 6)
-    assert abs(discrim.plurality_error(res.confusion, prior, 1) - res.p_fail) < 1e-10
+    res = discrim.classical_baseline(TS42, 0.8 * PI, "classical_plus")
+    assert abs(discrim.plurality_error(res.confusion, 1) - res.p_fail) < 1e-10
 
 
 @functools.lru_cache(maxsize=None)
@@ -236,8 +229,8 @@ def _compositions(total: int, parts: int) -> np.ndarray:
                            for rest in [_compositions(total - first, parts - 1)]])
 
 
-def plurality_error_enum(confusion: np.ndarray, prior: np.ndarray, r: int) -> float:
-    """Oracle: exact vote error by multinomial enumeration (r <= 20, k <= 6)."""
+def plurality_error_enum(confusion: np.ndarray, r: int) -> float:
+    """Oracle: exact vote error by multinomial enumeration (r <= 20, k <= 6), uniform prior."""
     k = confusion.shape[0]
     if r > 20 or k > 6:
         raise ValueError("enumeration limited to r <= 20 and k <= 6")
@@ -253,17 +246,17 @@ def plurality_error_enum(confusion: np.ndarray, prior: np.ndarray, r: int) -> fl
         log_p = np.where(counts > 0, counts * np.log(np.where(p > 0.0, p, 1.0)), 0.0)
         prob = np.where(possible, np.exp(log_multinomial + log_p.sum(axis=1)), 0.0)
         win = (prob / n_winners)[counts[:, i] == top].sum()
-        err += prior[i] * (1.0 - win)
+        err += (1.0 - win) / k
     return max(0.0, err)
 
 
-def plurality_error_mc(confusion: np.ndarray, prior: np.ndarray, r: int,
-                       trials: int, seed: int, stream: int = 5) -> float:
-    """Oracle: Monte Carlo vote error (counter-based RNG)."""
+def plurality_error_mc(confusion: np.ndarray, r: int, trials: int, seed: int,
+                       stream: int = 5) -> float:
+    """Oracle: Monte Carlo vote error (counter-based RNG), uniform prior."""
     k = confusion.shape[0]
     cdf = np.cumsum(confusion, axis=1)
     fails = 0
-    per_true = np.random.default_rng(seed).multinomial(trials, prior)  # trial split
+    per_true = np.random.default_rng(seed).multinomial(trials, np.full(k, 1 / k))
     block = 0
     for i in range(k):
         t_i = int(per_true[i])
@@ -298,11 +291,10 @@ def _vote_rows(k: int, rng_: np.random.Generator) -> list[np.ndarray]:
 def test_vote_dp_matches_enumeration():
     """The tail DP reproduces the enumeration on its whole old domain (k <= 6, r <= 20)."""
     for k in range(2, 7):
-        prior = np.full(k, 1 / k)
         for conf in _vote_rows(k, np.random.default_rng(3 + k)):
             for r in [1, 2, 3, 4, 7, 10, 13, 16, 20]:
-                dp = discrim.plurality_error(conf, prior, r)
-                assert abs(dp - plurality_error_enum(conf, prior, r)) <= 1e-12, (k, r, conf)
+                dp = discrim.plurality_error(conf, r)
+                assert abs(dp - plurality_error_enum(conf, r)) <= 1e-12, (k, r, conf)
 
 
 @pytest.mark.parametrize("r", [21, 64, 170])
@@ -322,10 +314,9 @@ def test_vote_dp_matches_monte_carlo_beyond_enum():
                      [0.1, 0.7, 0.1, 0.1],
                      [0.1, 0.1, 0.7, 0.1],
                      [0.1, 0.1, 0.1, 0.7]])
-    prior = np.full(4, 0.25)
     r = 25
-    exact = discrim.plurality_error(conf, prior, r)
-    mc = plurality_error_mc(conf, prior, r, trials=120_000, seed=9)
+    exact = discrim.plurality_error(conf, r)
+    mc = plurality_error_mc(conf, r, trials=120_000, seed=9)
     sigma = math.sqrt(max(exact * (1 - exact), 1e-12) / 120_000)
     assert abs(mc - exact) < 4 * sigma + 1e-6
 
@@ -346,14 +337,13 @@ def test_repetition_single_member_is_one_shot():
 
 
 def test_repetition_chance_level_diverges():
-    flat = discrim.DiscriminationResult(None, np.full(6, 1 / 6), 5 / 6, "pgm",
-                                        np.full((6, 6), 1 / 6))
+    flat = discrim.DiscriminationResult(None, 5 / 6, "pgm", np.full((6, 6), 1 / 6))
     reports = discrim.repetition_analysis(flat, [0.25])
     assert math.isinf(reports[0].r)
 
 
 def test_repetition_classical_log_scaling():
-    res = discrim.classical_baseline(TS42, 3 * PI / 4, "plus_product")
+    res = discrim.classical_baseline(TS42, 3 * PI / 4, "classical_plus")
     eps = [10.0 ** -k for k in range(1, 7)]
     reports = discrim.repetition_analysis(res, eps)
     rs = np.array([rep.r for rep in reports], dtype=float)
@@ -387,8 +377,7 @@ def test_curve_csv_grid_mismatch():
 
 def test_repetition_csv():
     eps = [1e-1, 1e-2]
-    flat = discrim.DiscriminationResult(None, np.full(2, 0.5), 0.5, "pgm",
-                                        np.full((2, 2), 0.5))
+    flat = discrim.DiscriminationResult(None, 0.5, "pgm", np.full((2, 2), 0.5))
     cert = solver.solve_symmetric(2, 1, 0.75 * PI)
     qres = discrim.pgm(make_ensemble(cert.witness_state, TS21, 0.75 * PI))
     cl = discrim.repetition_analysis(flat, eps)
@@ -401,13 +390,13 @@ def test_repetition_csv():
 # --- ensemble validation ---------------------------------------------------
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError):
-        OutputEnsemble(())
-    with pytest.raises(ValueError):                  # ragged rows
-        OutputEnsemble([BELL.amps, qcore.make_ket(3, [("000", 1.0)]).amps])
-    with pytest.raises(ValueError):                  # no register has dimension 3
-        OutputEnsemble(np.ones((2, 3)))
-    with pytest.raises(ValueError):                  # one state, not a stack
-        OutputEnsemble(BELL.amps)
-    with pytest.raises(ValueError):
-        OutputEnsemble(np.stack([BELL.amps] * 2), prior=np.array([0.7, 0.7]))
+    """Every measurement takes a nonempty (k, 2**n) array, checked in `_reduce`."""
+    for measure in (discrim.pgm, discrim.optimal_measurement, discrim.helstrom_pair):
+        with pytest.raises(ValueError, match="nonempty"):
+            measure(())
+        with pytest.raises(ValueError):                  # ragged rows
+            measure([BELL.amps, qcore.make_ket(3, [("000", 1.0)]).amps])
+        with pytest.raises(ValueError, match="nonempty"):   # no register has dimension 3
+            measure(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="nonempty"):   # one state, not a stack
+            measure(BELL.amps)

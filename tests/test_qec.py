@@ -105,6 +105,14 @@ def test_kl_agrees_with_output_orthogonality(make_state, ts, theta):
     assert kl == discrim.verify_ts(psi, ts, theta).is_ts
 
 
+def test_kl_verify_refuses_above_the_dense_cap():
+    """M is the dense N x N matrix: sym(12,6) has N^2 * 2^n = 924^2 * 2^12 > 2e9."""
+    plus = qcore.from_vector(12, np.ones(1 << 12))
+    with pytest.raises(ValueError, match=r"too large for the dense Gram check: "
+                                         r"\|T\|\^2\*2\^n = 924\^2\*2\^12 = 3\.5e\+09 > 2e\+09"):
+        qec.kl_verify(plus, trajset.gen_symmetric(12, 6), 0.9 * math.pi)
+
+
 # ------------------------------------------------------------ stabilizers
 
 def test_parse_pauli():

@@ -43,6 +43,14 @@ def test_gen_cyclic_windows_wrap():
     assert trajset.gen_cyclic(6, 2).kappa == 3
 
 
+def test_gen_cyclic_width_below_n():
+    """At m = n > 1 all windows coincide; only cyc(1,1) keeps m = n."""
+    assert [t.qubits for t in trajset.gen_cyclic(1, 1).members] == [(1,)]
+    for n, m in [(2, 2), (3, 3), (4, 0), (4, 5)]:
+        with pytest.raises(ValueError, match=rf"1 <= m < n \(m = 1 for n = 1\), got m={m}, n={n}"):
+            trajset.gen_cyclic(n, m)
+
+
 def test_trajectory_set_rejects_duplicates():
     with pytest.raises(ValueError):
         trajset.TrajectorySet(3, "custom", 1,
@@ -184,7 +192,7 @@ def test_phase_matrix_matches_bitstring_reference(n, data, theta):
     assert np.array_equal(got, want)
 
 
-def test_json_roundtrip(tmp_path):
+def test_json_roundtrip():
     ts = trajset.gen_cyclic(6, 3)
     back = trajset.from_json(trajset.to_json(ts))
     assert back == ts
@@ -194,9 +202,6 @@ def test_json_roundtrip(tmp_path):
         + ",\n".join("    [\n" + ",\n".join(f"      {q}" for q in w) + "\n    ]"
                      for w in _window_tuples(6, 3))
         + '\n  ],\n  "n": 6\n}\n')
-    p = tmp_path / "fam.json"
-    trajset.save(ts, p)
-    assert trajset.load(p) == ts
 
 
 def test_custom_set_from_json():
