@@ -73,17 +73,21 @@ def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
     (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _emit(args, payload: str, filename: str, summary: str) -> None:
+def _emit(args, payload, filename: str, summary: str) -> None:
     """Write a primary artifact (and the manifest) only under --out.
 
     Stdout gets a JSON artifact itself under --format json, else the summary.
+    `payload()` runs only when the artifact is written or printed: a large
+    witness takes seconds to serialize.
     """
+    printed = args.format == "json" and filename.endswith(".json")
+    text = payload() if printed or args.out is not None else None
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / filename).write_text(payload, newline="")
+        (outdir / filename).write_text(text, newline="")
         _write_manifest(outdir, args)
-    print(payload if args.format == "json" and filename.endswith(".json") else summary)
+    print(text if printed else summary)
 
 
 # ---------------------------------------------------------------- solve
@@ -107,7 +111,7 @@ def cmd_solve(args) -> int:
     summary = (f"{args.family}({args.n},{args.m}) at theta={theta:.6f}: "
                f"{'feasible' if cert.feasible else 'infeasible'}"
                + (" (marginal)" if cert.marginal else ""))
-    _emit(args, cert.to_json(), "certificate.json", summary)
+    _emit(args, cert.to_json, "certificate.json", summary)
     return 0 if cert.feasible else 1
 
 
@@ -145,7 +149,7 @@ def cmd_curve(args) -> int:
         summary = f"{what} written to {Path(args.out) / filename}"
     else:
         summary = f"{what} computed; --out DIR writes it, --format csv prints it"
-    _emit(args, table, filename, summary)
+    _emit(args, lambda: table, filename, summary)
     return 0
 
 
@@ -165,11 +169,11 @@ def cmd_beam(args) -> int:
         "p_fail_entangled": ent, "p_fail_unentangled": un,
         "advantage": adv, "stderr": err,
     }
-    payload = json.dumps(report, indent=2, sort_keys=True)
     summary = (f"theta0={args.theta0} w={args.w}: entangled {ent:.6f}, "
                f"unentangled {un:.6f}, advantage {adv:.3e}"
                + (f" +/- {err:.1e}" if err else ""))
-    _emit(args, payload, "beam.json", summary)
+    _emit(args, lambda: json.dumps(report, indent=2, sort_keys=True), "beam.json",
+          summary)
     return 0
 
 
@@ -201,9 +205,8 @@ def cmd_qec(args) -> int:
     if not checks:
         raise ValueError(f"unknown check {args.check!r}")
     passed = all(c["passed"] for c in checks.values())
-    payload = json.dumps({"checks": checks, "passed": passed},
-                         indent=2, sort_keys=True)
-    _emit(args, payload, "qec.json",
+    _emit(args, lambda: json.dumps({"checks": checks, "passed": passed},
+                                   indent=2, sort_keys=True), "qec.json",
           f"qec {args.check}: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -225,12 +228,12 @@ def cmd_verify(args) -> int:
     if psi.n != ts.n:
         raise ValueError(f"state has {psi.n} qubits but family needs {ts.n}")
     rep = discrim.verify_ts(psi, ts, theta)
-    payload = json.dumps(rep.to_dict(), indent=2, sort_keys=True)
     summary = (f"{path.name} vs {args.family}({args.n},{args.m}) at "
                f"theta={theta:.6f}: "
                + ("TS state" if rep.is_ts else
                   f"not a TS state (residual {rep.max_residual:.3e})"))
-    _emit(args, payload, "verify.json", summary)
+    _emit(args, lambda: json.dumps(rep.to_dict(), indent=2, sort_keys=True),
+          "verify.json", summary)
     return 0 if rep.is_ts else 1
 
 

@@ -8,12 +8,11 @@ array, `make_ensemble` (`trajset.phase_matrix` times psi); sweeps build the
 phase matrix once per angle and reuse it for every input state.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
-* `helstrom_pair` is the closed-form two-state optimum, kept as an oracle.
 * `pgm` is the square-root measurement; optimal for the geometrically uniform
   ensembles that appear here, and cheap enough to screen parameter sweeps.
 * `optimal_measurement` runs the fixed-point iteration for the minimum-error
-  POVM (Jezek, Rehacek & Fiurasek 2002) on stacked (k, d, d) arrays, seeded
-  from the PGM so it can only improve on it.
+  POVM (Jezek, Rehacek & Fiurasek 2002), seeded from the PGM so it can only
+  improve on it.
 * `classical_baseline` evaluates unentangled inputs (|+>^n or identical-qubit
   product states) under the same machinery, so entangled-vs-classical gaps are
   measured with matched generosity on the measurement side.  The product
@@ -23,11 +22,14 @@ phase matrix once per angle and reuse it for every input state.
   result into plurality-vote repetition counts with one exact tail DP
   (`plurality_error`) for every k and r.
 
-Measurements are computed and returned in the span of the ensemble
-(dimension d <= number of states, isometry B from `_reduce`); I_d minus the
-guess elements becomes an explicit abstain outcome whose hits are resolved by
-a uniform random guess.  The entangled arm takes its witness from
-`solver.solve`, so families are dispatched in one place.
+Measurements live in the span of the ensemble (dimension d <= k, state j at
+coordinates c_j from the SVD in `_reduce`) as rank-one factors: G_j =
+|c_j><c_j|/k has rank one, so the PGM and every fixed-point iterate are
+P_j = |m_j><m_j|, one (k, d) array.  The optimality test Gamma - G_j >= -tol
+is a downdate test: for A = Gamma + tol*I, A - |g><g| >= 0 iff A > 0 and
+<g|A^-1|g> <= 1.  I_d minus the guess elements is the abstain outcome,
+resolved by a uniform random guess.  The entangled arm takes its witness
+from `solver.solve`, so families are dispatched in one place.
 """
 from __future__ import annotations
 
@@ -63,13 +65,12 @@ def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
 
 @dataclass
 class DiscriminationResult:
-    povm: list | None            # reduced d x d elements, trailing abstain I_d - sum
+    povm: np.ndarray | None      # (k, d) factors m_j of P_j = |m_j><m_j| in the span
     p_fail: float
-    method: str                  # projective_orthogonal | helstrom | pgm | fixed_point_optimal
+    method: str                  # projective_orthogonal | pgm | fixed_point_optimal
     confusion: np.ndarray        # row = true T, column = guess (abstain folded in)
     converged: bool = True
     iterations: int = 0
-    optimality_residual: float | None = None
     note: str = ""
 
 
@@ -103,116 +104,102 @@ def verify_ts(psi: Ket, ts: TrajectorySet, theta: float) -> VerifyReport:
 # span reduction
 
 def _reduce(states):
-    """Orthonormal basis B of the span of the (k, 2**n) states and their coordinates."""
+    """U[:, :d] and sv[:d] of S = U diag(sv) Vh; row j of U diag(sv) is state j
+    in the span basis (the rows of Vh), where rho = diag(sv**2)/k."""
     # ragged rows (states on different registers) fail in asarray
     S = np.asarray(states, dtype=np.complex128)
     k, dim = S.shape if S.ndim == 2 else (0, 0)
     if k == 0 or dim == 0 or dim & (dim - 1):
         raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
                          f"got shape {S.shape}")
-    _, sv, vh = np.linalg.svd(S, full_matrices=False)
+    u, sv, _ = np.linalg.svd(S, full_matrices=False)
     d = max(1, int((sv > sv[0] * 1e-12).sum()))
-    # rows of vh span the states (unconjugated) and are orthonormal under
-    # the Hermitian inner product, so the isometry is B = vh.T, coords = S B*
-    B = vh[:d].T                              # (2^n, d)
-    coords = S @ vh[:d].conj().T              # row i = reduced state i
-    return B, coords
+    return u[:, :d], sv[:d]
 
 
-def _result_from_reduced(coords, reduced_povm, method, **kw) -> DiscriminationResult:
-    """Confusion matrix and p_fail of the (k, d, d) guess elements, abstain appended."""
-    k, d = coords.shape
-    # <c_i|P_j|c_i>; the BLAS matmul first is ~7x faster than a 3-operand einsum at k=20
-    confusion = np.einsum("jib,ib->ij", coords.conj() @ reduced_povm, coords).real
+def _overlaps(coords, m):
+    """<c_j|m_j> for every j."""
+    return np.einsum("ja,ja->j", coords.conj(), m)
+
+
+def _result_from_reduced(coords, m, method, **kw) -> DiscriminationResult:
+    """Confusion matrix |<c_i|m_j>|^2 and p_fail, abstain folded in."""
+    k = len(coords)
+    confusion = np.abs(coords.conj() @ m.T) ** 2
     abstain = np.clip(1.0 - confusion.sum(axis=1), 0.0, None)
     confusion += abstain[:, None] / k          # abstain -> uniform random guess
     confusion = np.clip(confusion, 0.0, 1.0)
     # the copy is contiguous: BLAS sums a strided diagonal in another order,
     # which moves the last bit of the p_fail that `curve` prints with repr
     p_fail = float(max(0.0, 1.0 - np.full(k, 1.0 / k) @ confusion.diagonal().copy()))
-    abstain_op = np.eye(d, dtype=complex) - reduced_povm.sum(axis=0)
-    return DiscriminationResult(list(reduced_povm) + [abstain_op], p_fail,
-                                method, confusion, **kw)
+    return DiscriminationResult(m, p_fail, method, confusion, **kw)
 
 
 # ---------------------------------------------------------------------------
 # measurements (every trajectory equally likely)
 
-def helstrom_pair(states) -> DiscriminationResult:
-    """Two-state minimum error: (1 - sqrt(1-|<a|b>|^2))/2 for the rows a, b."""
-    _, coords = _reduce(states)
-    a, b = coords
-    M = 0.5 * (np.outer(a, a.conj()) - np.outer(b, b.conj()))
-    vals, vecs = np.linalg.eigh(M)
-    pos = vecs[:, vals > 0]
-    P0 = pos @ pos.conj().T
-    P1 = np.eye(len(a)) - P0
-    res = _result_from_reduced(coords, np.stack([P0, P1]), "helstrom")
-    res.p_fail = 0.5 * (1.0 - math.sqrt(max(0.0, 1.0 - abs(np.vdot(*states)) ** 2)))
-    return res
+def _pgm_vectors(u, sv):
+    """m_j = rho^(-1/2) c_j/sqrt(k) = row j of U, the pseudo-inverse cutting
+    sv**2 <= 1e-12 sv[0]**2; the flag says whether nothing was cut."""
+    keep = sv ** 2 > sv[0] ** 2 * 1e-12
+    return u * keep, bool(keep.all())
 
 
-def _hermitize(M):
-    return 0.5 * (M + M.conj().swapaxes(-1, -2))
+def _is_optimal(coords, m, overlaps) -> bool:
+    """Gamma - G_j >= -`_FP_TOL` for every j, Gamma = (1/k) sum_j <c_j|m_j>
+    |c_j><m_j| hermitized, as the downdate test: one eigh and k quadratic forms."""
+    gamma = (coords.T * overlaps) @ m.conj() / len(coords)
+    vals, vecs = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
+    vals = vals + _FP_TOL
+    if vals[0] <= 0.0:
+        return False
+    quad = (np.abs(coords @ vecs.conj()) ** 2 / vals).sum(axis=1) / len(coords)
+    return bool((quad <= 1.0).all())
 
 
-def _inv_sqrt(M: np.ndarray, cut: float):
-    """Pseudo-inverse square root of a PSD matrix; eigenvalues <= cut*max are dropped."""
-    vals, vecs = np.linalg.eigh(M)
-    keep = vals > max(vals.max(), 0.0) * cut
-    return (vecs[:, keep] * (vals[keep] ** -0.5)) @ vecs[:, keep].conj().T, bool(keep.all())
-
-
-def _pgm_start(states):
-    """Reduced coordinates, weighted states G_i = |c_i><c_i|/k and the PGM elements."""
-    _, coords = _reduce(states)
-    G = (1.0 / len(coords)) * (coords[:, :, None] * coords[:, None, :].conj())
-    inv_sqrt, full_rank = _inv_sqrt(G.sum(axis=0), 1e-12)
-    return coords, G, inv_sqrt @ G @ inv_sqrt, full_rank
+def _fixed_point_step(coords, overlaps):
+    """m_j <- (|<c_j|m_j>|/k) L c_j, L = (sum_j |<c_j|m_j>|^2 |c_j><c_j|/k^2)^(-1/2)."""
+    w = np.abs(overlaps) / len(coords)
+    vals, vecs = np.linalg.eigh((coords.T * w ** 2) @ coords.conj())
+    keep = vals > max(vals.max(), 0.0) * 1e-14       # pseudo-inverse square root
+    L = (vecs[:, keep] * vals[keep] ** -0.5) @ vecs[:, keep].conj().T
+    return w[:, None] * (coords @ L.T)
 
 
 def pgm(states) -> DiscriminationResult:
     """Square-root measurement from the ensemble operator."""
-    coords, _, povm, full_rank = _pgm_start(states)
+    u, sv = _reduce(states)
+    m, full_rank = _pgm_vectors(u, sv)
     note = "" if full_rank else "rank-deficient ensemble operator (pseudo-inverse)"
-    return _result_from_reduced(coords, povm, "pgm", note=note)
+    return _result_from_reduced(u * sv, m, "pgm", note=note)
 
 
 def optimal_measurement(states) -> DiscriminationResult:
     """Fixed-point iteration to the minimum-error POVM, seeded from the PGM.
 
-    The update is P_i <- L G_i P_i G_i L with L = (sum_i G_i P_i G_i)^(-1/2)
-    (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)), run on the stacked
-    (k, d, d) arrays.  Stops when the optimality-condition operator
-    sum_i G_i P_i - G_j is positive semidefinite for every j within
-    `_FP_TOL`; keeps the best iterate, so the result never does worse than
-    the PGM.
+    Every iterate P_j = |m_j><m_j| has rank one, because G_j does, so the
+    update P_j <- L G_j P_j G_j L with L = (sum_j G_j P_j G_j)^(-1/2)
+    (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)) runs on the (k, d)
+    factors (`_fixed_point_step`).  Stops once `_is_optimal` holds; keeps the
+    best iterate, so the result never does worse than the PGM.
     """
-    coords, G, povm, _ = _pgm_start(states)
-
-    def success(p):
-        return float(np.einsum("kab,kba->", G, p).real)
-
-    def opt_residual(p):
-        gamma = _hermitize((G @ p).sum(axis=0))
-        return max(0.0, -float(np.linalg.eigvalsh(gamma - G).min()))
-
-    best, best_succ = povm, success(povm)
-    resid = opt_residual(povm)
-    it = 0
-    while resid > _FP_TOL and it < _FP_MAX_ITER:
-        L, _ = _inv_sqrt(_hermitize((G @ povm @ G).sum(axis=0)), 1e-14)
-        povm = _hermitize(L @ G @ povm @ G @ L)
-        s = success(povm)
+    u, sv = _reduce(states)
+    coords = u * sv
+    m, _ = _pgm_vectors(u, sv)
+    best, best_succ, it = m, -1.0, 0
+    while True:
+        a = _overlaps(coords, m)
+        s = float(np.abs(a) @ np.abs(a)) / len(coords)
         if s > best_succ:
-            best_succ, best = s, povm
-        resid = opt_residual(povm)
+            best_succ, best = s, m
+        optimal = _is_optimal(coords, m, a)
+        if optimal or it == _FP_MAX_ITER:
+            break
+        m = _fixed_point_step(coords, a)
         it += 1
-    converged = resid <= _FP_TOL
     res = _result_from_reduced(coords, best, "fixed_point_optimal",
-                               converged=converged, iterations=it,
-                               optimality_residual=resid)
-    if not converged:
+                               converged=optimal, iterations=it)
+    if not optimal:
         res.note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
     return res
 

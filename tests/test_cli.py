@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import trajsense
-from trajsense import beam, cli, qcore
+from trajsense import beam, cli, qcore, solver
 
 
 def run(argv):
@@ -74,6 +74,21 @@ def test_solve_json_on_stdout(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert json.loads(out)["feasible"] is True
+
+
+def test_solve_text_never_builds_the_certificate_json(capsys, monkeypatch):
+    """Without --out or --format json nothing reads the artifact, so it is not built."""
+    calls = []
+    to_json = solver.FeasibilityCertificate.to_json
+    monkeypatch.setattr(solver.FeasibilityCertificate, "to_json",
+                        lambda self: calls.append(1) or to_json(self))
+    argv = ["solve", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "sym(4,2) at theta=2.356194: feasible\n"
+    assert calls == []
+    assert run(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["feasible"] is True
+    assert calls == [1]
 
 
 def test_solve_lp_only_method(capsys):

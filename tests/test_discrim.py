@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import oracles
 from trajsense import discrim, qcore, rng, solver, trajset
 from trajsense.discrim import make_ensemble
 
@@ -45,15 +47,15 @@ def test_verify_ts_zero_theta():
 def test_helstrom_orthogonal_and_identical():
     a = qcore.make_ket(1, [("0", 1.0)])
     b = qcore.make_ket(1, [("1", 1.0)])
-    assert discrim.helstrom_pair(np.stack([a.amps, b.amps])).p_fail < 1e-12
-    assert abs(discrim.helstrom_pair(np.stack([a.amps, a.amps])).p_fail - 0.5) < 1e-12
+    assert oracles.helstrom_pair(np.stack([a.amps, b.amps])).p_fail < 1e-12
+    assert abs(oracles.helstrom_pair(np.stack([a.amps, a.amps])).p_fail - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
 def test_helstrom_single_qubit_formula(theta):
     plus = qcore.Ket(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     rot = qcore.Ket(1, plus.amps * trajset.phase_matrix([trajset.Trajectory((1,))], 1, theta)[0])
-    got = discrim.helstrom_pair(np.stack([plus.amps, rot.amps])).p_fail
+    got = oracles.helstrom_pair(np.stack([plus.amps, rot.amps])).p_fail
     assert abs(got - (1 - abs(math.sin(theta / 2))) / 2) < 1e-12
 
 
@@ -64,22 +66,33 @@ def test_pgm_orthogonal_is_projective():
     ens = make_ensemble(cert.witness_state, TS42, 3 * PI / 4)
     res = discrim.pgm(ens)
     assert res.p_fail < 1e-10
-    # reduced elements plus trailing abstain form a POVM on the span ...
-    B, coords = discrim._reduce(ens)
-    d = B.shape[1]
-    assert len(res.povm) == len(ens) + 1
-    assert np.abs(sum(res.povm) - np.eye(d)).max() < 1e-9
-    for P in res.povm:
-        assert np.linalg.eigvalsh(P).min() > -1e-9
-    # ... and B is an isometry onto it, so B P B^dag (+ I - BB^dag on the
-    # abstain) is a full-space POVM on the actual output states
-    assert np.abs(B.conj().T @ B - np.eye(d)).max() < 1e-12
-    assert np.abs(coords @ B.T - ens).max() < 1e-12
+    # one rank-one factor per state; on orthogonal outputs the elements
+    # |m_j><m_j| sum to I_d, so the abstain outcome I_d - sum is empty ...
+    u, sv = discrim._reduce(ens)
+    d = len(sv)
+    assert res.povm.shape == (len(ens), d)
+    assert np.abs(oracles.elements(res.povm).sum(axis=0) - np.eye(d)).max() < 1e-9
+    # ... and the span coordinates keep every inner product of the outputs,
+    # so the measurement acts on the actual output states
+    coords = u * sv
+    assert np.abs(coords.conj() @ coords.T - ens.conj() @ ens.T).max() < 1e-12
 
 
 def test_pgm_identical_states():
     ens = np.stack([qcore.make_ket(2, [("00", 1.0)]).amps] * 6)
     assert abs(discrim.pgm(ens).p_fail - 5 / 6) < 1e-12
+
+
+def test_pgm_pseudo_inverse_cut_matches_dense():
+    """A span direction with sv**2 <= 1e-12 sv0**2 gets no PGM weight, as in the
+    pseudo-inverse of rho that the dense elements rho^(-1/2) G_j rho^(-1/2) use."""
+    gen = np.random.default_rng(5)
+    S = gen.normal(size=(3, 8)) + 1j * gen.normal(size=(3, 8))
+    S[2] = S[0] + 1e-7 * gen.normal(size=8)          # sv**2 ~ 1e-15 sv0**2, kept in the span
+    S /= np.linalg.norm(S, axis=1, keepdims=True)
+    res = discrim.pgm(S)
+    assert res.povm.shape == (3, 3) and "rank-deficient" in res.note
+    np.testing.assert_allclose(oracles.elements(res.povm), oracles.pgm(S).povm, atol=1e-9)
 
 
 def test_pgm_confusion_rows_stochastic():
@@ -94,9 +107,10 @@ def test_optimal_matches_helstrom_on_pairs():
     for theta in [0.4, 1.1, 2.0]:
         ens = make_ensemble(plus_state(2), TS21, theta)
         o = discrim.optimal_measurement(ens)
-        h = discrim.helstrom_pair(ens)
+        h = oracles.helstrom_pair(ens)
         assert abs(o.p_fail - h.p_fail) < 1e-8
-        assert o.optimality_residual < 1e-9
+        assert oracles.kkt_residual(oracles.span_coords(ens),
+                                    oracles.elements(o.povm)) <= 1e-9
 
 
 def test_optimal_never_worse_than_pgm():
@@ -124,9 +138,83 @@ def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
     ens = make_ensemble(discrim._product_input(3, 0.4), ts, theta_pi * PI)
     res = discrim.optimal_measurement(ens)
     assert res.converged and res.iterations == iterations
-    assert res.optimality_residual <= 1e-9
+    assert oracles.kkt_residual(oracles.span_coords(ens),
+                                oracles.elements(res.povm)) <= 1e-9
     assert abs(res.p_fail - p_fail) < 1e-12
     assert res.p_fail < discrim.pgm(ens).p_fail
+
+
+@st.composite
+def small_ensembles(draw):
+    """(k, 2**n) output arrays, k <= 12 and n <= 4, with the degenerate shapes
+    that stress the rank-one test: duplicated, near-parallel and rank-deficient
+    rows, and the outputs of custom families."""
+    n = draw(st.integers(1, 4))
+    dim = 1 << n
+    kind = draw(st.sampled_from(["random", "duplicated", "near_parallel",
+                                 "rank_deficient", "custom"]))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def gauss(*shape):
+        return gen.normal(size=shape) + 1j * gen.normal(size=shape)
+
+    if kind == "custom":
+        subsets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1),
+                                min_size=1, max_size=12, unique=True))
+        ts = trajset.TrajectorySet(n, "custom", 1, tuple(
+            trajset.Trajectory(tuple(sorted(q))) for q in subsets))
+        amps = gauss(dim)
+        theta = draw(st.floats(0.05, PI))
+        return make_ensemble(qcore.Ket(n, amps / np.linalg.norm(amps)), ts, theta)
+    k = draw(st.integers(1, 12))
+    S = gauss(k, dim)
+    if kind == "rank_deficient" and min(k, dim) > 1:
+        r = draw(st.integers(1, min(k, dim) - 1))
+        S = gauss(k, r) @ gauss(r, dim)
+    elif kind in ("duplicated", "near_parallel") and k > 1:
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        eps = 0.0 if kind == "duplicated" else draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
+        S[j] = S[i] + eps * gauss(dim)
+    return S / np.linalg.norm(S, axis=1, keepdims=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_ensembles())
+def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
+    """`_is_optimal` decides as lambda_min(Gamma - G_j) >= -tol for every j does,
+    on the PGM, the first fixed-point iterates and the returned measurement."""
+    u, sv = discrim._reduce(S)
+    coords = u * sv
+    m, _ = discrim._pgm_vectors(u, sv)
+    measurements = [m]
+    for _ in range(3):
+        measurements.append(discrim._fixed_point_step(coords, discrim._overlaps(coords, m)))
+        m = measurements[-1]
+    measurements.append(discrim.optimal_measurement(S).povm)
+    residuals = [oracles.kkt_residual(coords, oracles.elements(m)) for m in measurements]
+    assume(all(abs(r - discrim._FP_TOL) > 1e-12 for r in residuals))
+    for m, resid in zip(measurements, residuals):
+        assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m)) == \
+            (resid <= discrim._FP_TOL)
+
+
+@pytest.mark.parametrize("family,n,m,points,classical", [
+    ("sym", 6, 3, 25, "classical_plus"),
+    ("sym", 4, 2, 40, "classical_plus"),
+    ("cyc", 8, 2, 13, "classical_plus"),
+    ("sym", 3, 1, 5, "classical_best"),
+], ids=["sym63", "sym42", "cyc82", "sym31-best"])
+def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points, classical):
+    """The benchmark's four curves on rank-one factors and on (k, d, d) elements."""
+    ts = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}[family](n, m)
+    grid = np.linspace(0.0, PI, points)
+    arms = ("solver_witness", classical)
+    fast = [discrim.failure_curve(ts, arm, grid) for arm in arms]
+    monkeypatch.setattr(discrim, "pgm", oracles.pgm)
+    monkeypatch.setattr(discrim, "optimal_measurement", oracles.optimal_measurement)
+    for got, want in zip(fast, [discrim.failure_curve(ts, arm, grid) for arm in arms]):
+        assert [(p.theta, p.method) for p in got] == [(p.theta, p.method) for p in want]
+        assert max(abs(g.p_fail - w.p_fail) for g, w in zip(got, want)) <= 1e-14
 
 
 # --- classical baselines ---------------------------------------------------
@@ -391,7 +479,7 @@ def test_repetition_csv():
 
 def test_ensemble_validation():
     """Every measurement takes a nonempty (k, 2**n) array, checked in `_reduce`."""
-    for measure in (discrim.pgm, discrim.optimal_measurement, discrim.helstrom_pair):
+    for measure in (discrim.pgm, discrim.optimal_measurement):
         with pytest.raises(ValueError, match="nonempty"):
             measure(())
         with pytest.raises(ValueError):                  # ragged rows
