@@ -182,14 +182,15 @@ def small_ensembles(draw):
 @given(small_ensembles())
 def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     """`_is_optimal` decides as lambda_min(Gamma - G_j) >= -tol for every j does,
-    on the PGM, the first fixed-point iterates and the returned measurement."""
+    on the PGM, the first fixed-point iterates and the returned measurement.
+    Draws whose dense residual lies within 1e-12 of the tolerance are skipped."""
     u, sv = discrim._reduce(S)
     coords = u * sv
     m, _ = discrim._pgm_vectors(u, sv)
     measurements = [m]
     for _ in range(3):
-        measurements.append(discrim._fixed_point_step(coords, discrim._overlaps(coords, m)))
-        m = measurements[-1]
+        m = discrim._fixed_point_step(coords, discrim._overlaps(coords, m))
+        measurements.append(m)
     measurements.append(discrim.optimal_measurement(S).povm)
     residuals = [oracles.kkt_residual(coords, oracles.elements(m)) for m in measurements]
     assume(all(abs(r - discrim._FP_TOL) > 1e-12 for r in residuals))
