@@ -3,7 +3,7 @@
 Subsystems, roughly bottom-up:
 
 - ``rng``      counter-based uniform streams (reproducible, order-independent)
-- ``qcore``    dense statevectors, symmetrized basis, measurement sampling
+- ``qcore``    dense statevectors, bit weights, symmetrized basis, ket JSON
 - ``trajset``  trajectory families and the phase matrix of their rotations
 - ``simplex``  phase-1 feasibility: float solve certified in rationals
 - ``solver``   sensing-state construction, closed-form and LP routes

@@ -137,8 +137,8 @@ def entangled_outcome_probs_statevector(angles) -> np.ndarray:
 
 
 # decision table for the unentangled rule: 16 X-outcome patterns x true edge
-_BITS4 = qcore.bit_table(4)
-_SCORES = np.stack([_BITS4[:, i - 1] + _BITS4[:, j - 1] for i, j in EDGES], axis=1)
+_BITS4 = np.stack([qcore.weight_on(4, [q]) for q in range(1, 5)], axis=1)
+_SCORES = np.stack([qcore.weight_on(4, edge) for edge in EDGES], axis=1)
 _WIN_WEIGHT = np.zeros((16, 4))
 for _b in range(16):
     _mx = _SCORES[_b].max()

@@ -180,8 +180,9 @@ def optimal_measurement(states) -> DiscriminationResult:
     Every iterate P_j = |m_j><m_j| has rank one, because G_j does, so the
     update P_j <- L G_j P_j G_j L with L = (sum_j G_j P_j G_j)^(-1/2)
     (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)) runs on the (k, d)
-    factors (`_fixed_point_step`).  Stops once `_is_optimal` holds; keeps the
-    best iterate, so the result never does worse than the PGM.
+    factors (`_fixed_point_step`).  Returns the first iterate that passes
+    `_is_optimal`; if none does within `_FP_MAX_ITER` steps, the iterate of
+    highest success, so the result never does worse than the PGM.
     """
     u, sv = _reduce(states)
     coords = u * sv
@@ -189,18 +190,19 @@ def optimal_measurement(states) -> DiscriminationResult:
     best, best_succ, it = m, -1.0, 0
     while True:
         a = _overlaps(coords, m)
+        if _is_optimal(coords, m, a):
+            return _result_from_reduced(coords, m, "fixed_point_optimal",
+                                        converged=True, iterations=it)
         s = float(np.abs(a) @ np.abs(a)) / len(coords)
         if s > best_succ:
             best_succ, best = s, m
-        optimal = _is_optimal(coords, m, a)
-        if optimal or it == _FP_MAX_ITER:
+        if it == _FP_MAX_ITER:
             break
         m = _fixed_point_step(coords, a)
         it += 1
     res = _result_from_reduced(coords, best, "fixed_point_optimal",
-                               converged=optimal, iterations=it)
-    if not optimal:
-        res.note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
+                               converged=False, iterations=it)
+    res.note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
     return res
 
 
@@ -246,9 +248,8 @@ def classical_baseline(ts: TrajectorySet, theta: float,
 
 def _symmetrized_candidates(n: int):
     """Coarse sweep over squared-magnitude profiles in the invariant subspace."""
-    basis = qcore.symmetrized_basis(n)
-    norms = np.array([e.norm_sq for e in basis], dtype=float)
-    K = len(basis)
+    norms = qcore.weight_classes(n)[1].astype(float)
+    K = len(norms)
     profiles = [np.full(K, 1.0 / (1 << n))]          # the uniform (|+>^n) profile
     for comp in itertools.combinations_with_replacement(range(K), _GRANULARITY):
         x = np.bincount(comp, minlength=K).astype(float)

@@ -1,8 +1,8 @@
-"""Dense statevector core: kets, tensor placement, symmetrized basis, sampling.
+"""Dense statevector core: kets, bit weights, symmetrized amplitudes, ket JSON.
 
 Convention used everywhere: basis index j enumerates bitstrings j1...jn with
 qubit 1 as the most significant bit, so |j1...jn> lives at integer index
-sum_k jk * 2**(n-k).
+sum_k jk * 2**(n-k).  Only `weight_on` reads bit positions.
 """
 from __future__ import annotations
 
@@ -15,12 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import rng
-
 #: Hard cap on register size (16 MB of complex amplitudes).
 N_MAX = 20
-
-_NORM_TOL = 1e-10
 
 
 def _check_n(n: int) -> None:
@@ -41,19 +37,21 @@ def bitstring(n: int, j: int) -> str:
     return format(j, f"0{n}b")
 
 
-def bit_table(n: int) -> np.ndarray:
-    """(2**n, n) uint8 array; column k-1 holds the bit of qubit k."""
-    idx = np.arange(1 << n, dtype=">u4")       # big-endian: qubit 1's bit comes first
-    return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
-
-
 def weight_on(n: int, qubits: Iterable[int]) -> np.ndarray:
-    """For every basis index, the number of 1-bits on the given qubits."""
-    idx = np.arange(1 << n, dtype=np.uint64)
-    w = np.zeros(1 << n, dtype=np.int64)
-    for q in qubits:
-        w += ((idx >> np.uint64(n - q)) & np.uint64(1)).astype(np.int64)
-    return w
+    """For every basis index, the number of 1-bits on the given qubits (int64)."""
+    mask = sum(1 << (n - q) for q in set(qubits))
+    # int64, not bitwise_count's uint8, so that |T| - 2w cannot wrap around
+    return np.bitwise_count(np.arange(1 << n) & mask).astype(np.int64)
+
+
+def weight_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(fold, sizes): the class min(w, n-w) of each bitstring of weight w, and the
+    size of each of the n//2+1 classes, which span the bit-flip and permutation
+    invariant subspace."""
+    _check_n(n)
+    w = weight_on(n, range(1, n + 1))
+    fold = np.minimum(w, n - w)
+    return fold, np.bincount(fold)
 
 
 @dataclass(frozen=True)
@@ -113,35 +111,6 @@ def from_vector(n: int, vec: np.ndarray, normalize: bool = True) -> Ket:
     return k.normalize() if normalize else k
 
 
-def tensor(a: Ket, b: Ket, place_a: Sequence[int] | None = None,
-           place_b: Sequence[int] | None = None) -> Ket:
-    """Tensor product with explicit qubit placement.
-
-    ``place_a[i]`` is the output position (1-based) of qubit i+1 of ``a``;
-    likewise for ``b``.  The two placements must be disjoint and together
-    cover 1..(a.n+b.n).  Default is ``a`` on the leading positions.
-    """
-    n_out = a.n + b.n
-    _check_n(n_out)
-    if place_a is None and place_b is None:
-        out = np.kron(a.amps, b.amps)  # qubit 1 of `a` is the output MSB
-        return Ket(n_out, out)
-    if place_a is None or place_b is None:
-        raise ValueError("give both placements or neither")
-    pa, pb = list(place_a), list(place_b)
-    if len(pa) != a.n or len(pb) != b.n:
-        raise ValueError("placement length must match qubit count")
-    allpos = pa + pb
-    if sorted(allpos) != list(range(1, n_out + 1)):
-        raise ValueError(f"placements must cover 1..{n_out} exactly, got {sorted(allpos)}")
-    bits = bit_table(n_out)
-    pw_a = 1 << np.arange(a.n - 1, -1, -1)
-    pw_b = 1 << np.arange(b.n - 1, -1, -1)
-    idx_a = bits[:, [p - 1 for p in pa]].astype(np.int64) @ pw_a
-    idx_b = bits[:, [p - 1 for p in pb]].astype(np.int64) @ pw_b
-    return Ket(n_out, a.amps[idx_a] * b.amps[idx_b])
-
-
 def inner(a: Ket, b: Ket) -> complex:
     """<a|b> (conjugate-linear in the first argument)."""
     if a.n != b.n:
@@ -149,75 +118,19 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def gram(states: Sequence[Ket]) -> np.ndarray:
-    """Matrix of pairwise inner products <s_i|s_j>."""
-    mat = np.stack([s.amps for s in states])
-    return mat.conj() @ mat.T
-
-
 def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-10) -> bool:
     return abs(inner(a, b)) > 1 - tol
-
-
-@dataclass(frozen=True, eq=False)
-class SymBasisElement:
-    """Unnormalized sum of all bitstrings of weight nu or n-nu."""
-
-    n: int
-    nu: int
-    support: np.ndarray          # basis indices, ascending
-    norm_sq: int
-
-    def vector(self) -> np.ndarray:
-        v = np.zeros(1 << self.n, dtype=np.complex128)
-        v[self.support] = 1.0
-        return v
-
-
-def symmetrized_basis(n: int) -> list[SymBasisElement]:
-    """The floor(n/2)+1 bit-flip/permutation invariant basis elements."""
-    _check_n(n)
-    w = weight_on(n, range(1, n + 1))
-    out = []
-    for nu in range(n // 2 + 1):
-        support = np.nonzero((w == nu) | (w == n - nu))[0]
-        expect = math.comb(n, nu) + (math.comb(n, n - nu) if nu != n - nu else 0)
-        assert len(support) == expect
-        out.append(SymBasisElement(n, nu, support, expect))
-    return out
 
 
 def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
     """Amplitudes sqrt(x_nu) on every bitstring of weight nu or n-nu.
 
-    `profiles` holds squared magnitudes over `symmetrized_basis(n)`, shape
-    (n//2+1,) or (P, n//2+1); negative entries count as zero.  Returns the
-    matching (2**n,) or (P, 2**n) complex array.
+    `profiles` holds squared magnitudes over the classes of `weight_classes(n)`,
+    shape (n//2+1,) or (P, n//2+1); negative entries count as zero.  Returns
+    the matching (2**n,) or (P, 2**n) complex array.
     """
-    w = weight_on(n, range(1, n + 1))
     x = np.asarray(profiles, dtype=float)
-    return np.sqrt(np.clip(x, 0.0, None))[..., np.minimum(w, n - w)].astype(complex)
-
-
-def sample_measurement(k: Ket, basis: Sequence[Ket], rng_seed: int,
-                       sample_index: int = 0, stream: int = 0) -> int:
-    """Draw one projective outcome; index len(basis) is the complement.
-
-    Outcomes follow the Born probabilities |<basis_i|k>|^2, with whatever
-    probability remains assigned to an implicit complement outcome.  The draw
-    is addressed by (rng_seed, stream, sample_index), so repeated calls with
-    distinct sample indices are reproducible in any order.
-    """
-    g = gram(basis)
-    off = np.abs(g - np.eye(len(basis)))
-    if off.size and off.max() > 1e-8:
-        raise ValueError(f"basis not orthonormal: max |G - I| entry = {off.max():.3e}")
-    overlaps = np.array([inner(b, k) for b in basis])
-    probs = np.abs(overlaps) ** 2
-    # complement outcome absorbs whatever probability the basis misses
-    cdf = np.concatenate([np.cumsum(probs), [max(probs.sum(), 1.0)]])
-    u = rng.uniform_at(rng_seed, stream, sample_index)
-    return int(np.searchsorted(cdf, u, side="right"))
+    return np.sqrt(np.clip(x, 0.0, None))[..., weight_classes(n)[0]].astype(complex)
 
 
 # ---------------------------------------------------------------------------

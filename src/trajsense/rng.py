@@ -33,7 +33,3 @@ def uniforms(seed: int, stream: int, start: int, count: int, slots: int = 1) -> 
     raw = bg.random_raw(_SLOTS_PER_SAMPLE * count).reshape(count, _SLOTS_PER_SAMPLE)
     return (raw[:, :slots] >> np.uint64(11)) * _INV_2POW53
 
-
-def uniform_at(seed: int, stream: int, index: int, slot: int = 0) -> float:
-    """Single uniform for one (sample index, slot) address."""
-    return float(uniforms(seed, stream, index, 1, slots=slot + 1)[0, slot])

@@ -3,12 +3,12 @@
 Two independent routes answer the same feasibility question:
 
 * the closed-form route (`solve_symmetric`) works in the bit-flip and
-  permutation invariant subspace, assembling the constraint rows from the
-  symmetrized basis vectors themselves and analyzing the resulting small
-  linear system directly; and
+  permutation invariant subspace, summing phase rows over the weight classes
+  of `qcore.weight_classes` and analyzing the resulting small linear system
+  directly; and
 * the LP oracle (`solve_lp`) treats the squared magnitudes p_j = |c_j|^2 as
-  variables of a linear feasibility program built from raw bit arithmetic,
-  whose verdict is certified in exact rationals (`simplex.certified_phase1`).
+  variables of a linear feasibility program built from per-bitstring phase
+  differences, whose verdict is certified in exact rationals (`simplex.certified_phase1`).
 
 `build_cyclic` realizes the tensor-composition construction for the cyclic
 family.  Every certificate's witness is re-verified afterwards by
@@ -19,6 +19,7 @@ constant on orbits) against the full set of pairwise orthogonality conditions.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -186,15 +187,17 @@ def _sym_pair_reps(n: int, m: int) -> list[tuple[Trajectory, Trajectory]]:
             for t in range(max(0, 2 * m - n), m)]
 
 def _sym_constraint_rows(n: int, m: int, theta: float) -> np.ndarray:
-    """Rows <nu|R(T)^dag R(T')|nu> over the symmetrized basis, one pair class each."""
-    basis = qcore.symmetrized_basis(n)
+    """Rows <nu|R(T)^dag R(T')|nu> over the weight classes nu, one pair class each."""
+    fold, sizes = qcore.weight_classes(n)
     pairs = [t for pair in _sym_pair_reps(n, m) for t in pair]
     if not pairs:
-        return np.zeros((0, len(basis)))
+        return np.zeros((0, len(sizes)))
     phases = trajset.phase_matrix(pairs, n, theta)
     d = phases[0::2].conj() * phases[1::2]
-    cmplx = np.array([[row[e.support].sum() for e in basis] for row in d])
-    # bit-flip symmetry of the supports makes these rows real
+    # masks, not a bincount, to keep the summation order of each class
+    classes = [fold == nu for nu in range(len(sizes))]
+    cmplx = np.array([[row[c].sum() for c in classes] for row in d])
+    # bit-flip symmetry of the classes makes these rows real
     assert np.abs(cmplx.imag).max() < 1e-9, "symmetrized constraint rows must be real"
     return cmplx.real
 
@@ -244,12 +247,11 @@ def solve_symmetric(n: int, m: int, theta: float,
         cert.detail = "single-trajectory family is trivially distinguishable"
         return cert
 
-    basis = qcore.symmetrized_basis(n)
-    norms = np.array([e.norm_sq for e in basis], dtype=float)
+    norms = qcore.weight_classes(n)[1].astype(float)
     A = _sym_constraint_rows(n, m, theta)
     sv = np.linalg.svd(A, compute_uv=False) if A.size else np.array([])
     rank = int((sv > 1e-10 * (sv.max() if sv.size else 1.0)).sum())
-    cert.nullspace_dim = len(basis) - rank
+    cert.nullspace_dim = len(norms) - rank
 
     x, ray = _nonneg_solution(A, norms)
     if x is None:
@@ -387,14 +389,10 @@ def build_cyclic(n: int, m: int, theta: float,
                        f"(threshold {threshold_cyc(kappa):.6f}): {sub.detail}")
         return cert
 
-    phi = sub.witness_state
-    bits = qcore.bit_table(n)
-    powers = 1 << np.arange(kappa - 1, -1, -1)
-    amps = np.ones(1 << n, dtype=complex)
-    for r in range(1, m + 1):
-        cols = [r + s * m - 1 for s in range(kappa)]
-        amps *= phi.amps[bits[:, cols].astype(np.int64) @ powers]
-    witness = Ket(n, amps)
+    amps = functools.reduce(np.kron, [sub.witness_state.amps] * m)
+    # kron axis r*kappa + s is qubit s of copy r, which sits at position r + s*m
+    order = np.arange(n).reshape(m, kappa).T.ravel()
+    witness = Ket(n, amps.reshape((2,) * n).transpose(order).ravel())
     cert.feasible = True
     cert.witness_state = witness
     cert.p = [float(v) for v in witness.probs()]

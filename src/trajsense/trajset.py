@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import _check_n, bit_table
+from .qcore import _check_n, weight_on
 
 
 @dataclass(frozen=True)
@@ -132,12 +132,11 @@ def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndar
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
-    bits = bit_table(n)
     rows = np.empty((len(members), 1 << n), dtype=np.complex128)
     for row, t in zip(rows, members):
         t.validate_within(n)
-        w = bits[:, [q - 1 for q in t.qubits]].sum(axis=1, dtype=np.uint8)
-        row[:] = np.exp(-0.5j * theta * (len(t) - 2 * np.arange(len(t) + 1)))[w]
+        phases = np.exp(-0.5j * theta * (len(t) - 2 * np.arange(len(t) + 1)))
+        row[:] = phases[weight_on(n, t.qubits)]
     return rows
 
 

@@ -1,4 +1,9 @@
-"""Measurement oracles the tests share: the dense reference path and Helstrom.
+"""Oracles the tests share: bit placement, Born sampling and dense measurements.
+
+Bit placement reads every qubit's bit from its own column of a bit table, so
+`tensor` and `compose_cyclic` check the package's kron-and-transpose
+composition by an independent route.  `sample_measurement` draws projective
+outcomes from the counter-based streams of `trajsense.rng`.
 
 `discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|).
 The reference here keeps the stacked (k, d, d) elements: the PGM as
@@ -9,7 +14,88 @@ it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
 """
 import numpy as np
 
-from trajsense import discrim
+from trajsense import discrim, rng
+from trajsense.qcore import Ket, _check_n, inner
+
+
+# ---------------------------------------------------------------------------
+# bit placement and sampling
+
+def bit_table(n):
+    """(2**n, n) uint8 array; column k-1 holds the bit of qubit k."""
+    idx = np.arange(1 << n, dtype=">u4")       # big-endian: qubit 1's bit comes first
+    return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
+
+
+def _gather(bits, positions):
+    """Index of the sub-register on the given 1-based positions, for every row."""
+    powers = 1 << np.arange(len(positions) - 1, -1, -1)
+    return bits[:, [p - 1 for p in positions]].astype(np.int64) @ powers
+
+
+def tensor(a, b, place_a=None, place_b=None):
+    """Tensor product with explicit qubit placement.
+
+    ``place_a[i]`` is the output position (1-based) of qubit i+1 of ``a``;
+    likewise for ``b``.  The two placements must be disjoint and together
+    cover 1..(a.n+b.n).  Default is ``a`` on the leading positions.
+    """
+    n_out = a.n + b.n
+    _check_n(n_out)
+    if place_a is None and place_b is None:
+        return Ket(n_out, np.kron(a.amps, b.amps))  # qubit 1 of `a` is the output MSB
+    if place_a is None or place_b is None:
+        raise ValueError("give both placements or neither")
+    pa, pb = list(place_a), list(place_b)
+    if len(pa) != a.n or len(pb) != b.n:
+        raise ValueError("placement length must match qubit count")
+    if sorted(pa + pb) != list(range(1, n_out + 1)):
+        raise ValueError(f"placements must cover 1..{n_out} exactly, got {sorted(pa + pb)}")
+    bits = bit_table(n_out)
+    return Ket(n_out, a.amps[_gather(bits, pa)] * b.amps[_gather(bits, pb)])
+
+
+def compose_cyclic(phi, n, m):
+    """m copies of the kappa-qubit `phi`, copy r (1-based) on positions r, r+m, r+2m, ..."""
+    kappa = n // m
+    bits = bit_table(n)
+    amps = np.ones(1 << n, dtype=complex)
+    for r in range(1, m + 1):
+        amps *= phi.amps[_gather(bits, [r + s * m for s in range(kappa)])]
+    return amps
+
+
+def gram(states):
+    """Matrix of pairwise inner products <s_i|s_j>."""
+    mat = np.stack([s.amps for s in states])
+    return mat.conj() @ mat.T
+
+
+def uniform_at(seed, stream, index, slot=0):
+    """Single uniform for one (sample index, slot) address."""
+    return float(rng.uniforms(seed, stream, index, 1, slots=slot + 1)[0, slot])
+
+
+def sample_measurement(k, basis, rng_seed, sample_index=0, stream=0):
+    """Draw one projective outcome; index len(basis) is the complement.
+
+    Outcomes follow the Born probabilities |<basis_i|k>|^2, with whatever
+    probability remains assigned to an implicit complement outcome.  The draw
+    is addressed by (rng_seed, stream, sample_index), so repeated calls with
+    distinct sample indices are reproducible in any order.
+    """
+    g = gram(basis)
+    off = np.abs(g - np.eye(len(basis)))
+    if off.size and off.max() > 1e-8:
+        raise ValueError(f"basis not orthonormal: max |G - I| entry = {off.max():.3e}")
+    probs = np.abs([inner(b, k) for b in basis]) ** 2
+    # complement outcome absorbs whatever probability the basis misses
+    cdf = np.concatenate([np.cumsum(probs), [max(probs.sum(), 1.0)]])
+    return int(np.searchsorted(cdf, uniform_at(rng_seed, stream, sample_index), side="right"))
+
+
+# ---------------------------------------------------------------------------
+# dense measurements
 
 
 def span_coords(states):
@@ -87,8 +173,9 @@ def optimal_measurement(states):
             best_succ, best = s, povm
         resid = kkt_residual(coords, povm)
         it += 1
-    return _result(coords, best, "fixed_point_optimal",
-                   converged=resid <= discrim._FP_TOL, iterations=it)
+    converged = resid <= discrim._FP_TOL
+    return _result(coords, povm if converged else best, "fixed_point_optimal",
+                   converged=converged, iterations=it)
 
 
 def helstrom_pair(states):

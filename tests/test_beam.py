@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from trajsense import beam, qcore, trajset
 from trajsense.trajset import Trajectory
 
@@ -94,7 +95,7 @@ def test_zero_amplitude_gives_uniform_quarters():
 
 
 def test_measurement_basis_is_orthonormal():
-    g = qcore.gram(beam.measurement_basis())
+    g = oracles.gram(beam.measurement_basis())
     assert np.abs(g - np.eye(4)).max() < 1e-12
 
 
@@ -109,7 +110,7 @@ def test_unentangled_rule_hand_cases():
 
 
 def test_born_frequencies_match_sampled_outcomes():
-    # fixed line; draw projective outcomes through qcore and compare
+    # fixed line; draw projective outcomes through the oracle and compare
     sc = beam.BeamScenario(1.1, 1.0)
     line = (0.7, 0.12)
     ang = beam.beam_angles(sc, line)
@@ -123,7 +124,7 @@ def test_born_frequencies_match_sampled_outcomes():
     shots = 2000
     counts = np.zeros(5)
     for k in range(shots):
-        counts[qcore.sample_measurement(rotated, basis, 99, sample_index=k)] += 1
+        counts[oracles.sample_measurement(rotated, basis, 99, sample_index=k)] += 1
     freq = counts / shots
     for i in range(4):
         sigma = math.sqrt(probs[i] * (1 - probs[i]) / shots)

@@ -182,8 +182,9 @@ def small_ensembles(draw):
 @given(small_ensembles())
 def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     """`_is_optimal` decides as lambda_min(Gamma - G_j) >= -tol for every j does,
-    on the PGM, the first fixed-point iterates and the returned measurement.
-    Draws whose dense residual lies within 1e-12 of the tolerance are skipped."""
+    on the PGM, the first fixed-point iterates and the returned measurement,
+    and a converged result passes the dense test.  Draws whose dense residual
+    lies within 1e-12 of the tolerance are skipped."""
     u, sv = discrim._reduce(S)
     coords = u * sv
     m, _ = discrim._pgm_vectors(u, sv)
@@ -191,12 +192,14 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     for _ in range(3):
         m = discrim._fixed_point_step(coords, discrim._overlaps(coords, m))
         measurements.append(m)
-    measurements.append(discrim.optimal_measurement(S).povm)
+    res = discrim.optimal_measurement(S)
+    measurements.append(res.povm)
     residuals = [oracles.kkt_residual(coords, oracles.elements(m)) for m in measurements]
     assume(all(abs(r - discrim._FP_TOL) > 1e-12 for r in residuals))
     for m, resid in zip(measurements, residuals):
         assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m)) == \
             (resid <= discrim._FP_TOL)
+    assert not res.converged or residuals[-1] <= discrim._FP_TOL
 
 
 @pytest.mark.parametrize("family,n,m,points,classical", [

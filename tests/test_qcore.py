@@ -1,4 +1,6 @@
-"""Statevector core: indexing convention, tensor placement, symmetrized basis."""
+"""Statevector core: indexing convention, bit weights, symmetrized basis; the
+tensor placement and Born sampling oracles of `oracles`."""
+import functools
 import json
 import math
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from trajsense import qcore
 from trajsense.qcore import Ket, make_ket
 
@@ -35,17 +38,32 @@ def test_make_ket_rejects_duplicates_and_zero():
         make_ket(2, [("001", 1.0)])  # wrong register size
 
 
+@functools.lru_cache(maxsize=None)
+def _string_bits(n):
+    """(2**n, n) digits of format(j, f"0{n}b"): column k-1 is qubit k."""
+    text = "".join(format(j, f"0{n}b") for j in range(1 << n))
+    return np.frombuffer(text.encode(), dtype=np.uint8).reshape(-1, n) - ord("0")
+
+
 def test_weight_on():
     w = qcore.weight_on(3, [1])        # counts bit of qubit 1 (MSB)
     np.testing.assert_array_equal(w, [0, 0, 0, 0, 1, 1, 1, 1])
     w = qcore.weight_on(3, [1, 3])
     assert w[qcore.basis_index("101")] == 2
+    gen = np.random.default_rng(13)
+    for n in [1, 2, 3, 5, 8, 12, 16, 20]:
+        for size in {0, 1, n // 2, n}:
+            qubits = sorted(gen.choice(np.arange(1, n + 1), size, replace=False).tolist())
+            w = qcore.weight_on(n, qubits)
+            assert w.dtype == np.int64     # so that |T| - 2w cannot wrap in uint8
+            want = _string_bits(n)[:, [q - 1 for q in qubits]].sum(axis=1)
+            assert np.array_equal(w, want), (n, qubits)
 
 
 def test_tensor_plain_kron():
     a = make_ket(1, [("0", 1.0)])
     b = make_ket(2, [("11", 1.0)])
-    t = qcore.tensor(a, b)
+    t = oracles.tensor(a, b)
     assert t.n == 3
     np.testing.assert_allclose(t.amps[qcore.basis_index("011")], 1.0)
 
@@ -56,7 +74,7 @@ def test_tensor_with_placement():
     x, y = 0.6, 0.8
     a = make_ket(2, [("00", x), ("11", y)])
     b = make_ket(2, [("10", 1.0)])
-    t = qcore.tensor(a, b, place_a=(1, 3), place_b=(2, 4))
+    t = oracles.tensor(a, b, place_a=(1, 3), place_b=(2, 4))
     expect = np.zeros(16)
     expect[qcore.basis_index("0100")] = x
     expect[qcore.basis_index("1110")] = y
@@ -67,14 +85,14 @@ def test_tensor_placement_must_cover_register():
     a = make_ket(1, [("0", 1.0)])
     b = make_ket(1, [("1", 1.0)])
     with pytest.raises(ValueError):
-        qcore.tensor(a, b, place_a=(1,), place_b=(1,))
+        oracles.tensor(a, b, place_a=(1,), place_b=(1,))
     with pytest.raises(ValueError):
-        qcore.tensor(a, b, place_a=(1,), place_b=(3,))
+        oracles.tensor(a, b, place_a=(1,), place_b=(3,))
 
 
 def test_gram_of_computational_basis():
     basis = [make_ket(2, [(qcore.bitstring(2, j), 1.0)]) for j in range(4)]
-    np.testing.assert_allclose(qcore.gram(basis), np.eye(4), atol=1e-12)
+    np.testing.assert_allclose(oracles.gram(basis), np.eye(4), atol=1e-12)
 
 
 def test_equal_up_to_phase():
@@ -92,34 +110,35 @@ def test_equal_up_to_phase():
     (5, [2, 10, 20]),
 ])
 def test_symmetrized_basis_norms(n, norms):
-    basis = qcore.symmetrized_basis(n)
-    assert [e.norm_sq for e in basis] == norms
-    # brute-force support count cross-check
-    for e in basis:
+    fold, sizes = qcore.weight_classes(n)
+    assert sizes.tolist() == norms
+    # brute-force class count cross-check: C(n,nu) + C(n,n-nu), once at nu = n/2
+    for nu, size in enumerate(sizes):
         count = sum(1 for j in range(1 << n)
-                    if bin(j).count("1") in (e.nu, n - e.nu))
-        assert len(e.support) == count == e.norm_sq
+                    if bin(j).count("1") in (nu, n - nu))
+        assert (fold == nu).sum() == count == size
+        assert size == math.comb(n, nu) + (math.comb(n, n - nu) if nu != n - nu else 0)
 
 
 def test_symmetrized_basis_vectors_orthogonal():
-    basis = qcore.symmetrized_basis(4)
-    vecs = [e.vector() for e in basis]
+    fold, sizes = qcore.weight_classes(4)
+    vecs = [(fold == nu).astype(complex) for nu in range(len(sizes))]
     for i, vi in enumerate(vecs):
         for k, vk in enumerate(vecs):
-            expect = basis[i].norm_sq if i == k else 0.0
+            expect = sizes[i] if i == k else 0.0
             assert abs(np.vdot(vi, vk) - expect) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_symmetrized_amplitudes_match_basis_loop(n):
-    """One lookup per bitstring, bitwise equal to filling each basis support."""
-    basis = qcore.symmetrized_basis(n)
-    profiles = np.random.default_rng(n).uniform(-0.2, 1.0, size=(4, len(basis)))
+    """One lookup per bitstring, bitwise equal to filling each weight class."""
+    fold, sizes = qcore.weight_classes(n)
+    profiles = np.random.default_rng(n).uniform(-0.2, 1.0, size=(4, len(sizes)))
     got = qcore.symmetrized_amplitudes(n, profiles)
     for x, row in zip(profiles, got):
         amps = np.zeros(1 << n)
-        for e, xv in zip(basis, x):
-            amps[e.support] = math.sqrt(max(xv, 0.0))
+        for nu, xv in enumerate(x):
+            amps[fold == nu] = math.sqrt(max(xv, 0.0))
         assert np.array_equal(row, amps.astype(complex))
         assert np.array_equal(qcore.symmetrized_amplitudes(n, x), row)
 
@@ -127,10 +146,10 @@ def test_symmetrized_amplitudes_match_basis_loop(n):
 def test_sample_measurement_deterministic():
     k = make_ket(2, [("00", 1.0), ("11", 1.0)])
     basis = [make_ket(2, [(qcore.bitstring(2, j), 1.0)]) for j in range(4)]
-    a = qcore.sample_measurement(k, basis, rng_seed=7, sample_index=3)
-    b = qcore.sample_measurement(k, basis, rng_seed=7, sample_index=3)
+    a = oracles.sample_measurement(k, basis, rng_seed=7, sample_index=3)
+    b = oracles.sample_measurement(k, basis, rng_seed=7, sample_index=3)
     assert a == b
-    draws = {qcore.sample_measurement(k, basis, rng_seed=7, sample_index=i)
+    draws = {oracles.sample_measurement(k, basis, rng_seed=7, sample_index=i)
              for i in range(200)}
     assert draws == {0, 3}
 
@@ -140,21 +159,21 @@ def test_sample_measurement_complement_outcome():
     k = make_ket(2, [("11", 1.0)])
     basis = [make_ket(2, [("00", 1.0)])]
     for i in range(20):
-        assert qcore.sample_measurement(k, basis, rng_seed=1, sample_index=i) == 1
+        assert oracles.sample_measurement(k, basis, rng_seed=1, sample_index=i) == 1
 
 
 def test_sample_measurement_rejects_nonorthogonal_basis():
     k = make_ket(1, [("0", 1.0)])
     bad = [make_ket(1, [("0", 1.0)]), make_ket(1, [("0", 1.0), ("1", 1.0)])]
     with pytest.raises(ValueError):
-        qcore.sample_measurement(k, bad, rng_seed=0)
+        oracles.sample_measurement(k, bad, rng_seed=0)
 
 
 def test_sample_measurement_frequencies():
     """Outcome histogram tracks Born weights on an asymmetric state."""
     k = make_ket(1, [("0", 1.0), ("1", 2.0)])   # p = (0.2, 0.8)
     basis = [make_ket(1, [("0", 1.0)]), make_ket(1, [("1", 1.0)])]
-    hits = sum(qcore.sample_measurement(k, basis, rng_seed=42, sample_index=i)
+    hits = sum(oracles.sample_measurement(k, basis, rng_seed=42, sample_index=i)
                for i in range(4000))
     p = 0.8
     sigma = math.sqrt(p * (1 - p) * 4000)
@@ -195,7 +214,7 @@ def test_indented_json_matches_stdlib_bytes(obj):
 def test_tensor_preserves_norm(i, j, phi):
     a = Ket(2, np.exp(1j * phi) * np.eye(4)[i])
     b = Ket(3, np.eye(8)[j].astype(complex))
-    t = qcore.tensor(a, b, place_a=(2, 4), place_b=(1, 3, 5))
+    t = oracles.tensor(a, b, place_a=(2, 4), place_b=(1, 3, 5))
     assert abs(t.norm() - 1.0) < 1e-12
     # placement is a bit permutation: exactly one nonzero amplitude survives
     assert np.count_nonzero(np.abs(t.amps) > 1e-12) == 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from trajsense import qcore, simplex, solver, trajset
 from trajsense.qcore import Ket
 from trajsense.solver import TSProblem
@@ -81,8 +82,8 @@ def test_feasible_exactly_at_threshold_with_boundary_flag():
 
 def test_normalization_of_squared_magnitudes():
     cert = solver.solve_symmetric(6, 3, 0.9 * PI)
-    basis = qcore.symmetrized_basis(6)
-    total = sum(e.norm_sq * c for e, c in zip(basis, cert.cbar_sq))
+    _, sizes = qcore.weight_classes(6)
+    total = sum(size * c for size, c in zip(sizes, cert.cbar_sq))
     assert abs(total - 1.0) < 1e-9
 
 
@@ -346,9 +347,18 @@ def test_build_cyclic_four_qubit_windows():
 def test_build_cyclic_matches_explicit_tensor():
     theta = 0.6 * PI
     sub = solver.solve_symmetric(2, 1, theta).witness_state
-    direct = qcore.tensor(sub, sub, place_a=(1, 3), place_b=(2, 4))
+    direct = oracles.tensor(sub, sub, place_a=(1, 3), place_b=(2, 4))
     built = solver.build_cyclic(4, 2, theta).witness_state
     assert qcore.equal_up_to_phase(direct, built)
+    # every composable cyc(n,m) up to n = 12 against the bit-gather placement;
+    # 0.9pi lies above threshold_cyc(kappa) for every kappa <= 12
+    theta = 0.9 * PI
+    for n in range(2, 13):
+        for m in range(1, n // 2 + 1):
+            if n % m == 0:
+                sub = solver.solve_symmetric(n // m, 1, theta).witness_state
+                built = solver.build_cyclic(n, m, theta).witness_state
+                assert np.array_equal(built.amps, oracles.compose_cyclic(sub, n, m)), (n, m)
 
 
 def test_build_cyclic_below_threshold():
