@@ -132,13 +132,13 @@ def test_symmetrized_basis_vectors_orthogonal():
 @pytest.mark.parametrize("n", [1, 2, 5, 8])
 def test_symmetrized_amplitudes_match_basis_loop(n):
     """One lookup per bitstring, bitwise equal to filling each weight class."""
-    fold, sizes = qcore.weight_classes(n)
-    profiles = np.random.default_rng(n).uniform(-0.2, 1.0, size=(4, len(sizes)))
+    weight = np.array([bin(j).count("1") for j in range(1 << n)])
+    profiles = np.random.default_rng(n).uniform(-0.2, 1.0, size=(4, n // 2 + 1))
     got = qcore.symmetrized_amplitudes(n, profiles)
     for x, row in zip(profiles, got):
         amps = np.zeros(1 << n)
         for nu, xv in enumerate(x):
-            amps[fold == nu] = math.sqrt(max(xv, 0.0))
+            amps[(weight == nu) | (weight == n - nu)] = math.sqrt(max(xv, 0.0))
         assert np.array_equal(row, amps.astype(complex))
         assert np.array_equal(qcore.symmetrized_amplitudes(n, x), row)
 
