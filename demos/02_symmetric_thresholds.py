@@ -6,6 +6,7 @@ enough.  This script sweeps the angle for balanced families, showing the
 sharp onset at (n-1)/n of a half turn, and inspects the witness weights
 for the 4-choose-2 case — their ratios follow simple trigonometric laws.
 """
+import json
 import math
 
 import numpy as np
@@ -38,7 +39,8 @@ cert = solver.solve_symmetric(4, 2, 0.7 * math.pi)
 print(f"\nat 0.70pi: feasible = {cert.feasible}; "
       f"sign-violating weights at classes {cert.sign_violations}")
 print("certificate JSON snippet:")
-print("\n".join(cert.to_json().splitlines()[:8]) + "\n  ...")
+print("\n".join(json.dumps(cert.to_dict(), indent=2, sort_keys=True).splitlines()[:8])
+      + "\n  ...")
 
 # the independent linear-programming route agrees everywhere
 theta = 0.72 * math.pi

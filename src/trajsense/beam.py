@@ -25,8 +25,8 @@ averages them, either over Monte Carlo lines (the sampling noise of the
 measurement itself drops out, and the same lines feed both sensors, so the
 tiny first-order advantage becomes resolvable at modest trial counts) or
 over a deterministic midpoint-quadrature grid (no sampling noise at all).
-`run_beam_trials` also samples the measurement outcomes; it is the test
-oracle for the exact conditional route.
+The tests check these closed forms against explicit statevectors and against
+trials that sample each measurement outcome.
 """
 from __future__ import annotations
 
@@ -35,18 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qcore, rng, solver, trajset
-from .trajset import Trajectory
+from . import qcore, rng
 
 #: atoms 1..4 at the unit-square corners, counterclockwise
 ATOM_POSITIONS = ((0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5))
 #: the four edges in cyclic-window order
 EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 
-# RNG stream ids (one block of four uniforms per trial and stream)
-_STREAM_LINES = 1      # slots: phi, offset
-_STREAM_MEAS = 2       # slots: one (entangled) or four (per-qubit)
-_STREAM_TIE = 3
+#: RNG stream of the Monte Carlo lines (slots: phi, offset)
+_STREAM_LINES = 1
 
 #: lines per block in line_failures; bounds the (block, 16) vote temporaries
 _BLOCK = 1 << 16
@@ -79,13 +76,6 @@ def _distances(phi, offset):
     return np.abs(proj - offset[..., None])
 
 
-def beam_angles(scenario: BeamScenario, beam_line) -> np.ndarray:
-    """Rotation angles theta0 * exp(-d^2/w^2) for a (phi, offset) line."""
-    phi, offset = beam_line
-    d = _distances(phi, offset)
-    return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-
-
 def _nearest_indices(d):
     """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag.
 
@@ -113,27 +103,6 @@ def entangled_outcome_probs(angles: np.ndarray) -> np.ndarray:
     amp = np.stack([np.sin(A) + np.cos(B), np.cos(A) - np.sin(B),
                     np.cos(B) - np.sin(A), np.cos(A) + np.sin(B)], axis=-1)
     return 0.25 * amp ** 2
-
-
-def ts_sensor_state() -> qcore.Ket:
-    """The window TS state at theta=pi/2 (equal weights on the four edges)."""
-    return solver.build_cyclic(4, 2, math.pi / 2).witness_state
-
-
-def measurement_basis() -> list[qcore.Ket]:
-    """Rotated outputs R^(T)(pi/2)|psi> in window order."""
-    outs = (trajset.phase_matrix(trajset.gen_cyclic(4, 2).members, 4, math.pi / 2)
-            * ts_sensor_state().amps)
-    return [qcore.Ket(4, row) for row in outs]
-
-
-def entangled_outcome_probs_statevector(angles) -> np.ndarray:
-    """Same probabilities via explicit statevectors (cross-check route)."""
-    amps = ts_sensor_state().amps
-    for i, th in enumerate(angles, start=1):
-        amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
-    basis = measurement_basis()
-    return np.array([abs(np.vdot(b.amps, amps)) ** 2 for b in basis])
 
 
 # decision table for the unentangled rule: 16 X-outcome patterns x true edge
@@ -197,49 +166,6 @@ def _sample_lines(trials: int, seed: int):
                          f"(about 73 bytes per line), got trials={trials}")
     u = rng.uniforms(seed, _STREAM_LINES, 0, trials, slots=2)
     return u[:, 0] * math.pi, u[:, 1] - 0.5
-
-
-def _sample_outcomes(scenario: BeamScenario, sensor: str, trials: int, seed: int):
-    """Sampled (true_idx, guess_idx, complement_mask, tied) for each trial."""
-    if sensor not in ("entangled_ts", "unentangled_plus"):
-        raise ValueError(f"unknown sensor {sensor!r}")
-    phi, offset = _sample_lines(trials, seed)
-    d = _distances(phi, offset)
-    angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-    true_idx, tied = _nearest_indices(d)
-    tie_u = rng.uniforms(seed, _STREAM_TIE, 0, trials)[:, 0]
-    if sensor == "entangled_ts":
-        probs = entangled_outcome_probs(angles)
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.uniforms(seed, _STREAM_MEAS, 0, trials)[:, 0]
-        outcome = np.sum(u[:, None] >= cdf, axis=1)     # 4 = complement
-        complement = outcome >= 4
-        guess = np.where(complement, (tie_u * 4).astype(int), outcome)
-    else:
-        u4 = rng.uniforms(seed, _STREAM_MEAS, 0, trials, slots=4)
-        flips = (u4 < unentangled_flip_probs(angles)).astype(int)
-        scores = np.stack([flips[:, i - 1] + flips[:, j - 1] for i, j in EDGES], axis=1)
-        mx = scores.max(axis=1, keepdims=True)
-        n_win = (scores == mx).sum(axis=1)
-        # uniform pick among tied edges via one uniform
-        pick = (tie_u * n_win).astype(int)
-        guess = np.array([np.nonzero(row)[0][p] for row, p in
-                          zip(scores == mx, pick)])
-        complement = np.zeros(trials, dtype=bool)
-    return true_idx, guess, complement, tied
-
-
-def run_beam_trials(scenario: BeamScenario, sensor: str, trials: int,
-                    seed: int) -> tuple[float, float]:
-    """Monte Carlo failure over random beam lines with sampled measurements: (p_fail, stderr).
-
-    Test oracle for `compare_sensors`: same lines, but each trial draws its
-    measurement outcome instead of contributing its exact conditional
-    failure (same estimand, far larger variance).
-    """
-    true_idx, guess, _, _ = _sample_outcomes(scenario, sensor, trials, seed)
-    mean = float((guess != true_idx).mean())
-    return mean, float(math.sqrt(max(mean * (1 - mean), 1e-300) / trials))
 
 
 @dataclass

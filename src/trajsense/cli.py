@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import json
 import math
 import re
 import subprocess
@@ -62,32 +61,40 @@ def _git_describe() -> str:
     return "unknown"
 
 
+def _json(obj) -> str:
+    """The text of every JSON artifact: sorted keys, two-space indent, one final newline."""
+    return qcore.indented_json(obj) + "\n"
+
+
 def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     manifest = {
         "command": args.command,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
+        "config": {k: v for k, v in vars(args).items() if k != "func"},
         "git_describe": _git_describe(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (outdir / "manifest.json").write_text(_json(manifest))
 
 
 def _emit(args, payload, filename: str, summary: str) -> None:
     """Write a primary artifact (and the manifest) only under --out.
 
-    Stdout gets a JSON artifact itself under --format json, else the summary.
-    `payload()` runs only when the artifact is written or printed: a large
-    witness takes seconds to serialize.
+    `payload()` returns the artifact: a dict for a .json file, which `_json`
+    writes, or the finished text of a .csv file.  It runs only when the
+    artifact is written or printed: a large witness takes seconds to
+    serialize.  Stdout gets a JSON artifact itself under --format json, else
+    the summary.
     """
-    printed = args.format == "json" and filename.endswith(".json")
-    text = payload() if printed or args.out is not None else None
+    is_json = filename.endswith(".json")
+    printed = args.format == "json" and is_json
+    if printed or args.out is not None:
+        text = _json(payload()) if is_json else payload()
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / filename).write_text(text, newline="")
         _write_manifest(outdir, args)
-    print(text if printed else summary)
+    sys.stdout.write(text if printed else summary + "\n")
 
 
 # ---------------------------------------------------------------- solve
@@ -97,21 +104,23 @@ def cmd_solve(args) -> int:
     ts = _FAMILIES[args.family](args.n, args.m)
     problem = solver.TSProblem(ts, theta)
     # "closed" = the family's constructive route (symmetrized closed form
-    # for sym, tensor composition for cyc); "lp" = the independent check
-    if args.method == "both":
-        cert = solver.solve(problem, method="auto")
-        lp = solver.solve(problem, method="lp")
-        if bool(cert.feasible) != bool(lp.feasible):
-            print(f"internal disagreement: constructive={cert.feasible} "
-                  f"lp={lp.feasible}", file=sys.stderr)
-            return 2
-        cert.detail = (cert.detail + "; " if cert.detail else "") + "lp route agrees"
+    # for sym, tensor composition for cyc, the LP where neither applies);
+    # "lp" = the independent check
+    if args.method == "lp":
+        cert = solver.solve_lp(problem)
     else:
-        cert = solver.solve(problem, method={"closed": "auto", "lp": "lp"}[args.method])
+        cert = solver.solve(problem)
+        if args.method == "both" and cert.method != "lp":
+            lp = solver.solve_lp(problem)
+            if bool(cert.feasible) != bool(lp.feasible):
+                print(f"internal disagreement: constructive={cert.feasible} "
+                      f"lp={lp.feasible}", file=sys.stderr)
+                return 2
+            cert.detail = (cert.detail + "; " if cert.detail else "") + "lp route agrees"
     summary = (f"{args.family}({args.n},{args.m}) at theta={theta:.6f}: "
                f"{'feasible' if cert.feasible else 'infeasible'}"
                + (" (marginal)" if cert.marginal else ""))
-    _emit(args, cert.to_json, "certificate.json", summary)
+    _emit(args, cert.to_dict, "certificate.json", summary)
     return 0 if cert.feasible else 1
 
 
@@ -124,7 +133,7 @@ def cmd_curve(args) -> int:
         eps = [float(e) for e in args.epsilons.split(",")]
         if any(not 0 < e < 1 for e in eps):
             raise ValueError("epsilons must lie in (0,1)")
-        classical = discrim.classical_baseline(ts, theta)
+        classical = discrim.classical_baseline(ts, theta, args.classical)
         cert = solver.solve(solver.TSProblem(ts, theta))
         if not cert.feasible:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
@@ -172,8 +181,7 @@ def cmd_beam(args) -> int:
     summary = (f"theta0={args.theta0} w={args.w}: entangled {ent:.6f}, "
                f"unentangled {un:.6f}, advantage {adv:.3e}"
                + (f" +/- {err:.1e}" if err else ""))
-    _emit(args, lambda: json.dumps(report, indent=2, sort_keys=True), "beam.json",
-          summary)
+    _emit(args, lambda: report, "beam.json", summary)
     return 0
 
 
@@ -198,15 +206,14 @@ def cmd_qec(args) -> int:
         good = qec.transversal_rotation_check(math.pi / 2)
         control = qec.transversal_rotation_check(math.pi / 3)
         checks["steane"] = {
-            "quarter_turn": json.loads(good.to_json()),
+            "quarter_turn": good.to_dict(),
             "negative_control_fails": not control.passed,
             "passed": good.passed and not control.passed,
         }
     if not checks:
         raise ValueError(f"unknown check {args.check!r}")
     passed = all(c["passed"] for c in checks.values())
-    _emit(args, lambda: json.dumps({"checks": checks, "passed": passed},
-                                   indent=2, sort_keys=True), "qec.json",
+    _emit(args, lambda: {"checks": checks, "passed": passed}, "qec.json",
           f"qec {args.check}: {'pass' if passed else 'FAIL'}")
     return 0 if passed else 1
 
@@ -222,7 +229,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"cannot read state file {path}: {exc}") from None
     try:
         psi = qcore.ket_from_json(text)
-    except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
         raise ValueError(f"malformed state file {path}: {exc}") from None
     ts = _FAMILIES[args.family](args.n, args.m)
     if psi.n != ts.n:
@@ -232,8 +239,7 @@ def cmd_verify(args) -> int:
                f"theta={theta:.6f}: "
                + ("TS state" if rep.is_ts else
                   f"not a TS state (residual {rep.max_residual:.3e})"))
-    _emit(args, lambda: json.dumps(rep.to_dict(), indent=2, sort_keys=True),
-          "verify.json", summary)
+    _emit(args, rep.to_dict, "verify.json", summary)
     return 0 if rep.is_ts else 1
 
 
@@ -266,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta-max", default=None)
     sp.add_argument("--points", type=int, default=25)
     sp.add_argument("--classical", default="classical_plus",
-                    choices=["classical_plus", "classical_best"])
+                    choices=["classical_plus", "classical_best"],
+                    help="product-state baseline, for the curve and the inset alike")
     sp.add_argument("--inset", action="store_true",
                     help="emit repetition counts instead of the curve")
     sp.add_argument("--theta", default=None, help="inset angle")

@@ -1,4 +1,4 @@
-"""Dense statevector core: kets, bit weights, symmetrized amplitudes, ket JSON.
+"""Dense statevector core: kets, bit weights, symmetrized amplitudes, JSON text.
 
 Convention used everywhere: basis index j enumerates bitstrings j1...jn with
 qubit 1 as the most significant bit, so |j1...jn> lives at integer index
@@ -134,7 +134,8 @@ def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization (used by the CLI)
+# serialization: the state format `solve` writes and `verify` reads, and the
+# text of every JSON artifact the CLI writes
 
 def ket_to_dict(k: Ket, tol: float = 0.0) -> dict:
     """{"n": n, "amps": {bitstring: (re, im)}} over the amplitudes above tol."""
@@ -143,10 +144,6 @@ def ket_to_dict(k: Ket, tol: float = 0.0) -> dict:
     fmt = f"0{k.n}b"
     keys = [format(j, fmt) for j in idx.tolist()]
     return {"n": k.n, "amps": dict(zip(keys, zip(kept.real.tolist(), kept.imag.tolist())))}
-
-
-def ket_to_json(k: Ket, tol: float = 0.0) -> str:
-    return indented_json(ket_to_dict(k, tol)) + "\n"
 
 
 def indented_json(obj, _pad: str = "\n") -> str:

@@ -15,7 +15,6 @@ inverse logical quarter turn.
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -58,17 +57,6 @@ class KLReport:
     hermiticity: float
     tol: float
     matrix: np.ndarray = field(repr=False, default=None)
-
-    def to_json(self) -> str:
-        d = {
-            "verdict": self.verdict,
-            "size": self.size,
-            "max_offdiag": self.max_offdiag,
-            "max_diag_dev": self.max_diag_dev,
-            "hermiticity": self.hermiticity,
-            "tol": self.tol,
-        }
-        return json.dumps(d, indent=2, sort_keys=True)
 
 
 def kl_verify(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> KLReport:
@@ -193,14 +181,6 @@ class StabilizerReport:
     failing: tuple
     tol: float
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "all_plus_one": self.all_plus_one,
-            "residuals": self.residuals,
-            "failing": list(self.failing),
-            "tol": self.tol,
-        }, indent=2, sort_keys=True)
-
 
 def stabilizer_check(psi: Ket, group: StabilizerGroup,
                      tol: float = 1e-10) -> StabilizerReport:
@@ -257,15 +237,15 @@ class TransversalityReport:
     global_phase: complex
     detail: str = ""
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_dict(self) -> dict:
+        return {
             "passed": self.passed,
             "angle": self.angle,
             "codespace_residual": self.codespace_residual,
             "logical_residual": self.logical_residual,
             "global_phase": [self.global_phase.real, self.global_phase.imag],
             "detail": self.detail,
-        }, indent=2, sort_keys=True)
+        }
 
 
 def transversal_rotation_check(angle: float = math.pi / 2,

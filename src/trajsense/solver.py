@@ -91,7 +91,7 @@ class FeasibilityCertificate:
     nullspace_dim: int | None = None
     detail: str = ""
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         obj = {
             "feasible": self.feasible, "method": self.method, "n": self.n,
             "theta": self.theta, "family": self.family,
@@ -107,7 +107,7 @@ class FeasibilityCertificate:
             obj["p"] = [float(v) for v in self.p]
         if self.witness_state is not None:
             obj["witness_state"] = qcore.ket_to_dict(self.witness_state)
-        return qcore.indented_json(obj) + "\n"
+        return obj
 
 
 # ---------------------------------------------------------------------------
@@ -400,22 +400,15 @@ def build_cyclic(n: int, m: int, theta: float,
     return cert
 
 
-def solve(problem: TSProblem, method: str = "auto") -> FeasibilityCertificate:
-    """Dispatch to the natural route for the family (or force one)."""
+def solve(problem: TSProblem) -> FeasibilityCertificate:
+    """The family's constructive route: the closed form for sym, tensor
+    composition for cyc with n = kappa*m, and the LP for every other family."""
     ts = problem.trajectories
-    if method in ("closed", "closed_form"):
-        if ts.family != "symmetric":
-            raise ValueError("closed-form route applies to the symmetric family")
+    if ts.family == "symmetric":
         return solve_symmetric(ts.n, ts.m, problem.theta, ts)
-    if method == "lp":
-        return solve_lp(problem)
-    if method == "auto":
-        if ts.family == "symmetric":
-            return solve_symmetric(ts.n, ts.m, problem.theta, ts)
-        if _composable(ts):
-            return build_cyclic(ts.n, ts.m, problem.theta, ts)
-        return solve_lp(problem)
-    raise ValueError(f"unknown method {method!r}")
+    if _composable(ts):
+        return build_cyclic(ts.n, ts.m, problem.theta, ts)
+    return solve_lp(problem)
 
 
 def onset(ts: TrajectorySet) -> float:

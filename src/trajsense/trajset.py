@@ -2,12 +2,12 @@
 
 A trajectory is the set of qubits rotated by a passing particle.  The
 symmetric family holds every weight-m subset of {1..n}; the cyclic family
-holds the n contiguous windows of width m < n (indices mod n).
+holds the n contiguous windows of width m < n (indices mod n).  Families are
+built in code; no file format reads or writes them.
 """
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -139,19 +139,3 @@ def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndar
         row[:] = phases[weight_on(n, t.qubits)]
     return rows
 
-
-# ---------------------------------------------------------------------------
-# file format: {"n":…, "family":…, "m":…, "members": [[indices], …]}
-
-def to_json(ts: TrajectorySet) -> str:
-    obj = {"n": ts.n, "family": ts.family, "m": ts.m,
-           "members": [list(t.qubits) for t in ts.members]}
-    if ts.kappa is not None:
-        obj["kappa"] = ts.kappa
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def from_json(text: str) -> TrajectorySet:
-    obj = json.loads(text)
-    members = tuple(Trajectory(tuple(t)) for t in obj["members"])
-    return TrajectorySet(obj["n"], obj.get("family", "custom"), obj["m"], members)

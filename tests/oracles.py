@@ -1,9 +1,15 @@
-"""Oracles the tests share: bit placement, Born sampling and dense measurements.
+"""Oracles the tests share: bit placement, Born sampling, the beam's sampled
+and statevector routes, and dense measurements.
 
 Bit placement reads every qubit's bit from its own column of a bit table, so
 `tensor` and `compose_cyclic` check the package's kron-and-transpose
 composition by an independent route.  `sample_measurement` draws projective
 outcomes from the counter-based streams of `trajsense.rng`.
+
+The beam oracles check `beam`'s closed forms: `entangled_outcome_probs_statevector`
+rotates the window TS state and projects it on its own rotated outputs, and
+`run_beam_trials` draws each trial's measurement outcome on the same lines
+that `beam.compare_sensors` scores by exact conditional failure.
 
 `discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|).
 The reference here keeps the stacked (k, d, d) elements: the PGM as
@@ -12,10 +18,13 @@ P_j <- L G_j P_j G_j L, and the optimality test as one `eigvalsh` of
 Gamma - G_j per element.  Its results are `discrim.DiscriminationResult`s, so
 it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
 """
+import math
+
 import numpy as np
 
-from trajsense import discrim, rng
+from trajsense import beam, discrim, rng, solver, trajset
 from trajsense.qcore import Ket, _check_n, inner
+from trajsense.trajset import Trajectory
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +101,83 @@ def sample_measurement(k, basis, rng_seed, sample_index=0, stream=0):
     # complement outcome absorbs whatever probability the basis misses
     cdf = np.concatenate([np.cumsum(probs), [max(probs.sum(), 1.0)]])
     return int(np.searchsorted(cdf, uniform_at(rng_seed, stream, sample_index), side="right"))
+
+
+# ---------------------------------------------------------------------------
+# beam: sampled outcomes and the statevector route
+
+# RNG streams of the sampled outcomes; stream 1 holds `beam`'s lines
+_STREAM_MEAS = 2       # slots: one (entangled) or four (per-qubit)
+_STREAM_TIE = 3
+
+
+def beam_angles(scenario, beam_line):
+    """Rotation angles theta0 * exp(-d^2/w^2) for a (phi, offset) line."""
+    phi, offset = beam_line
+    d = beam._distances(phi, offset)
+    return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+
+
+def ts_sensor_state():
+    """The window TS state at theta=pi/2 (equal weights on the four edges)."""
+    return solver.build_cyclic(4, 2, math.pi / 2).witness_state
+
+
+def measurement_basis():
+    """Rotated outputs R^(T)(pi/2)|psi> in window order."""
+    outs = (trajset.phase_matrix(trajset.gen_cyclic(4, 2).members, 4, math.pi / 2)
+            * ts_sensor_state().amps)
+    return [Ket(4, row) for row in outs]
+
+
+def entangled_outcome_probs_statevector(angles):
+    """`beam.entangled_outcome_probs` via explicit statevectors."""
+    amps = ts_sensor_state().amps
+    for i, th in enumerate(angles, start=1):
+        amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
+    return np.array([abs(np.vdot(b.amps, amps)) ** 2 for b in measurement_basis()])
+
+
+def sample_outcomes(scenario, sensor, trials, seed):
+    """Sampled (true_idx, guess_idx, complement_mask, tied) for each trial."""
+    if sensor not in ("entangled_ts", "unentangled_plus"):
+        raise ValueError(f"unknown sensor {sensor!r}")
+    phi, offset = beam._sample_lines(trials, seed)
+    d = beam._distances(phi, offset)
+    angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+    true_idx, tied = beam._nearest_indices(d)
+    tie_u = rng.uniforms(seed, _STREAM_TIE, 0, trials)[:, 0]
+    if sensor == "entangled_ts":
+        cdf = np.cumsum(beam.entangled_outcome_probs(angles), axis=1)
+        u = rng.uniforms(seed, _STREAM_MEAS, 0, trials)[:, 0]
+        outcome = np.sum(u[:, None] >= cdf, axis=1)     # 4 = complement
+        complement = outcome >= 4
+        guess = np.where(complement, (tie_u * 4).astype(int), outcome)
+    else:
+        u4 = rng.uniforms(seed, _STREAM_MEAS, 0, trials, slots=4)
+        flips = (u4 < beam.unentangled_flip_probs(angles)).astype(int)
+        scores = np.stack([flips[:, i - 1] + flips[:, j - 1] for i, j in beam.EDGES],
+                          axis=1)
+        mx = scores.max(axis=1, keepdims=True)
+        n_win = (scores == mx).sum(axis=1)
+        # uniform pick among tied edges via one uniform
+        pick = (tie_u * n_win).astype(int)
+        guess = np.array([np.nonzero(row)[0][p] for row, p in
+                          zip(scores == mx, pick)])
+        complement = np.zeros(trials, dtype=bool)
+    return true_idx, guess, complement, tied
+
+
+def run_beam_trials(scenario, sensor, trials, seed):
+    """Monte Carlo failure over random beam lines with sampled measurements: (p_fail, stderr).
+
+    Same lines as `beam.compare_sensors`, but each trial draws its measurement
+    outcome instead of contributing its exact conditional failure (same
+    estimand, far larger variance).
+    """
+    true_idx, guess, _, _ = sample_outcomes(scenario, sensor, trials, seed)
+    mean = float((guess != true_idx).mean())
+    return mean, float(math.sqrt(max(mean * (1 - mean), 1e-300) / trials))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ DIAGONAL = (math.pi / 4, 0.0)  # line through atoms 1 and 3
 
 def test_angle_through_atom_is_theta0():
     sc = beam.BeamScenario(0.7, 3.0)
-    a = beam.beam_angles(sc, TOP_EDGE)
+    a = oracles.beam_angles(sc, TOP_EDGE)
     assert a[0] == pytest.approx(0.7, abs=1e-12)
     assert a[1] == pytest.approx(0.7, abs=1e-12)
 
@@ -24,14 +24,14 @@ def test_angle_through_atom_is_theta0():
 def test_angle_at_distance_w_is_theta0_over_e():
     # atoms 3,4 sit exactly one side length below the top edge
     sc = beam.BeamScenario(0.7, 1.0)
-    a = beam.beam_angles(sc, TOP_EDGE)
+    a = oracles.beam_angles(sc, TOP_EDGE)
     assert a[2] == pytest.approx(0.7 / math.e, rel=1e-12)
     assert a[3] == pytest.approx(0.7 / math.e, rel=1e-12)
 
 
 def test_wide_beam_limit_all_angles_theta0():
     sc = beam.BeamScenario(0.4, 1e9)
-    a = beam.beam_angles(sc, (1.1, 0.3))
+    a = oracles.beam_angles(sc, (1.1, 0.3))
     assert np.allclose(a, 0.4, atol=1e-12)
 
 
@@ -71,15 +71,15 @@ def test_closed_form_matches_statevector_route():
     rs = np.random.default_rng(5)
     for _ in range(25):
         line = (rs.uniform(0, math.pi), rs.uniform(-0.5, 0.5))
-        ang = beam.beam_angles(sc, line)
+        ang = oracles.beam_angles(sc, line)
         fast = beam.entangled_outcome_probs(ang)
-        slow = beam.entangled_outcome_probs_statevector(ang)
+        slow = oracles.entangled_outcome_probs_statevector(ang)
         assert np.allclose(fast, slow, atol=1e-12)
 
 
 def test_outcome_probs_sum_to_one():
     # diagonal rotations keep the state inside the measurement span
-    ang = beam.beam_angles(beam.BeamScenario(1.4, 0.8), (2.0, -0.31))
+    ang = oracles.beam_angles(beam.BeamScenario(1.4, 0.8), (2.0, -0.31))
     p = beam.entangled_outcome_probs(ang)
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
@@ -89,13 +89,13 @@ def test_zero_amplitude_gives_uniform_quarters():
     p = beam.entangled_outcome_probs(np.zeros(4))
     assert np.allclose(p, 0.25, atol=1e-15)
     # and the basis overlaps themselves are 1/2
-    psi = beam.ts_sensor_state()
-    for b in beam.measurement_basis():
+    psi = oracles.ts_sensor_state()
+    for b in oracles.measurement_basis():
         assert abs(qcore.inner(b, psi)) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_measurement_basis_is_orthonormal():
-    g = oracles.gram(beam.measurement_basis())
+    g = oracles.gram(oracles.measurement_basis())
     assert np.abs(g - np.eye(4)).max() < 1e-12
 
 
@@ -113,14 +113,14 @@ def test_born_frequencies_match_sampled_outcomes():
     # fixed line; draw projective outcomes through the oracle and compare
     sc = beam.BeamScenario(1.1, 1.0)
     line = (0.7, 0.12)
-    ang = beam.beam_angles(sc, line)
+    ang = oracles.beam_angles(sc, line)
     probs = beam.entangled_outcome_probs(ang)
-    psi = beam.ts_sensor_state()
+    psi = oracles.ts_sensor_state()
     amps = psi.amps.copy()
     for i, th in enumerate(ang, start=1):
         amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
     rotated = qcore.from_vector(4, amps, normalize=False)
-    basis = beam.measurement_basis()
+    basis = oracles.measurement_basis()
     shots = 2000
     counts = np.zeros(5)
     for k in range(shots):
@@ -180,13 +180,13 @@ def test_sample_mode_matches_quadrature():
     q = beam.compare_sensors(sc, grid=(128, 128))
     for sensor, q_p_fail in (("entangled_ts", q.p_fail_entangled),
                              ("unentangled_plus", q.p_fail_unentangled)):
-        p_fail, stderr = beam.run_beam_trials(sc, sensor, 4000, 123)
+        p_fail, stderr = oracles.run_beam_trials(sc, sensor, 4000, 123)
         assert abs(p_fail - q_p_fail) < 4 * stderr
 
 
 def test_exact_conditional_reduces_variance():
     sc = beam.BeamScenario(0.8, 1.5)
-    mc_p_fail, mc_stderr = beam.run_beam_trials(sc, "entangled_ts", 4000, 123)
+    mc_p_fail, mc_stderr = oracles.run_beam_trials(sc, "entangled_ts", 4000, 123)
     # the same lines, each contributing its exact conditional failure
     pe, _, _ = beam.line_failures(sc, *beam._sample_lines(4000, 123))
     ex_p_fail, ex_stderr = pe.mean(), pe.std(ddof=1) / math.sqrt(4000)
@@ -196,22 +196,22 @@ def test_exact_conditional_reduces_variance():
 
 def test_trials_deterministic_in_seed():
     sc = beam.BeamScenario(0.5, 2.0)
-    a = beam.run_beam_trials(sc, "unentangled_plus", 2000, 7)
-    b = beam.run_beam_trials(sc, "unentangled_plus", 2000, 7)
+    a = oracles.run_beam_trials(sc, "unentangled_plus", 2000, 7)
+    b = oracles.run_beam_trials(sc, "unentangled_plus", 2000, 7)
     assert a == b
     # a different seed changes the underlying draws (aggregate rates can
     # still collide by chance, so compare per-trial outcomes)
-    true7, guess7, _, _ = beam._sample_outcomes(sc, "unentangled_plus", 500, 7)
-    true8, guess8, _, _ = beam._sample_outcomes(sc, "unentangled_plus", 500, 8)
+    true7, guess7, _, _ = oracles.sample_outcomes(sc, "unentangled_plus", 500, 7)
+    true8, guess8, _, _ = oracles.sample_outcomes(sc, "unentangled_plus", 500, 8)
     assert ((guess7 == true7) != (guess8 == true8)).any()
 
 
 def test_sampled_outcomes_give_the_trial_failure():
     sc = beam.BeamScenario(0.8, 1.5)
-    true_idx, guess, complement, _ = beam._sample_outcomes(sc, "entangled_ts", 1500, 42)
+    true_idx, guess, complement, _ = oracles.sample_outcomes(sc, "entangled_ts", 1500, 42)
     assert len(true_idx) == len(guess) == len(complement) == 1500
     assert set(true_idx) <= {0, 1, 2, 3} and set(guess) <= {0, 1, 2, 3}
-    p_fail, _ = beam.run_beam_trials(sc, "entangled_ts", 1500, 42)
+    p_fail, _ = oracles.run_beam_trials(sc, "entangled_ts", 1500, 42)
     assert p_fail == (guess != true_idx).mean()
     # the four rotated outputs exhaust the norm, so the complement outcome,
     # which measures no edge, does not fire
@@ -224,7 +224,7 @@ def test_monte_carlo_needs_two_trials():
         with pytest.raises(ValueError, match="at least 2 trials"):
             beam.compare_sensors(sc, "mc", trials, 3)
         with pytest.raises(ValueError, match="at least 2 trials"):
-            beam.run_beam_trials(sc, "entangled_ts", trials, 3)
+            oracles.run_beam_trials(sc, "entangled_ts", trials, 3)
     with pytest.raises(ValueError, match="at least 2 trials"):
         beam.beam_sweep([0.1], [3.0], mode="mc")
 
@@ -232,7 +232,7 @@ def test_monte_carlo_needs_two_trials():
 def test_unknown_sensor_rejected():
     sc = beam.BeamScenario(0.5, 2.0)
     with pytest.raises(ValueError):
-        beam.run_beam_trials(sc, "telepathy", 10, 0)
+        oracles.run_beam_trials(sc, "telepathy", 10, 0)
 
 
 # -------------------------------------------------------- symmetry/dominance

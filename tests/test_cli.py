@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import trajsense
-from trajsense import beam, cli, qcore, solver
+from trajsense import beam, cli, discrim, qcore, solver
 
 
 def run(argv):
@@ -79,9 +79,9 @@ def test_solve_json_on_stdout(capsys):
 def test_solve_text_never_builds_the_certificate_json(capsys, monkeypatch):
     """Without --out or --format json nothing reads the artifact, so it is not built."""
     calls = []
-    to_json = solver.FeasibilityCertificate.to_json
-    monkeypatch.setattr(solver.FeasibilityCertificate, "to_json",
-                        lambda self: calls.append(1) or to_json(self))
+    to_dict = solver.FeasibilityCertificate.to_dict
+    monkeypatch.setattr(solver.FeasibilityCertificate, "to_dict",
+                        lambda self: calls.append(1) or to_dict(self))
     argv = ["solve", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"]
     assert run(argv) == 0
     assert capsys.readouterr().out == "sym(4,2) at theta=2.356194: feasible\n"
@@ -94,6 +94,20 @@ def test_solve_text_never_builds_the_certificate_json(capsys, monkeypatch):
 def test_solve_lp_only_method(capsys):
     assert run(["solve", "--family", "sym", "--n", "4", "--m", "2",
                 "--theta", "3pi/4", "--method", "lp"]) == 0
+
+
+def test_both_runs_the_lp_once_where_it_is_the_only_route(capsys, monkeypatch):
+    """cyc(5,2) has no constructive route (5 mod 2 != 0), so there is nothing to agree with."""
+    calls = []
+    solve_lp = solver.solve_lp
+    monkeypatch.setattr(solver, "solve_lp",
+                        lambda problem: calls.append(1) or solve_lp(problem))
+    run(["solve", "--family", "cyc", "--n", "5", "--m", "2", "--theta", "pi",
+         "--format", "json"])
+    cert = json.loads(capsys.readouterr().out)
+    assert calls == [1]
+    assert cert["method"] == "lp"
+    assert "lp route agrees" not in cert["detail"]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -169,6 +183,18 @@ def test_curve_inset_table(tmp_path, capsys):
     # classical count grows with the accuracy demand
     assert int(rows[-1][1]) >= int(rows[0][1])
     assert (tmp_path / "inset.csv").exists()
+
+
+def test_curve_inset_uses_the_classical_flag(capsys, monkeypatch):
+    modes = []
+    baseline = discrim.classical_baseline
+    monkeypatch.setattr(discrim, "classical_baseline",
+                        lambda ts, theta, mode="classical_plus":
+                        modes.append(mode) or baseline(ts, theta, mode))
+    assert run(["curve", "--inset", "--family", "sym", "--n", "3", "--m", "1",
+                "--theta", "pi", "--epsilons", "1e-1",
+                "--classical", "classical_best"]) == 0
+    assert modes == ["classical_best"]
 
 
 @pytest.mark.parametrize("family,n,m,theta,r_classical", [
@@ -330,7 +356,7 @@ def test_qec_single_check(capsys):
 def bell_file(tmp_path):
     bell = qcore.make_ket(2, [("01", 1), ("10", 1)])
     p = tmp_path / "bell.json"
-    p.write_text(qcore.ket_to_json(bell))
+    p.write_text(json.dumps(qcore.ket_to_dict(bell)))
     return p
 
 
@@ -373,7 +399,7 @@ def test_verify_qubit_mismatch(tmp_path, capsys):
 def test_verify_refusal_names_the_dense_cap(tmp_path, capsys):
     """A state that is not constant on weight classes needs the dense Gram check."""
     p = tmp_path / "one.json"
-    p.write_text(qcore.ket_to_json(qcore.make_ket(12, [("000000000001", 1)])))
+    p.write_text(json.dumps(qcore.ket_to_dict(qcore.make_ket(12, [("000000000001", 1)]))))
     assert run(["verify", "--state", str(p), "--family", "sym", "--n", "12",
                 "--m", "6", "--theta", "pi/2"]) == 2
     err = capsys.readouterr().err
@@ -389,6 +415,30 @@ def test_solve_over_the_size_limit_exits_2(capsys, argv):
     assert run(["solve", *argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: qubit count ") and "exceeds N_MAX=20" in err
+
+
+# ------------------------------------------------------------ json writer
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"],
+    ["beam", "--theta0", "0.3", "--w", "1.0", "--mode", "mc", "--trials", "100",
+     "--seed", "5"],
+    ["qec", "--check", "all"],
+    ["verify", "--state", "{state}", "--family", "sym", "--n", "2", "--m", "1",
+     "--theta", "pi/2"],
+], ids=lambda argv: argv[0])
+def test_json_artifact_is_stdout_with_one_final_newline(argv, tmp_path, capsys):
+    """One writer: sorted two-space JSON and one newline, on stdout and in --out alike."""
+    state = bell_file(tmp_path)
+    argv = [a.format(state=state) for a in argv]
+    out_dir = tmp_path / "out"
+    assert run(argv + ["--format", "json", "--out", str(out_dir)]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    artifact, = (f for f in out_dir.iterdir() if f.name != "manifest.json")
+    assert artifact.read_bytes() == out.encode()
+    manifest = (out_dir / "manifest.json").read_text()
+    assert manifest.endswith("}\n") and json.loads(manifest)["command"] == argv[0]
 
 
 # ----------------------------------------------------------- console script

@@ -283,7 +283,7 @@ _ORBIT_FAMILIES = st.one_of(
 def test_orbit_reduced_residual_matches_dense(ts, theta, seed):
     """Witnesses of both routes and random orbit-constant |psi|^2 give the dense value."""
     problem = TSProblem(ts, theta)
-    states = [solver.solve(problem, method).witness_state for method in ("auto", "lp")]
+    states = [solver.solve(problem).witness_state, solver.solve_lp(problem).witness_state]
     labels = _orbit_labels(ts)
     rng = np.random.default_rng(seed)
     p = rng.random(labels.max() + 1)[labels]
@@ -316,7 +316,7 @@ def test_partial_family_is_rejected(n, m, members, theta):
         with pytest.raises(ValueError, match=f"label '{label}'"):
             trajset.TrajectorySet(n, label, m, members)
     problem = TSProblem(trajset.TrajectorySet(n, "custom", m, members), theta)
-    auto, lp = solver.solve(problem), solver.solve(problem, "lp")
+    auto, lp = solver.solve(problem), solver.solve_lp(problem)
     assert auto.method == lp.method == "lp"
     assert auto.feasible and lp.feasible and auto.max_residual < 1e-12
     psi = auto.witness_state
@@ -392,13 +392,11 @@ def test_larger_composition():
 def test_solve_dispatch():
     sym = TSProblem(trajset.gen_symmetric(4, 2), 0.9 * PI)
     assert solver.solve(sym).method == "closed_form"
-    assert solver.solve(sym, method="lp").method == "lp"
+    assert solver.solve_lp(sym).method == "lp"
     cyc = TSProblem(trajset.gen_cyclic(4, 2), 0.9 * PI)
     assert solver.solve(cyc).method == "tensor_composition"
-    with pytest.raises(ValueError):
-        solver.solve(cyc, method="closed_form")
-    with pytest.raises(ValueError):
-        solver.solve(sym, method="nope")
+    # 2 does not divide 5: no tensor composition, so the LP is the route
+    assert solver.solve(TSProblem(trajset.gen_cyclic(5, 2), PI)).method == "lp"
 
 
 @pytest.mark.parametrize("ts,expect", [
@@ -417,11 +415,11 @@ def test_onset_follows_solve_dispatch(ts, expect):
 
 def test_certificate_json():
     cert = solver.solve_symmetric(4, 2, 0.8 * PI)
-    payload = json.loads(cert.to_json())
+    payload = cert.to_dict()
     assert payload["feasible"] is True
     assert payload["method"] == "closed_form"
     assert "witness_state" in payload and "cbar_sq" in payload
-    infeasible = json.loads(solver.solve_symmetric(4, 2, 0.6 * PI).to_json())
+    infeasible = solver.solve_symmetric(4, 2, 0.6 * PI).to_dict()
     assert infeasible["feasible"] is False and "witness_state" not in infeasible
 
 
@@ -431,24 +429,25 @@ def _loop_ket_json(k, tol=0.0):
     for j, a in enumerate(k.amps):
         if abs(a) > tol:
             entries[qcore.bitstring(k.n, j)] = [float(a.real), float(a.imag)]
-    return json.dumps({"n": k.n, "amps": entries}, sort_keys=True, indent=2) + "\n"
+    return json.dumps({"n": k.n, "amps": entries}, sort_keys=True, indent=2)
 
 
 def test_certificate_json_bytes_match_round_trip():
     certs = [solver.solve_symmetric(4, 2, 3 * PI / 4),
              solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), PI / 2)),
              solver.solve_lp(TSProblem(trajset.gen_cyclic(8, 2), 0.7 * PI)),
-             solver.solve(TSProblem(trajset.gen_symmetric(10, 5), 9 * PI / 10), "lp"),
+             solver.solve_lp(TSProblem(trajset.gen_symmetric(10, 5), 9 * PI / 10)),
              solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), PI / 2))]
     assert len(certs[3].p) == 2 ** 10
     assert certs[4].sign_violations == [] and certs[4].nullspace_dim is None
     for cert in certs:
-        payload = json.loads(cert.to_json())
+        text = qcore.indented_json(cert.to_dict())
+        payload = json.loads(text)
         if cert.witness_state is not None:
             payload["witness_state"] = json.loads(_loop_ket_json(cert.witness_state))
-        assert cert.to_json() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert text == json.dumps(payload, sort_keys=True, indent=2)
     k = certs[2].witness_state
-    assert qcore.ket_to_json(k, tol=0.1) == _loop_ket_json(k, tol=0.1)
-    assert qcore.ket_to_json(k, tol=0.1) == json.dumps(qcore.ket_to_dict(k, tol=0.1),
-                                                        sort_keys=True, indent=2) + "\n"
+    text = qcore.indented_json(qcore.ket_to_dict(k, tol=0.1))
+    assert text == _loop_ket_json(k, tol=0.1)
+    assert text == json.dumps(qcore.ket_to_dict(k, tol=0.1), sort_keys=True, indent=2)
     assert 0 < len(qcore.ket_to_dict(k, tol=0.1)["amps"]) < len(qcore.ket_to_dict(k)["amps"])

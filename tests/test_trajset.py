@@ -97,11 +97,11 @@ def test_mislabeled_sets_raise_at_construction():
     with pytest.raises(ValueError, match=r"label 'symmetric' needs all C\(4,2\) weight-2 "
                                          r"subsets of 1\.\.4, got 3 members \{1,2\},\{1,3\},\{1,4\}"):
         trajset.TrajectorySet(4, "symmetric", 2, partial)
-    text = '{"family": "cyclic", "n": 6, "m": 2, "members": [[1,2],[3,4],[5,6]]}'
+    pairs = tuple(trajset.Trajectory(q) for q in ((1, 2), (3, 4), (5, 6)))
     with pytest.raises(ValueError, match=r"label 'cyclic' needs the 6 width-2 windows in "
                                          r"start order, got 3 members \{1,2\},\{3,4\},\{5,6\}"):
-        trajset.from_json(text)
-    custom = trajset.from_json(text.replace('"cyclic"', '"custom"'))
+        trajset.TrajectorySet(6, "cyclic", 2, pairs)
+    custom = trajset.TrajectorySet(6, "custom", 2, pairs)
     assert custom.family == "custom" and custom.kappa is None
     with pytest.raises(ValueError, match="unknown family 'windows'"):
         trajset.TrajectorySet(4, "windows", 2, partial)
@@ -190,22 +190,3 @@ def test_phase_matrix_matches_bitstring_reference(n, data, theta):
     got = trajset.phase_matrix(ts, n, theta)
     want = np.array([_reference_row(t.qubits, n, theta) for t in ts])
     assert np.array_equal(got, want)
-
-
-def test_json_roundtrip():
-    ts = trajset.gen_cyclic(6, 3)
-    back = trajset.from_json(trajset.to_json(ts))
-    assert back == ts
-    assert back.kappa == 2
-    assert trajset.to_json(ts) == (
-        '{\n  "family": "cyclic",\n  "kappa": 2,\n  "m": 3,\n  "members": [\n'
-        + ",\n".join("    [\n" + ",\n".join(f"      {q}" for q in w) + "\n    ]"
-                     for w in _window_tuples(6, 3))
-        + '\n  ],\n  "n": 6\n}\n')
-
-
-def test_custom_set_from_json():
-    text = '{"n": 3, "family": "custom", "m": 1, "members": [[1], [3]]}'
-    ts = trajset.from_json(text)
-    assert len(ts) == 2
-    assert ts.members[1].qubits == (3,)
