@@ -102,9 +102,10 @@ def test_both_runs_the_lp_once_where_it_is_the_only_route(capsys, monkeypatch):
     solve_lp = solver.solve_lp
     monkeypatch.setattr(solver, "solve_lp",
                         lambda problem: calls.append(1) or solve_lp(problem))
-    run(["solve", "--family", "cyc", "--n", "5", "--m", "2", "--theta", "pi",
-         "--format", "json"])
+    code = run(["solve", "--family", "cyc", "--n", "5", "--m", "2", "--theta", "pi",
+                "--format", "json"])
     cert = json.loads(capsys.readouterr().out)
+    assert code == (0 if cert["feasible"] else 1)
     assert calls == [1]
     assert cert["method"] == "lp"
     assert "lp route agrees" not in cert["detail"]
