@@ -51,9 +51,11 @@ _FAMILIES = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}
 
 
 def _git_describe() -> str:
+    """`git describe` of the checkout this package runs from, else "unknown"."""
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             capture_output=True, text=True, timeout=10)
+                             capture_output=True, text=True, timeout=10,
+                             cwd=Path(__file__).resolve().parent)
         if out.returncode == 0:
             return out.stdout.strip()
     except OSError:
@@ -225,7 +227,7 @@ def cmd_verify(args) -> int:
     path = Path(args.state)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read state file {path}: {exc}") from None
     try:
         psi = qcore.ket_from_json(text)
@@ -250,10 +252,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                 description="trajectory-sensing toolkit")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, artifact="json"):
         sp.add_argument("--out", default=None, help="directory for artifacts")
-        sp.add_argument("--format", default="text",
-                        choices=["text", "json", "csv"])
+        sp.add_argument("--format", default="text", choices=["text", artifact],
+                        help=f"{artifact} prints the artifact to stdout")
 
     sp = sub.add_parser("solve", help="feasibility certificate for a family")
     sp.add_argument("--family", required=True, choices=_FAMILIES)
@@ -278,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="emit repetition counts instead of the curve")
     sp.add_argument("--theta", default=None, help="inset angle")
     sp.add_argument("--epsilons", default="1e-1,1e-2,1e-3,1e-4")
-    common(sp)
+    common(sp, "csv")
     sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("beam", help="entangled vs unentangled beam sensing")

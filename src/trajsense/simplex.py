@@ -6,9 +6,9 @@ rationalized exactly (every float is a dyadic rational), so systems that
 miss feasibility by one ulp report a comparably tiny objective instead of
 jumping to O(1) as the classic one-sided artificial formulation would.
 `certified_phase1` brackets that exact objective between rational bounds
-built from a float (HiGHS) solve; only when the bracket straddles the
-tolerance does `exact_phase1`, a Bland's-rule rational tableau, compute it
-outright.
+built from a float solve (`_float_phase1`, a dense numpy tableau); only
+when the bracket straddles the tolerance does `exact_phase1`, a Bland's-rule
+rational tableau, compute it outright.
 """
 from __future__ import annotations
 
@@ -86,15 +86,51 @@ def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
     return obj, x
 
 
+#: pivot tolerance of `_float_phase1`: reduced costs and column entries this small count as 0
+_PIVOT_TOL = 1e-11
+
+
 def _float_phase1(A: np.ndarray, b: np.ndarray):
-    """(x >= 0, row duals y) of the elastic program from HiGHS, or None."""
-    from scipy.optimize import linprog      # lazy: only LP solves load scipy.optimize
+    """(x >= 0, row duals y) of the elastic program, or None if the pivoting stalls.
+
+    A dense float tableau on `exact_phase1`'s setup: rows with b_i < 0 flipped,
+    the [I | -I] elastic block at cost 1, the s+ block as the first basis;
+    Dantzig pricing, and the largest pivot among ratio-test ties.  At an
+    optimum the tableau is refactored from the original rows and pivoting goes
+    on if rounding had hidden an improving column.  y are the duals that
+    `certified_phase1` bounds with: A^T y <= 0, |y_i| <= 1 and b.y is the
+    objective, up to rounding.
+    """
     m, N = A.shape
-    res = linprog(np.concatenate([np.zeros(N), np.ones(2 * m)]), bounds=(0, None),
-                  A_eq=np.hstack([A, np.eye(m), -np.eye(m)]), b_eq=b, method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,    # HiGHS's tightest
-                           "dual_feasibility_tolerance": 1e-10})
-    return (np.clip(res.x[:N], 0.0, None), res.eqlin.marginals) if res.status == 0 else None
+    ncols = N + 2 * m
+    sign = np.where(b < 0, -1.0, 1.0)
+    T0 = np.hstack([sign[:, None] * A, np.eye(m), -np.eye(m), (sign * b)[:, None]])
+    cost = np.concatenate([np.zeros(N), np.ones(2 * m)])
+    basis = np.arange(N, N + m)
+    T = T0.copy()
+    for _ in range(50 * ncols):     # pivots and refactors; a cycling run ends in None
+        red = cost - cost[basis] @ T[:, :ncols]
+        enter = int(np.argmin(red))
+        if red[enter] >= -_PIVOT_TOL:
+            T = np.linalg.solve(T0[:, basis], T0)
+            if (cost - cost[basis] @ T[:, :ncols]).min() >= -_PIVOT_TOL:
+                x = np.zeros(ncols)
+                x[basis] = T[:, -1]
+                return np.clip(x[:N], 0.0, None), sign * (cost[basis] @ T[:, N:N + m])
+            continue
+        col = T[:, enter]
+        ratio = np.full(m, np.inf)
+        up = col > _PIVOT_TOL
+        if not up.any():            # unbounded only through rounding: the objective is >= 0
+            return None
+        ratio[up] = np.maximum(T[up, -1], 0.0) / col[up]
+        ties = ratio <= ratio.min() + _PIVOT_TOL
+        leave = int(np.argmax(np.where(ties, col, -np.inf)))
+        piv = T[leave] / col[leave]
+        T -= np.outer(col, piv)
+        T[leave] = piv
+        basis[leave] = enter
+    return None
 
 
 def _dyadic(v: np.ndarray):

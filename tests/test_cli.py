@@ -124,6 +124,23 @@ def test_usage_errors_exit_two(capsys):
         assert "invalid choice: 'nope'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,refused,valid", [
+    (["solve", "--family", "sym", "--n", "2", "--m", "1", "--theta", "pi/2"], "csv", "json"),
+    (["curve", "--points", "3"], "json", "csv"),
+    (["beam", "--theta0", "0.3", "--w", "1.0"], "csv", "json"),
+    (["qec", "--check", "window"], "csv", "json"),
+    (["verify", "--state", "{state}", "--family", "sym", "--n", "2", "--m", "1",
+      "--theta", "pi/2"], "csv", "json"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_format_takes_only_the_artifact_format(argv, refused, valid, tmp_path, capsys):
+    """--format is text or the one format the command's artifact has; argparse names both."""
+    argv = [a.format(state=bell_file(tmp_path)) for a in argv]
+    assert run(argv + ["--format", refused]) == 2
+    assert (f"invalid choice: '{refused}' (choose from 'text', '{valid}')"
+            in capsys.readouterr().err)
+    assert run(argv + ["--format", valid]) == 0
+
+
 def test_cyclic_width_of_the_whole_register_exits_two(capsys):
     """At m = n > 1 every window is the whole register; the message names m < n."""
     assert run(["solve", "--family", "cyc", "--n", "3", "--m", "3", "--theta", "pi"]) == 2
@@ -386,6 +403,14 @@ def test_verify_malformed_file(tmp_path, capsys):
     assert "broken.json" in err
 
 
+def test_verify_non_utf8_file_names_it(tmp_path, capsys):
+    p = tmp_path / "bin.json"
+    p.write_bytes(b"\xff\xfe\x00")
+    assert run(["verify", "--state", str(p), "--family", "sym", "--n", "2",
+                "--m", "1", "--theta", "pi/2"]) == 2
+    assert f"cannot read state file {p}" in capsys.readouterr().err
+
+
 def test_verify_missing_file(capsys):
     assert run(["verify", "--state", "/no/such/file.json", "--family", "sym",
                 "--n", "2", "--m", "1", "--theta", "pi/2"]) == 2
@@ -442,15 +467,56 @@ def test_json_artifact_is_stdout_with_one_final_newline(argv, tmp_path, capsys):
     assert manifest.endswith("}\n") and json.loads(manifest)["command"] == argv[0]
 
 
+def test_manifest_describes_the_package_checkout_not_the_cwd(tmp_path, monkeypatch, capsys):
+    """git describe runs in the package's directory: a repository at the cwd is not recorded."""
+    git = shutil.which("git")
+    if git is None:
+        pytest.skip("git not on PATH")
+    repo = tmp_path / "elsewhere"
+    repo.mkdir()
+    env = {**os.environ, "GIT_AUTHOR_NAME": "t", "GIT_AUTHOR_EMAIL": "t@t",
+           "GIT_COMMITTER_NAME": "t", "GIT_COMMITTER_EMAIL": "t@t"}
+    for cmd in (["init", "-q"], ["commit", "-q", "--allow-empty", "-m", "x"]):
+        subprocess.run([git, *cmd], cwd=repo, env=env, check=True, capture_output=True)
+    cwd_describe = subprocess.run([git, "describe", "--always", "--dirty"], cwd=repo,
+                                  capture_output=True, text=True, check=True).stdout.strip()
+    monkeypatch.chdir(repo)
+    assert run(["qec", "--check", "window", "--out", str(tmp_path / "out")]) == 0
+    recorded = json.loads((tmp_path / "out" / "manifest.json").read_text())["git_describe"]
+    assert recorded != cwd_describe
+
+
 # ----------------------------------------------------------- console script
 
-def test_cli_import_skips_scipy_stats_and_optimize():
-    code = ("import sys, trajsense.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+def _python(code):
     src = str(Path(trajsense.__file__).resolve().parents[1])
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       check=True, env={**os.environ, "PYTHONPATH": src})
-    assert r.stdout.strip() == "[]"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+
+
+def test_cli_import_skips_scipy_stats_and_optimize():
+    """No scipy module loads, on import or after an LP solve has run."""
+    code = ("import sys, trajsense.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); "
+            "trajsense.cli.main(['solve', '--family', 'sym', '--n', '4', '--m', '2', "
+            "'--theta', '0.9pi', '--method', 'lp']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    r = _python(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["[]", "sym(4,2) at theta=2.827433: feasible", "[]"]
+
+
+def test_solve_runs_with_scipy_blocked():
+    """With `import scipy` made to fail, the LP and the default route still settle."""
+    code = ("import sys; sys.modules['scipy'] = None; from trajsense import cli; "
+            "a = cli.main(['solve', '--family', 'cyc', '--n', '12', '--m', '4', "
+            "'--theta', '2pi/3', '--method', 'lp']); "
+            "b = cli.main(['solve', '--family', 'sym', '--n', '8', '--m', '4', "
+            "'--theta', '0.9pi']); print(a, b)")
+    r = _python(code)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines() == ["cyc(12,4) at theta=2.094395: feasible (marginal)",
+                                     "sym(8,4) at theta=2.827433: feasible", "0 0"]
 
 
 def test_installed_entry_point():

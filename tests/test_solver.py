@@ -5,6 +5,7 @@ the witness check, so their agreement on a grid is a genuine cross-check, and
 every feasible certificate is additionally re-verified against the full
 pairwise orthogonality residual.
 """
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -111,14 +112,40 @@ def test_theta_domain_rejected(theta):
 
 # --- LP oracle -------------------------------------------------------------
 
-def test_lp_agrees_with_closed_form_on_grid():
-    grid = np.linspace(PI / 13, PI, 13)
-    for n in range(2, 7):
+def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
+    """The float solve certifies every grid system alone, and the LP verdict is the
+    constructive one: the closed form for sym, the tensor composition for cyc, and
+    the exact simplex for the 3-qubit custom families."""
+    exact, calls = simplex.exact_phase1, []
+    monkeypatch.setattr(simplex, "exact_phase1", lambda A, b: calls.append(1) or exact(A, b))
+    grid = [float(t) for t in np.linspace(PI / 13, PI, 13)]
+    for n in range(2, 9):
         for m in range(1, n):
             for theta in grid:
-                c1 = solver.solve_symmetric(n, m, float(theta))
-                c2 = solver.solve_lp(TSProblem(trajset.gen_symmetric(n, m), float(theta)))
+                c1 = solver.solve_symmetric(n, m, theta)
+                c2 = solver.solve_lp(TSProblem(trajset.gen_symmetric(n, m), theta))
                 assert c1.feasible == c2.feasible, (n, m, theta)
+    for n in range(2, 11):
+        for m in range(1, n):
+            ts = trajset.gen_cyclic(n, m)
+            for theta in grid:
+                lp = solver.solve_lp(TSProblem(ts, theta))
+                assert not lp.feasible or lp.max_residual < 1e-8, (n, m, theta)
+                composable = n % m == 0 and n // m >= 2
+                if composable and solver.build_cyclic(n, m, theta, ts).feasible != lp.feasible:
+                    # the composition is only sufficient: for kappa >= 4 the onset
+                    # lies below threshold_cyc, where the LP alone finds a witness
+                    assert n // m >= 4 and lp.feasible and theta < solver.threshold_cyc(n // m)
+    subsets = [q for r in (1, 2, 3) for q in itertools.combinations((1, 2, 3), r)]
+    for k in (2, 3):
+        for members in itertools.combinations(subsets, k):
+            ts = trajset.TrajectorySet(3, "custom", len(members[0]),
+                                       tuple(trajset.Trajectory(q) for q in members))
+            for theta in np.linspace(PI / 7, PI, 7):
+                lp = solver.solve_lp(TSProblem(ts, float(theta)))
+                A, b, _ = solver._lp_system(ts, float(theta))
+                assert lp.feasible == (exact(A.tolist(), b.tolist())[0] <= solver.FEAS_TOL)
+    assert calls == []
 
 
 def test_lp_marginal_flag_at_exact_boundary():
