@@ -59,8 +59,8 @@ class BeamScenario:
     def __post_init__(self):
         if not 0.0 <= self.theta0 <= math.pi:
             raise ValueError(f"theta0={self.theta0} outside [0, pi]")
-        if self.w <= 0:
-            raise ValueError("beam waist must be positive")
+        if not self.w > 0:                    # NaN fails too
+            raise ValueError(f"beam waist must be positive, got w={self.w}")
 
 
 def _distances(phi, offset):

@@ -135,7 +135,7 @@ def cmd_curve(args) -> int:
         eps = [float(e) for e in args.epsilons.split(",")]
         if any(not 0 < e < 1 for e in eps):
             raise ValueError("epsilons must lie in (0,1)")
-        classical = discrim.classical_baseline(ts, theta, args.classical)
+        classical = discrim.classical_baseline(ts, theta)
         cert = solver.solve(solver.TSProblem(ts, theta))
         if not cert.feasible:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
@@ -149,9 +149,11 @@ def cmd_curve(args) -> int:
         hi = parse_angle(args.theta_max) if args.theta_max else math.pi
         if not (0.0 <= lo < hi <= math.pi):
             raise ValueError(f"theta grid [{lo:.4f}, {hi:.4f}] must sit inside [0, pi]")
+        if args.points < 1:
+            raise ValueError(f"--points must be at least 1, got {args.points}")
         grid = np.linspace(lo, hi, args.points)
         table = discrim.curve_csv(discrim.failure_curve(ts, "solver_witness", grid),
-                                  discrim.failure_curve(ts, args.classical, grid))
+                                  discrim.failure_curve(ts, "classical_plus", grid))
         filename, what = "curve.csv", f"{len(grid)}-point failure curve"
     if args.format == "csv":
         # the file keeps csv's \r\n rows; stdout gets plain newlines
@@ -275,7 +277,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=25)
     sp.add_argument("--classical", default="classical_plus",
                     choices=["classical_plus", "classical_best"],
-                    help="product-state baseline, for the curve and the inset alike")
+                    help="both run |+>^n, the optimal unentangled input "
+                         "(discrim.classical_baseline); classical_best stays "
+                         "accepted for commands that still pass it")
     sp.add_argument("--inset", action="store_true",
                     help="emit repetition counts instead of the curve")
     sp.add_argument("--theta", default=None, help="inset angle")

@@ -13,11 +13,11 @@ phase matrix once per angle and reuse it for every input state.
 * `optimal_measurement` runs the fixed-point iteration for the minimum-error
   POVM (Jezek, Rehacek & Fiurasek 2002), seeded from the PGM so it can only
   improve on it.
-* `classical_baseline` evaluates unentangled inputs (|+>^n or identical-qubit
-  product states) under the same machinery, so entangled-vs-classical gaps are
-  measured with matched generosity on the measurement side.  The product
-  grid is an alpha-only scan, because phi cannot matter: every R^(T) is
-  diagonal, so p_fail depends on |psi|^2 alone.
+* `classical_baseline` is the unentangled arm: |+>^n under the optimal
+  measurement, which no product or separable input beats (the proof is in
+  its docstring; Alberti & Uhlmann 1980, Chefles, Jozsa & Winter 2004), so
+  entangled-vs-classical gaps are measured against the best unentangled
+  sensor with matched generosity on the measurement side.
 * `failure_curve` sweeps theta, `repetition_analysis` converts a per-shot
   result into plurality-vote repetition counts with one exact tail DP
   (`plurality_error`) for every k and r.
@@ -50,8 +50,6 @@ _VOTE_R_CAP = 170
 #: the fixed point stops once the optimality operator is PSD within this
 _FP_TOL = 1e-9
 _FP_MAX_ITER = 10_000
-#: polar angles in the identical-qubit product grid
-_N_ALPHA = 12
 #: `verify_ts` calls a state a TS state below this Gram residual
 _VERIFY_TOL = 1e-8
 #: draws per profile in the symmetrized candidate sweep below the onset
@@ -209,41 +207,26 @@ def optimal_measurement(states) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # classical baselines and curves
 
-def _product_input(n: int, alpha: float) -> Ket:
-    one = np.array([math.cos(alpha / 2), math.sin(alpha / 2)], dtype=complex)
-    amps = one
-    for _ in range(n - 1):
-        amps = np.kron(amps, one)
-    return Ket(n, amps)
+def classical_baseline(ts: TrajectorySet, theta: float) -> DiscriminationResult:
+    """|+>^n under the optimal measurement: the best unentangled sensor.
 
-
-def classical_baseline(ts: TrajectorySet, theta: float,
-                       mode: str = "classical_plus") -> DiscriminationResult:
-    """Best unentangled-input performance (measurement side unrestricted).
-
-    classical_plus evaluates |+>^n under the optimal measurement;
-    classical_best additionally scans the polar Bloch angle alpha of
-    identical qubits over `_N_ALPHA` points in [0, pi] and keeps the best
-    input.  The scan is alpha-only, because phi cannot matter: every
-    R^(T)(theta) is diagonal, so the output Gram matrix, and with it p_fail,
-    depends on |psi|^2 alone.
+    Per qubit, <phi|R_Z(theta)|phi> = cos(theta/2) - i cos(alpha) sin(theta/2)
+    for the Bloch angles (alpha, phi) of |phi>, so the pair {|+>, R_Z|+>}
+    has the smallest overlap, |cos theta/2|, of any pair {|phi>, R_Z|phi>}.
+    A channel maps one pair of pure states onto another whenever the target
+    overlap is at least as large in modulus (Alberti & Uhlmann, Rep. Math.
+    Phys. 18, 163 (1980); Chefles, Jozsa & Winter, IJQI 2, 11 (2004)).  The
+    product of these per-qubit channels maps the |+>^n output of every
+    trajectory onto the output of a product input |phi_1...phi_n>, and a
+    channel followed by a measurement is a measurement, so no product input
+    does better under its optimal measurement.  A separable input is a
+    mixture of products, and a measurement's success on the mixed outputs
+    is the same mixture of its successes on the product components.  So this
+    arm is the optimum over all unentangled inputs, for every family and angle.
     """
-    if mode not in ("classical_plus", "classical_best"):
-        raise ValueError(f"unknown baseline mode {mode!r}")
-    if mode == "classical_best" and ts.n > 10:
-        raise ValueError("product grid search limited to n <= 10")
-    phases = trajset.phase_matrix(ts.members, ts.n, theta)
-    best = optimal_measurement(phases * np.full(1 << ts.n, (1 << ts.n) ** -0.5,
-                                                dtype=complex))
-    if mode == "classical_plus":
-        return best
-    best.note = "alpha=pi/2 (plus product); " + best.note
-    for alpha in np.linspace(0.0, math.pi, _N_ALPHA):
-        res = optimal_measurement(phases * _product_input(ts.n, float(alpha)).amps)
-        if res.p_fail < best.p_fail:
-            best = res
-            best.note = f"alpha={alpha:.6f}; " + best.note
-    return best
+    dim = 1 << ts.n
+    return optimal_measurement(trajset.phase_matrix(ts.members, ts.n, theta)
+                               * np.full(dim, dim ** -0.5, dtype=complex))
 
 
 def _symmetrized_candidates(n: int):
@@ -268,9 +251,9 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
     """p_fail(theta) for one protocol arm.
 
     psi_source: solver_witness (entangled; exact witness above threshold, best
-    of a symmetrized-state sweep below), or a `classical_baseline` mode.
+    of a symmetrized-state sweep below), or classical_plus (`classical_baseline`).
     """
-    if psi_source not in ("solver_witness", "classical_plus", "classical_best"):
+    if psi_source not in ("solver_witness", "classical_plus"):
         raise ValueError(f"unknown psi_source {psi_source!r}")
     k = len(ts)
     points = []
@@ -286,7 +269,7 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
             points.append(CurvePoint(theta, 1.0 - 1.0 / k, "degenerate"))
             continue
         if psi_source != "solver_witness":
-            res = classical_baseline(ts, theta, psi_source)
+            res = classical_baseline(ts, theta)
             points.append(CurvePoint(theta, res.p_fail, res.method))
             continue
         cert = solver.solve(solver.TSProblem(ts, theta))

@@ -122,16 +122,24 @@ def gen_cyclic(n: int, m: int) -> TrajectorySet:
     return TrajectorySet(n, "cyclic", m, _windows(n, m))
 
 
+#: most elements `phase_matrix` allocates: 2**26 complex128 entries, 1 GiB
+PHASE_CAP = 1 << 26
+
+
 def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndarray:
     """Diagonals of R^(T)(theta), one row per trajectory: shape (len(members), 2**n).
 
     R_Z(theta) = e^{-i theta Z/2} on every qubit of T is diagonal in the
     computational basis, with entry exp(-i(theta/2) * sum_{k in T} (1 - 2 j_k)).
     That sum is |T| - 2w for the weight w of the bitstring on T, so each row
-    is a lookup into the |T|+1 possible phases.
+    is a lookup into the |T|+1 possible phases.  Refuses more than
+    `PHASE_CAP` elements before allocating.
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
+    if len(members) << n > PHASE_CAP:
+        raise ValueError(f"phase matrix too large: {len(members)} trajectories x "
+                         f"2^{n} amplitudes > PHASE_CAP = {PHASE_CAP} elements")
     rows = np.empty((len(members), 1 << n), dtype=np.complex128)
     for row, t in zip(rows, members):
         t.validate_within(n)

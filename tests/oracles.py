@@ -74,6 +74,16 @@ def compose_cyclic(phi, n, m):
     return amps
 
 
+def product_input(alphas, phis=None):
+    """The product of cos(a/2)|0> + e^{i phi} sin(a/2)|1> over the qubits'
+    Bloch angles (phis default to 0), qubit 1 as the most significant bit."""
+    phis = [0.0] * len(alphas) if phis is None else phis
+    amps = np.ones(1, dtype=complex)
+    for alpha, phi in zip(alphas, phis):
+        amps = np.kron(amps, [math.cos(alpha / 2), np.exp(1j * phi) * math.sin(alpha / 2)])
+    return Ket(len(alphas), amps)
+
+
 def gram(states):
     """Matrix of pairwise inner products <s_i|s_j>."""
     mat = np.stack([s.amps for s in states])

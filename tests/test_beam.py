@@ -61,7 +61,10 @@ def test_scenario_validation():
         beam.BeamScenario(3.2, 1.0)
     with pytest.raises(ValueError):
         beam.BeamScenario(0.1, 0.0)
+    with pytest.raises(ValueError):
+        beam.BeamScenario(0.1, math.nan)
     beam.BeamScenario(0.0, 1.0)   # zero amplitude is a valid baseline
+    beam.BeamScenario(0.1, math.inf)   # the flat-beam limit
 
 
 # ------------------------------------------------------- outcome probabilities

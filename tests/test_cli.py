@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import trajsense
-from trajsense import beam, cli, discrim, qcore, solver
+from trajsense import beam, cli, qcore, solver
 
 
 def run(argv):
@@ -186,6 +186,20 @@ def test_curve_writes_two_columns(tmp_path, capsys):
 def test_curve_grid_bounds_rejected(capsys):
     assert run(["curve", "--theta-max", "3.5"]) == 2
     assert run(["curve", "--theta-min", "-0.1"]) == 2
+    for points in ("0", "-3"):
+        capsys.readouterr()
+        assert run(["curve", "--points", points, "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--points must be at least 1, got {points}" in err
+
+
+@pytest.mark.parametrize("argv", [["--points", "2"], ["--inset"]], ids=["curve", "inset"])
+def test_curve_over_the_phase_cap_exits_2(argv, capsys):
+    """sym(16,8) needs a 12870 x 2^16 phase matrix; it is refused before allocation."""
+    assert run(["curve", "--family", "sym", "--n", "16", "--m", "8", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase matrix too large: 12870 trajectories x 2^16")
+    assert "PHASE_CAP" in err
 
 
 def test_curve_inset_table(tmp_path, capsys):
@@ -203,16 +217,20 @@ def test_curve_inset_table(tmp_path, capsys):
     assert (tmp_path / "inset.csv").exists()
 
 
-def test_curve_inset_uses_the_classical_flag(capsys, monkeypatch):
-    modes = []
-    baseline = discrim.classical_baseline
-    monkeypatch.setattr(discrim, "classical_baseline",
-                        lambda ts, theta, mode="classical_plus":
-                        modes.append(mode) or baseline(ts, theta, mode))
-    assert run(["curve", "--inset", "--family", "sym", "--n", "3", "--m", "1",
-                "--theta", "pi", "--epsilons", "1e-1",
-                "--classical", "classical_best"]) == 0
-    assert modes == ["classical_best"]
+def test_classical_flag_spellings_print_the_same_bytes(capsys):
+    """Both --classical choices run |+>^n, the optimal unentangled input, also
+    at n >= 11, where a product-grid search once refused to run."""
+    for argv in (["curve", "--family", "sym", "--n", "3", "--m", "1", "--points", "5"],
+                 ["curve", "--inset", "--family", "sym", "--n", "4", "--m", "2",
+                  "--theta", "3pi/4"],
+                 ["curve", "--inset", "--family", "sym", "--n", "12", "--m", "1",
+                  "--theta", "11pi/12"]):
+        outs = []
+        for flag in ([], ["--classical", "classical_plus"],
+                     ["--classical", "classical_best"]):
+            assert run(argv + ["--format", "csv"] + flag) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("\n") > 1 and outs[1:] == outs[:1] * 2
 
 
 @pytest.mark.parametrize("family,n,m,theta,r_classical", [

@@ -135,7 +135,7 @@ def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
     """An ensemble where the PGM seed is not optimal, so the update loop runs."""
     ts = trajset.TrajectorySet(3, "custom", 1, tuple(
         trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))
-    ens = make_ensemble(discrim._product_input(3, 0.4), ts, theta_pi * PI)
+    ens = make_ensemble(oracles.product_input([0.4] * 3), ts, theta_pi * PI)
     res = discrim.optimal_measurement(ens)
     assert res.converged and res.iterations == iterations
     assert oracles.kkt_residual(oracles.span_coords(ens),
@@ -202,17 +202,18 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     assert not res.converged or residuals[-1] <= discrim._FP_TOL
 
 
-@pytest.mark.parametrize("family,n,m,points,classical", [
-    ("sym", 6, 3, 25, "classical_plus"),
-    ("sym", 4, 2, 40, "classical_plus"),
-    ("cyc", 8, 2, 13, "classical_plus"),
-    ("sym", 3, 1, 5, "classical_best"),
+@pytest.mark.parametrize("family,n,m,points", [
+    ("sym", 6, 3, 25),
+    ("sym", 4, 2, 40),
+    ("cyc", 8, 2, 13),
+    ("sym", 3, 1, 5),
 ], ids=["sym63", "sym42", "cyc82", "sym31-best"])
-def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points, classical):
-    """The benchmark's four curves on rank-one factors and on (k, d, d) elements."""
+def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points):
+    """The benchmark's four curves on rank-one factors and on (k, d, d) elements
+    (sym31-best is its `--classical classical_best` run, the same |+>^n arm)."""
     ts = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}[family](n, m)
     grid = np.linspace(0.0, PI, points)
-    arms = ("solver_witness", classical)
+    arms = ("solver_witness", "classical_plus")
     fast = [discrim.failure_curve(ts, arm, grid) for arm in arms]
     monkeypatch.setattr(discrim, "pgm", oracles.pgm)
     monkeypatch.setattr(discrim, "optimal_measurement", oracles.optimal_measurement)
@@ -224,31 +225,46 @@ def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points,
 # --- classical baselines ---------------------------------------------------
 
 def test_classical_plus_endpoints():
-    res = discrim.classical_baseline(TS42, PI, "classical_plus")
+    res = discrim.classical_baseline(TS42, PI)
     assert res.p_fail < 1e-9
-    res0 = discrim.classical_baseline(TS42, 0.0, "classical_plus")
+    res0 = discrim.classical_baseline(TS42, 0.0)
     assert abs(res0.p_fail - 5 / 6) < 1e-9
 
 
 def test_classical_plus_positive_below_pi():
     for theta in [0.5 * PI, 0.9 * PI, 0.99 * PI]:
-        assert discrim.classical_baseline(TS42, theta, "classical_plus").p_fail > 0
+        assert discrim.classical_baseline(TS42, theta).p_fail > 0
 
 
-def test_classical_grid_never_worse_than_plus():
-    theta = 0.7 * PI
-    plus = discrim.classical_baseline(TS42, theta, "classical_plus")
-    grid = discrim.classical_baseline(TS42, theta, "classical_best")
-    assert grid.p_fail <= plus.p_fail + 1e-9
-    assert "alpha=" in grid.note
+@st.composite
+def product_inputs(draw):
+    """(family, per-qubit Bloch angles, theta): sym, cyc and custom families
+    with n <= 5, and a product input whose qubits need not be identical."""
+    kind = draw(st.sampled_from(["sym", "cyc", "custom"]))
+    n = draw(st.integers(2 if kind == "cyc" else 1, 5))
+    if kind == "sym":
+        ts = trajset.gen_symmetric(n, draw(st.integers(1, n)))
+    elif kind == "cyc":
+        ts = trajset.gen_cyclic(n, draw(st.integers(1, n - 1)))
+    else:
+        subsets = draw(st.lists(st.frozensets(st.integers(1, n), min_size=1),
+                                min_size=1, max_size=10, unique=True))
+        ts = trajset.TrajectorySet(n, "custom", 1, tuple(
+            trajset.Trajectory(tuple(sorted(q))) for q in subsets))
+    alphas = draw(st.lists(st.floats(0.0, PI), min_size=n, max_size=n))
+    phis = draw(st.lists(st.floats(0.0, 2 * PI), min_size=n, max_size=n))
+    theta = draw(st.floats(0.0, PI, exclude_min=True, exclude_max=True))
+    return ts, oracles.product_input(alphas, phis), theta
 
 
-def _phased_product_input(n, alpha, phi):
-    one = np.array([math.cos(alpha / 2), np.exp(1j * phi) * math.sin(alpha / 2)])
-    amps = one
-    for _ in range(n - 1):
-        amps = np.kron(amps, one)
-    return qcore.Ket(n, amps)
+@settings(max_examples=120, deadline=None)
+@given(product_inputs())
+def test_no_product_input_beats_plus(case):
+    """|+>^n is the optimal unentangled input: per qubit it has the smallest
+    overlap with its rotated copy, so no product input fails less often."""
+    ts, psi, theta = case
+    res = discrim.optimal_measurement(make_ensemble(psi, ts, theta))
+    assert res.p_fail >= discrim.classical_baseline(ts, theta).p_fail - 1e-12
 
 
 @pytest.mark.parametrize("ts", [
@@ -257,21 +273,15 @@ def _phased_product_input(n, alpha, phi):
         trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))],
     ids=["sym31", "sym42", "custom"])
 def test_product_p_fail_independent_of_phi(ts):
-    """Every R^(T) is diagonal, so the product grid needs no phase axis."""
+    """Every R^(T) is diagonal, so p_fail depends on |psi|^2 alone."""
     for theta in [0.3 * PI, 0.55 * PI, 0.8 * PI]:
         for alpha in [0.4, 1.3, 2.5]:
             ref = discrim.optimal_measurement(
-                make_ensemble(discrim._product_input(ts.n, alpha), ts, theta)).p_fail
+                make_ensemble(oracles.product_input([alpha] * ts.n), ts, theta)).p_fail
             for phi in [0.0, 0.7, 2.0, 4.1]:
-                ens = make_ensemble(_phased_product_input(ts.n, alpha, phi), ts, theta)
+                psi = oracles.product_input([alpha] * ts.n, [phi] * ts.n)
+                ens = make_ensemble(psi, ts, theta)
                 assert abs(discrim.optimal_measurement(ens).p_fail - ref) <= 1e-12
-
-
-def test_classical_grid_size_guard():
-    with pytest.raises(ValueError):
-        discrim.classical_baseline(trajset.gen_symmetric(11, 5), 1.0, "classical_best")
-    with pytest.raises(ValueError):
-        discrim.classical_baseline(TS42, 1.0, "nope")
 
 
 # --- failure curves --------------------------------------------------------
@@ -292,8 +302,9 @@ def test_failure_curve_properties():
 
 
 def test_failure_curve_rejects_unknown_source():
-    with pytest.raises(ValueError):
-        discrim.failure_curve(TS42, "witness", [1.0])
+    for source in ("witness", "classical_best"):
+        with pytest.raises(ValueError, match="unknown psi_source"):
+            discrim.failure_curve(TS42, source, [1.0])
 
 
 # --- plurality-vote repetition ---------------------------------------------
@@ -307,7 +318,7 @@ def test_vote_error_binary_hand_values():
 
 
 def test_vote_error_r1_equals_per_shot():
-    res = discrim.classical_baseline(TS42, 0.8 * PI, "classical_plus")
+    res = discrim.classical_baseline(TS42, 0.8 * PI)
     assert abs(discrim.plurality_error(res.confusion, 1) - res.p_fail) < 1e-10
 
 
@@ -435,7 +446,7 @@ def test_repetition_chance_level_diverges():
 
 
 def test_repetition_classical_log_scaling():
-    res = discrim.classical_baseline(TS42, 3 * PI / 4, "classical_plus")
+    res = discrim.classical_baseline(TS42, 3 * PI / 4)
     eps = [10.0 ** -k for k in range(1, 7)]
     reports = discrim.repetition_analysis(res, eps)
     rs = np.array([rep.r for rep in reports], dtype=float)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from trajsense import trajset
+from trajsense import qcore, solver, trajset
 from trajsense.trajset import Trajectory
 
 
@@ -136,6 +136,28 @@ def test_phase_matrix_rejects_bad_angle(theta):
 def test_phase_matrix_rejects_trajectory_outside_register():
     with pytest.raises(ValueError):
         trajset.phase_matrix([Trajectory((1,)), Trajectory((2, 4))], 3, 1.0)
+
+
+def test_phase_matrix_refuses_over_the_cap_before_allocating(monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated")
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(ValueError, match=r"12870 trajectories x 2\^16 amplitudes > PHASE_CAP"):
+        trajset.phase_matrix(trajset.gen_symmetric(16, 8).members, 16, 1.0)
+    monkeypatch.undo()
+    monkeypatch.setattr(trajset, "PHASE_CAP", 12)
+    assert trajset.phase_matrix([Trajectory((1,))] * 3, 2, 1.0).shape == (3, 4)
+    with pytest.raises(ValueError, match=r"4 trajectories x 2\^2"):
+        trajset.phase_matrix([Trajectory((1,))] * 4, 2, 1.0)
+
+
+def test_phase_cap_admits_every_dense_gram_matrix():
+    """`solver.eq1_gram` takes k^2 * 2^n <= DENSE_GRAM_CAP; its k x 2^n phase
+    matrix stays under PHASE_CAP for every register size."""
+    for n in range(1, qcore.N_MAX + 1):
+        k = math.isqrt(solver.DENSE_GRAM_CAP >> n)
+        assert k * k << n <= solver.DENSE_GRAM_CAP
+        assert k << n <= trajset.PHASE_CAP
 
 
 def test_phase_matches_single_qubit_matrix_product():
