@@ -178,7 +178,7 @@ def cmd_beam(args) -> int:
     report = {
         "theta0": args.theta0, "w": args.w, "mode": args.mode,
         "trials": None if args.mode == "quadrature" else args.trials,
-        "seed": args.seed,
+        "seed": None if args.mode == "quadrature" else args.seed,
         "p_fail_entangled": ent, "p_fail_unentangled": un,
         "advantage": adv, "stderr": err,
     }

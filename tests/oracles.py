@@ -7,9 +7,11 @@ composition by an independent route.  `sample_measurement` draws projective
 outcomes from the counter-based streams of `trajsense.rng`.
 
 The beam oracles check `beam`'s closed forms: `entangled_outcome_probs_statevector`
-rotates the window TS state and projects it on its own rotated outputs, and
-`run_beam_trials` draws each trial's measurement outcome on the same lines
-that `beam.compare_sensors` scores by exact conditional failure.
+rotates the window TS state and projects it on its own rotated outputs,
+`unentangled_win_prob_rows` sums the vote's 16 weighted outcome patterns as
+one (L, 16) row per line, and `run_beam_trials` draws each trial's measurement
+outcome on the same lines that `beam.compare_sensors` scores by exact
+conditional failure.
 
 `discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|).
 The reference here keeps the stacked (k, d, d) elements: the PGM as
@@ -126,6 +128,19 @@ def beam_angles(scenario, beam_line):
     phi, offset = beam_line
     d = beam._distances(phi, offset)
     return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+
+
+#: (16, 4) bit table of the X-outcome patterns; column i holds qubit i+1's bit
+BITS4 = bit_table(4)
+
+
+def unentangled_win_prob_rows(q, true_idx):
+    """`beam._unentangled_win_prob` as a row sum over an (L, 16) pattern table."""
+    q = np.atleast_2d(q)
+    pb = np.ones((q.shape[0], 16))
+    for i in range(4):
+        pb *= np.where(BITS4[:, i], q[:, i:i + 1], 1.0 - q[:, i:i + 1])
+    return (pb * beam._WIN_WEIGHT.T[true_idx]).sum(axis=1)
 
 
 def ts_sensor_state():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from trajsense import beam, qcore, trajset
@@ -102,6 +103,26 @@ def test_measurement_basis_is_orthonormal():
     assert np.abs(g - np.eye(4)).max() < 1e-12
 
 
+# flip probabilities with exact 0 and 1, subnormals, and repeats (so that
+# score patterns tie)
+_FLIP_PROBS = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 2.2e-308, 0.5]),
+                        st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FLIP_PROBS, _FLIP_PROBS, _FLIP_PROBS, _FLIP_PROBS),
+                min_size=1, max_size=40),
+       st.data())
+def test_vote_matches_the_row_sum_bit_for_bit(rows, data):
+    q = np.array(rows)
+    if data.draw(st.booleans()):          # the same probability on every qubit
+        q[:] = q[:, :1]
+    for edge in range(4):
+        true_idx = np.full(len(q), edge)
+        assert np.array_equal(beam._unentangled_win_prob(q, true_idx),
+                              oracles.unentangled_win_prob_rows(q, true_idx))
+
+
 def test_unentangled_rule_hand_cases():
     # both top atoms flipped for sure -> always guess the top edge
     win = beam._unentangled_win_prob(np.array([[1.0, 1.0, 0.0, 0.0]]),
@@ -147,11 +168,7 @@ def _per_sensor_reference(sc, phi, offset):
     probs = beam.entangled_outcome_probs(angles)
     leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
     pe = 1.0 - (probs[np.arange(len(phi)), true_idx] + leftover / 4)
-    q = np.sin(angles / 2.0) ** 2
-    pb = np.ones((len(phi), 16))
-    for i in range(4):
-        pb *= np.where(beam._BITS4[:, i], q[:, i:i + 1], 1.0 - q[:, i:i + 1])
-    pu = 1.0 - (pb * beam._WIN_WEIGHT[:, true_idx].T).sum(axis=1)
+    pu = 1.0 - oracles.unentangled_win_prob_rows(np.sin(angles / 2.0) ** 2, true_idx)
     return pe, pu, gap <= 1e-12
 
 
@@ -219,6 +236,18 @@ def test_sampled_outcomes_give_the_trial_failure():
     # the four rotated outputs exhaust the norm, so the complement outcome,
     # which measures no edge, does not fire
     assert not complement.any()
+
+
+def test_chunked_draws_match_one_pass():
+    # two whole draw chunks and a ragged tail of three lines
+    sc, trials, seed = beam.BeamScenario(0.3, 1.0), 2 * beam._DRAW_CHUNK + 3, 17
+    pe, pu, _ = beam.line_failures(sc, *beam._sample_lines(trials, seed))
+    diff = pu - pe
+    row = beam.compare_sensors(sc, "mc", trials, seed)
+    assert row.p_fail_entangled == float(pe.mean())
+    assert row.p_fail_unentangled == float(pu.mean())
+    assert row.advantage == float(diff.mean())
+    assert row.stderr == float(diff.std(ddof=1) / math.sqrt(trials))
 
 
 def test_monte_carlo_needs_two_trials():

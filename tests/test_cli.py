@@ -299,6 +299,15 @@ def test_beam_quadrature_reports_positive_advantage(tmp_path, capsys):
     assert json.loads((tmp_path / "beam.json").read_text()) == rep
 
 
+def test_beam_quadrature_reports_no_seed(capsys):
+    # quadrature draws nothing, so a --seed it was given is not reported
+    assert run(["beam", "--theta0", "0.3", "--w", "1.0", "--seed", "7",
+                "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["mode"] == "quadrature"
+    assert rep["seed"] is None and rep["trials"] is None
+
+
 def test_beam_mc_requires_seed(capsys):
     assert run(["beam", "--theta0", "0.1", "--w", "5", "--mode", "mc",
                 "--trials", "1000"]) == 2

@@ -1,5 +1,7 @@
 """Counter-based uniforms: seed range, distinct keys, pinned draws."""
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from trajsense import rng
@@ -22,3 +24,15 @@ def test_large_seeds_get_distinct_streams():
 def test_seed_outside_uint64_rejected(seed):
     with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
         rng.uniforms(seed, 1, 0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(0, 2**40), st.integers(0, 300),
+       st.integers(1, 4), st.data())
+def test_split_range_gives_the_same_draws(seed, start, count, slots, data):
+    """Any split of [start, start+count) draws the same bits as one call."""
+    cut = data.draw(st.integers(0, count))
+    whole = rng.uniforms(seed, 1, start, count, slots=slots)
+    parts = np.concatenate([rng.uniforms(seed, 1, start, cut, slots=slots),
+                            rng.uniforms(seed, 1, start + cut, count - cut, slots=slots)])
+    assert parts.tobytes() == whole.tobytes()
