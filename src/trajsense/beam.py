@@ -46,10 +46,10 @@ EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 _STREAM_LINES = 1
 
 #: lines per block in line_failures: the (16, block) vote temporaries stay
-#: cache-sized; on 512**2 lines 4096 ran 0.11-0.13 s, 65536 0.21 s
+#: cache-sized; 512**2 lines took 0.11-0.13 s at 4096, 0.21 s at 65536 (2 vCPUs)
 _BLOCK = 1 << 12
-#: Monte Carlo lines drawn per chunk: 10**6 lines took 0.65 s at 65536 and
-#: 0.99 s at 4096, whose small frees let malloc hand the vote's pages back
+#: Monte Carlo lines drawn per chunk: 10**6 lines took 0.65 s at 65536, 0.99 s at
+#: 4096, where glibc hands the block temporaries back to the OS and refaults them
 _DRAW_CHUNK = 1 << 16
 #: upper bound on Monte Carlo lines; memory grows about 25 bytes per line
 MC_TRIALS_MAX = 10_000_000
