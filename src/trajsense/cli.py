@@ -130,6 +130,7 @@ def cmd_solve(args) -> int:
 
 def cmd_curve(args) -> int:
     ts = _FAMILIES[args.family](args.n, args.m)
+    trajset.check_phase_cap(len(ts), ts.n)    # both tables need every phase row
     if args.inset:
         theta = parse_angle(args.theta) if args.theta else 3 * math.pi / 4
         eps = [float(e) for e in args.epsilons.split(",")]

@@ -68,10 +68,6 @@ class Ket:
             raise ValueError(f"amplitude vector has shape {a.shape}, expected ({1 << self.n},)")
         object.__setattr__(self, "amps", a)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 

@@ -133,7 +133,7 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
     For the symmetric and cyclic families, let p = |psi|^2 and p' = p o rep,
     where rep sends each bitstring to a fixed member of its orbit (its weight
     class, or its cyclic rotations).  A group element g maps each pair (a, b)
-    of members to its representative r from `_orbits`, and G_ab(p') =
+    of members to its representative r from `ts.orbits`, and G_ab(p') =
     G_r(p') because p' is orbit-constant.  Each entry is sum_j p_j e^{i phi_j},
     so |G_ab(p) - G_ab(p')| <= ||p - p'||_1 = delta, and
 
@@ -141,62 +141,49 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
 
     When delta <= ORBIT_TOL the value is max(|sum p - 1|, max_r |G_r|) +
     2 delta, computed from the phase rows of the representative pairs in
-    O(#pairs * 2^n).  It is never below the dense residual and exceeds it by
-    at most 2 delta.  Custom families and states that are not orbit-constant
+    O(#pairs * 2^n), one pair at a time.  It is never below the dense
+    residual and exceeds it by at most 2 delta.  Custom families and states that are not orbit-constant
     take the dense `eq1_gram`, which refuses |T|^2 * 2^n > DENSE_GRAM_CAP.
     """
-    orbits = _orbits(ts) if psi.n == ts.n else None
+    orbits = ts.orbits if psi.n == ts.n else None
     if orbits is not None:
-        pairs, rep = orbits
         p = psi.probs()
-        delta = float(np.abs(p - p[rep]).sum())
+        delta = float(np.abs(p - p[orbits.rep]).sum())
         if delta <= ORBIT_TOL:
-            members = list(dict.fromkeys(t for pair in pairs for t in pair))
-            rows = dict(zip(members, trajset.phase_matrix(members, ts.n, theta)))
-            off = max((abs(np.vdot(rows[a], p * rows[b])) for a, b in pairs), default=0.0)
+            off = max((abs(np.vdot(ra, p * rb)) for ra, rb in _pair_rows(ts, theta)),
+                      default=0.0)
             return max(abs(float(p.sum()) - 1.0), float(off)) + 2.0 * delta
     g = eq1_gram(psi, ts, theta)
     return float(np.abs(g - np.eye(len(ts))).max())
 
 
-def _orbits(ts: TrajectorySet):
-    """(representative pairs, orbit rep) under the family's group, or None for custom.
+def _pair_rows(ts: TrajectorySet, theta: float):
+    """The phase rows of each representative pair of `ts.orbits`, one pair at a
+    time; the row of the shared first member is built once."""
+    first, partners, _ = ts.orbits
+    row_a = trajset.phase_matrix([first], ts.n, theta)[0]
+    for b in partners:
+        yield row_a, trajset.phase_matrix([b], ts.n, theta)[0]
 
-    The permutations of the qubits act on the weight-m family and the cyclic
-    shift on the window family.  The pairs hold one pair of members per orbit
-    of member pairs: `_lp_system` writes one constraint per pair and
-    `max_gram_residual` checks one Gram entry per pair.  rep maps every
-    bitstring to a fixed member of its orbit: the lowest bitstring of its
-    weight, or its smallest cyclic rotation.
-    """
-    if ts.family == "symmetric":
-        weight = qcore.weight_on(ts.n, range(1, ts.n + 1))
-        return _sym_pair_reps(ts.n, ts.m), (1 << weight) - 1
-    if ts.family == "cyclic":
-        return [(ts.members[0], t) for t in ts.members[1:]], _rotation_reps(ts.n)
-    return None
+
+def _trivial(cert: FeasibilityCertificate, ts: TrajectorySet, theta: float):
+    """Mark `cert` feasible with the uniform witness of a family of < 2 members."""
+    uniform = Ket(ts.n, np.full(1 << ts.n, (1 << ts.n) ** -0.5, dtype=complex))
+    cert.feasible, cert.trivial, cert.witness_state = True, True, uniform
+    cert.max_residual = max_gram_residual(uniform, ts, theta)
+    return cert
 
 
 # ---------------------------------------------------------------------------
 # closed-form symmetrized route
 
-def _sym_pair_reps(n: int, m: int) -> list[tuple[Trajectory, Trajectory]]:
-    """One representative trajectory pair per intersection size t < m."""
-    a = Trajectory(tuple(range(1, m + 1)))
-    return [(a, Trajectory(tuple(range(m - t + 1, 2 * m - t + 1))))
-            for t in range(max(0, 2 * m - n), m)]
-
-def _sym_constraint_rows(n: int, m: int, theta: float) -> np.ndarray:
+def _sym_constraint_rows(ts: TrajectorySet, theta: float) -> np.ndarray:
     """Rows <nu|R(T)^dag R(T')|nu> over the weight classes nu, one pair class each."""
-    fold, sizes = qcore.weight_classes(n)
-    pairs = [t for pair in _sym_pair_reps(n, m) for t in pair]
-    if not pairs:
-        return np.zeros((0, len(sizes)))
-    phases = trajset.phase_matrix(pairs, n, theta)
-    d = phases[0::2].conj() * phases[1::2]
+    fold, sizes = qcore.weight_classes(ts.n)
     # masks, not a bincount, to keep the summation order of each class
     classes = [fold == nu for nu in range(len(sizes))]
-    cmplx = np.array([[row[c].sum() for c in classes] for row in d])
+    cmplx = np.array([[d[c].sum() for c in classes]
+                      for d in (ra.conj() * rb for ra, rb in _pair_rows(ts, theta))])
     # bit-flip symmetry of the classes makes these rows real
     assert np.abs(cmplx.imag).max() < 1e-9, "symmetrized constraint rows must be real"
     return cmplx.real
@@ -229,28 +216,20 @@ def _nonneg_solution(A: np.ndarray, norms: np.ndarray):
                 best = x
     return None, best
 
-def solve_symmetric(n: int, m: int, theta: float,
-                    ts: TrajectorySet | None = None) -> FeasibilityCertificate:
-    """Decide existence for the all-weight-m family via the invariant subspace.
-
-    `ts` is `gen_symmetric(n, m)` when the caller has built it already.
-    """
+def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
+    """Decide existence for the all-weight-m family via the invariant subspace."""
     if not 0.0 < theta <= math.pi:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
-    if ts is None:
-        ts = trajset.gen_symmetric(n, m)
+    ts = trajset.gen_symmetric(n, m)
     cert = FeasibilityCertificate(False, "closed_form", n, theta, "symmetric")
     if len(ts) < 2:
-        uniform = Ket(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
-        cert.feasible, cert.trivial, cert.witness_state = True, True, uniform
-        cert.max_residual = max_gram_residual(uniform, ts, theta)
         cert.detail = "single-trajectory family is trivially distinguishable"
-        return cert
+        return _trivial(cert, ts, theta)
 
     norms = qcore.weight_classes(n)[1].astype(float)
-    A = _sym_constraint_rows(n, m, theta)
-    sv = np.linalg.svd(A, compute_uv=False) if A.size else np.array([])
-    rank = int((sv > 1e-10 * (sv.max() if sv.size else 1.0)).sum())
+    A = _sym_constraint_rows(ts, theta)
+    sv = np.linalg.svd(A, compute_uv=False)      # 1 <= m < n: A has a row per t
+    rank = int((sv > 1e-10 * sv.max()).sum())
     cert.nullspace_dim = len(norms) - rank
 
     x, ray = _nonneg_solution(A, norms)
@@ -281,20 +260,16 @@ def solve_symmetric(n: int, m: int, theta: float,
 # ---------------------------------------------------------------------------
 # linear-feasibility oracle over squared magnitudes
 
-def _rotation_reps(n: int) -> np.ndarray:
-    """The smallest cyclic rotation of every bitstring."""
-    mask = (1 << n) - 1
-    rep = cur = np.arange(1 << n, dtype=np.int64)
-    for _ in range(n - 1):
-        cur = ((cur << 1) | (cur >> (n - 1))) & mask
-        rep = np.minimum(rep, cur)
-    return rep
-
 def _pair_coeffs(n: int, ta: Trajectory, tb: Trajectory, theta: float) -> np.ndarray:
-    """Per-bitstring coefficient of <psi|R(Ta)^dag R(Tb)|psi> as a function of p."""
+    """Per-bitstring coefficient of <psi|R(Ta)^dag R(Tb)|psi> as a function of p.
+
+    The exponent's integer sb - sa lies in [-span, span], so each entry is a
+    lookup into the 2 span + 1 values of exp(-i(theta/2)(sb - sa)).
+    """
     sa = len(ta) - 2 * qcore.weight_on(n, ta.qubits)
     sb = len(tb) - 2 * qcore.weight_on(n, tb.qubits)
-    return np.exp(-0.5j * theta * (sb - sa))
+    span = len(ta) + len(tb)
+    return np.exp(-0.5j * theta * np.arange(-span, span + 1))[sb - sa + span]
 
 def _lp_system(ts: TrajectorySet, theta: float):
     """Build (rows, rhs, orbit_inverse) with symmetry-reduced variables.
@@ -305,12 +280,12 @@ def _lp_system(ts: TrajectorySet, theta: float):
     over the group stays feasible, so the reduction preserves the verdict.
     """
     n = ts.n
-    orbits = _orbits(ts)
-    if orbits is None:
+    if ts.orbits is None:
         inv = np.arange(1 << n)
         pairs = itertools.combinations(ts.members, 2)
     else:
-        pairs, rep = orbits
+        first, partners, rep = ts.orbits
+        pairs = [(first, b) for b in partners]
         # rep[::-1] is the orbit rep of the flipped bitstring
         _, inv = np.unique(np.minimum(rep, rep[::-1]), return_inverse=True)
     ncols = int(inv.max()) + 1
@@ -334,10 +309,8 @@ def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
     cert = FeasibilityCertificate(False, "lp", ts.n, theta, ts.family)
     if problem.trivial:
-        uniform = Ket(ts.n, np.full(1 << ts.n, (1 << ts.n) ** -0.5, dtype=complex))
-        cert.feasible, cert.trivial, cert.witness_state = True, True, uniform
-        cert.p = list(uniform.probs())
-        cert.max_residual = max_gram_residual(uniform, ts, theta)
+        cert = _trivial(cert, ts, theta)
+        cert.p = list(cert.witness_state.probs())
         return cert
 
     A, b, inv = _lp_system(ts, theta)
@@ -362,22 +335,19 @@ def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
 # ---------------------------------------------------------------------------
 # tensor composition for the cyclic family
 
-def build_cyclic(n: int, m: int, theta: float,
-                 ts: TrajectorySet | None = None) -> FeasibilityCertificate:
+def build_cyclic(n: int, m: int, theta: float) -> FeasibilityCertificate:
     """Compose the width-m window TS state from m copies of a small one.
 
     Copy r lives on qubit positions {r, r+m, r+2m, ...}; each window of m
     consecutive positions touches every copy exactly once, so orthogonality
-    of the small single-rotation states lifts to the full family.  `ts` is
-    `gen_cyclic(n, m)` when the caller has built it already.
+    of the small single-rotation states lifts to the full family.
     """
     if n % m != 0:
         raise ValueError(f"n={n} is not divisible by m={m}")
     kappa = n // m
     if kappa < 2:
         raise ValueError("tensor composition needs kappa = n/m >= 2")
-    if ts is None:
-        ts = trajset.gen_cyclic(n, m)
+    ts = trajset.gen_cyclic(n, m)
     sub = solve_symmetric(kappa, 1, theta)
     cert = FeasibilityCertificate(False, "tensor_composition", n, theta, "cyclic",
                                   cbar_sq=sub.cbar_sq, boundary=sub.boundary,
@@ -405,9 +375,9 @@ def solve(problem: TSProblem) -> FeasibilityCertificate:
     composition for cyc with n = kappa*m, and the LP for every other family."""
     ts = problem.trajectories
     if ts.family == "symmetric":
-        return solve_symmetric(ts.n, ts.m, problem.theta, ts)
+        return solve_symmetric(ts.n, ts.m, problem.theta)
     if _composable(ts):
-        return build_cyclic(ts.n, ts.m, problem.theta, ts)
+        return build_cyclic(ts.n, ts.m, problem.theta)
     return solve_lp(problem)
 
 

@@ -7,10 +7,11 @@ built in code; no file format reads or writes them.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,43 +43,86 @@ class Trajectory:
         return "{" + ",".join(map(str, self.qubits)) + "}"
 
 
+class Orbits(NamedTuple):
+    """A sym or cyc family under its group: qubit permutations or the cyclic shift.
+
+    The pairs (first, b), b in `partners`, hold one pair of members per orbit
+    of member pairs.  `rep` maps every bitstring to a fixed member of its
+    orbit: the lowest bitstring of its weight, or its smallest cyclic rotation.
+    """
+
+    first: Trajectory
+    partners: list[Trajectory]
+    rep: np.ndarray
+
+
 @dataclass(frozen=True)
 class TrajectorySet:
-    """Distinct trajectories on n qubits whose members match the family label.
+    """Distinct trajectories on n qubits.
 
-    "symmetric" holds all C(n,m) weight-m subsets (in any order), "cyclic" the
-    n width-m windows in start order (1 <= m < n), "custom" any members.
+    "symmetric" is all C(n,m) weight-m subsets in lexicographic order,
+    "cyclic" the n width-m windows in start order (1 <= m < n, or
+    n = m = 1); both are fixed by (n, m), and their members are built on
+    first access.  "custom" holds the members it is given.
     """
 
     n: int
     family: str  # symmetric | cyclic | custom
     m: int
-    members: tuple[Trajectory, ...]
+    custom: tuple[Trajectory, ...] = ()
 
     def __post_init__(self):
         _check_n(self.n)
+        n, m = self.n, self.m
+        if self.family not in ("symmetric", "cyclic", "custom"):
+            raise ValueError(f"unknown family {self.family!r}")
+        if self.custom and self.family != "custom":
+            raise ValueError(f"a {self.family} family is fixed by (n, m) and takes no "
+                             f"members; label a member list 'custom'")
+        if self.family == "symmetric" and not 0 <= m <= n:
+            raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
+        if self.family == "cyclic" and not 1 <= m < max(n, 2):
+            raise ValueError(f"label 'cyclic' needs window width 1 <= m < n "
+                             f"(m = 1 for n = 1), got m={m}, n={n}")
         seen = set()
-        for t in self.members:
-            t.validate_within(self.n)
+        for t in self.custom:
+            t.validate_within(n)
             if t.qubits in seen:
                 raise ValueError(f"duplicate member {t.qubits}")
             seen.add(t.qubits)
-        n, m = self.n, self.m
-        if self.family == "symmetric":
-            if not (0 <= m <= n and len(self) == math.comb(n, m)
-                    and all(len(t) == m for t in self.members)):
-                raise ValueError(f"label 'symmetric' needs all C({n},{m}) weight-{m} "
-                                 f"subsets of 1..{n}, got {self._describe()}")
-        elif self.family == "cyclic":
-            _check_cyclic_width(n, m)
-            if self.members != _windows(n, m):
-                raise ValueError(f"label 'cyclic' needs the {n} width-{m} windows "
-                                 f"in start order, got {self._describe()}")
-        elif self.family != "custom":
-            raise ValueError(f"unknown family {self.family!r}")
 
     def __len__(self):
-        return len(self.members)
+        if self.family == "symmetric":
+            return math.comb(self.n, self.m)
+        return self.n if self.family == "cyclic" else len(self.custom)
+
+    @functools.cached_property
+    def members(self) -> tuple[Trajectory, ...]:
+        n, m = self.n, self.m
+        if self.family == "symmetric":
+            return tuple(Trajectory(c) for c in itertools.combinations(range(1, n + 1), m))
+        if self.family == "cyclic":
+            return tuple(_window(n, m, start) for start in range(n))
+        return self.custom
+
+    @functools.cached_property
+    def orbits(self) -> Orbits | None:
+        """The family's `Orbits`, or None for a custom family."""
+        n, m = self.n, self.m
+        if self.family == "symmetric":
+            # one partner per intersection size t < m with {1..m}
+            partners = [Trajectory(tuple(range(m - t + 1, 2 * m - t + 1)))
+                        for t in range(max(0, 2 * m - n), m)]
+            return Orbits(Trajectory(tuple(range(1, m + 1))), partners,
+                          (1 << weight_on(n, range(1, n + 1))) - 1)
+        if self.family == "cyclic":
+            mask = (1 << n) - 1
+            rep = cur = np.arange(1 << n, dtype=np.int64)
+            for _ in range(n - 1):
+                cur = ((cur << 1) | (cur >> (n - 1))) & mask
+                rep = np.minimum(rep, cur)
+            return Orbits(_window(n, m, 0), [_window(n, m, s) for s in range(1, n)], rep)
+        return None
 
     @property
     def kappa(self) -> int | None:
@@ -87,43 +131,31 @@ class TrajectorySet:
             return self.n // self.m
         return None
 
-    def _describe(self) -> str:
-        """Member count and the first six members, for error messages."""
-        labels = ",".join(t.label() for t in self.members[:6])
-        return f"{len(self)} members " + labels + (",..." if len(self) > 6 else "")
 
-
-def _check_cyclic_width(n: int, m: int) -> None:
-    """1 <= m < n, since at m = n > 1 all n windows are the whole register."""
-    if not 1 <= m < max(n, 2):
-        raise ValueError(f"label 'cyclic' needs window width 1 <= m < n "
-                         f"(m = 1 for n = 1), got m={m}, n={n}")
-
-
-def _windows(n: int, m: int) -> tuple[Trajectory, ...]:
-    """The n windows z^j({1..m}) under the cyclic shift z = (1...n), j = 0..n-1."""
-    return tuple(Trajectory(tuple((start + off) % n + 1 for off in range(m)))
-                 for start in range(n))
+def _window(n: int, m: int, start: int) -> Trajectory:
+    """The window z^start({1..m}) under the cyclic shift z = (1...n)."""
+    return Trajectory(tuple((start + off) % n + 1 for off in range(m)))
 
 
 def gen_symmetric(n: int, m: int) -> TrajectorySet:
     """All C(n,m) weight-m trajectories in lexicographic order."""
-    _check_n(n)
-    if not 0 <= m <= n:
-        raise ValueError(f"need 0 <= m <= n, got m={m}, n={n}")
-    members = tuple(Trajectory(c) for c in itertools.combinations(range(1, n + 1), m))
-    return TrajectorySet(n, "symmetric", m, members)
+    return TrajectorySet(n, "symmetric", m)
 
 
 def gen_cyclic(n: int, m: int) -> TrajectorySet:
     """The n windows z^j({1..m}) under the cyclic shift z = (1...n)."""
-    _check_n(n)
-    _check_cyclic_width(n, m)
-    return TrajectorySet(n, "cyclic", m, _windows(n, m))
+    return TrajectorySet(n, "cyclic", m)
 
 
 #: most elements `phase_matrix` allocates: 2**26 complex128 entries, 1 GiB
 PHASE_CAP = 1 << 26
+
+
+def check_phase_cap(k: int, n: int) -> None:
+    """Refuse a phase matrix of k trajectories on n qubits above `PHASE_CAP`."""
+    if k << n > PHASE_CAP:
+        raise ValueError(f"phase matrix too large: {k} trajectories x "
+                         f"2^{n} amplitudes > PHASE_CAP = {PHASE_CAP} elements")
 
 
 def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndarray:
@@ -137,9 +169,7 @@ def phase_matrix(members: Sequence[Trajectory], n: int, theta: float) -> np.ndar
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
-    if len(members) << n > PHASE_CAP:
-        raise ValueError(f"phase matrix too large: {len(members)} trajectories x "
-                         f"2^{n} amplitudes > PHASE_CAP = {PHASE_CAP} elements")
+    check_phase_cap(len(members), n)
     rows = np.empty((len(members), 1 << n), dtype=np.complex128)
     for row, t in zip(rows, members):
         t.validate_within(n)

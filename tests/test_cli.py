@@ -165,6 +165,23 @@ def test_solve_certifies_beyond_the_dense_cap(n, m, theta, capsys):
     assert np.abs(gram - np.eye(len(members))).max() < 1e-8
 
 
+@pytest.mark.parametrize("family,m,theta", [("sym", 10, "0.97pi"), ("cyc", 4, "0.8pi")])
+def test_default_solve_certifies_at_n_max(family, m, theta, capsys, monkeypatch):
+    """sym(20,10) has 184,756 members and cyc(20,4) is a 2^20 LP: both routes
+    certify their witness, read from the certificates the default solve makes."""
+    certs = []
+    for name in ("solve", "solve_lp"):
+        route = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda problem, route=route: certs.append(route(problem)) or certs[-1])
+    argv = ["solve", "--family", family, "--n", str(qcore.N_MAX), "--m", str(m), "--theta", theta]
+    assert run(argv) == 0
+    assert capsys.readouterr().out.endswith(": feasible\n")
+    assert [c.method for c in certs] == [
+        "closed_form" if family == "sym" else "tensor_composition", "lp"]
+    assert all(c.feasible and c.max_residual <= 1e-12 for c in certs)
+
+
 # ------------------------------------------------------------------- curve
 
 def test_curve_writes_two_columns(tmp_path, capsys):
@@ -194,12 +211,16 @@ def test_curve_grid_bounds_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv", [["--points", "2"], ["--inset"]], ids=["curve", "inset"])
-def test_curve_over_the_phase_cap_exits_2(argv, capsys):
-    """sym(16,8) needs a 12870 x 2^16 phase matrix; it is refused before allocation."""
-    assert run(["curve", "--family", "sym", "--n", "16", "--m", "8", *argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: phase matrix too large: 12870 trajectories x 2^16")
-    assert "PHASE_CAP" in err
+def test_curve_over_the_phase_cap_exits_2(argv, capsys, monkeypatch):
+    """sym(16,8) needs a 12870 x 2^16 phase matrix; it is refused before any solve."""
+    def no_solve(problem):
+        raise AssertionError("solved before the cap check")
+    monkeypatch.setattr(solver, "solve", no_solve)
+    for n, m, k in [(16, 8, 12870), (20, 10, 184756)]:
+        assert run(["curve", "--family", "sym", "--n", str(n), "--m", str(m), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: phase matrix too large: {k} trajectories x 2^{n}")
+        assert "PHASE_CAP" in err
 
 
 def test_curve_inset_table(tmp_path, capsys):

@@ -132,7 +132,7 @@ def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
                 lp = solver.solve_lp(TSProblem(ts, theta))
                 assert not lp.feasible or lp.max_residual < 1e-8, (n, m, theta)
                 composable = n % m == 0 and n // m >= 2
-                if composable and solver.build_cyclic(n, m, theta, ts).feasible != lp.feasible:
+                if composable and solver.build_cyclic(n, m, theta).feasible != lp.feasible:
                     # the composition is only sufficient: for kappa >= 4 the onset
                     # lies below threshold_cyc, where the LP alone finds a witness
                     assert n // m >= 4 and lp.feasible and theta < solver.threshold_cyc(n // m)
@@ -263,6 +263,19 @@ def test_lp_certificates_are_sound(subsets, theta):
         assert cert.max_residual < 1e-7
 
 
+@given(st.integers(1, 8), st.data(), st.floats(0.0, PI))
+@settings(max_examples=60, deadline=None)
+def test_pair_coeffs_lookup_is_the_direct_exponential(n, data, theta):
+    """Bit for bit exp(-i(theta/2)(sb - sa)), evaluated entry by entry."""
+    subsets = st.frozensets(st.integers(1, n), max_size=n).map(
+        lambda q: trajset.Trajectory(tuple(q)))
+    ta, tb = data.draw(subsets), data.draw(subsets)
+    sa = len(ta) - 2 * qcore.weight_on(n, ta.qubits)
+    sb = len(tb) - 2 * qcore.weight_on(n, tb.qubits)
+    direct = np.exp(-0.5j * theta * (sb - sa))
+    assert solver._pair_coeffs(n, ta, tb, theta).tobytes() == direct.tobytes()
+
+
 # --- witness check on orbit representatives --------------------------------
 
 def _dense_residual(psi, ts, theta):
@@ -338,18 +351,38 @@ def test_orbit_breaking_state_takes_dense_check(ts, theta):
     (6, 2, tuple(trajset.Trajectory(q) for q in ((1, 2), (3, 4), (5, 6))), PI / 2),
 ], ids=["sym_prefix", "disjoint_windows"])
 def test_partial_family_is_rejected(n, m, members, theta):
-    """A partial family cannot carry a sym/cyc label; as custom, both routes say feasible."""
-    for label in ("symmetric", "cyclic"):
-        with pytest.raises(ValueError, match=f"label '{label}'"):
-            trajset.TrajectorySet(n, label, m, members)
+    """A partial family is custom (sym and cyc take no members, see
+    `test_trajset.py`); both routes decide it by the LP and say feasible."""
     problem = TSProblem(trajset.TrajectorySet(n, "custom", m, members), theta)
     auto, lp = solver.solve(problem), solver.solve_lp(problem)
     assert auto.method == lp.method == "lp"
     assert auto.feasible and lp.feasible and auto.max_residual < 1e-12
     psi = auto.witness_state
-    assert solver._orbits(problem.trajectories) is None
+    assert problem.trajectories.orbits is None
     assert solver.max_gram_residual(psi, problem.trajectories, theta) == _dense_residual(
         psi, problem.trajectories, theta)
+
+
+@pytest.mark.parametrize("ts,theta", [
+    (trajset.gen_symmetric(10, 5), 0.95 * PI),
+    (trajset.gen_symmetric(5, 0), 0.5 * PI),
+    (trajset.gen_cyclic(12, 3), 2 * PI / 3),
+    (trajset.gen_cyclic(10, 3), PI),          # 3 does not divide 10: the LP route
+], ids=["sym(10,5)", "sym(5,0)", "cyc(12,3)", "cyc(10,3)"])
+def test_routes_build_no_members_and_stream_phase_rows(ts, theta, monkeypatch):
+    """A sym or cyc family is its (n, m): both routes and the witness check read
+    `ts.orbits`, never `members`, and ask for at most two phase rows at a time."""
+    def no_members(self):
+        raise AssertionError(f"members of {self.family}({self.n},{self.m}) built")
+    monkeypatch.setattr(trajset.TrajectorySet, "members", property(no_members))
+    rows, phase_matrix = [], trajset.phase_matrix
+    monkeypatch.setattr(trajset, "phase_matrix", lambda members, n, theta: (
+        rows.append(len(members)) or phase_matrix(members, n, theta)))
+    problem = TSProblem(ts, theta)
+    for cert in (solver.solve(problem), solver.solve_lp(problem)):
+        assert cert.feasible and cert.max_residual <= 1e-12
+        assert solver.max_gram_residual(cert.witness_state, ts, theta) == cert.max_residual
+    assert rows and max(rows) <= 2
 
 
 def test_dense_check_refusal_names_the_cap():

@@ -61,50 +61,34 @@ def _window_tuples(n, m):
     return [tuple(sorted((s + k) % n + 1 for k in range(m))) for s in range(n)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 8), data=st.data())
-def test_label_accepted_iff_members_are_the_family(n, data):
-    """symmetric: all C(n,m) weight-m subsets in any order; cyclic: the windows in start order."""
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 10), data=st.data())
+def test_members_are_built_from_n_and_m(n, data):
+    """sym: the weight-m subsets in lexicographic order; cyc: the windows in start order."""
     m = data.draw(st.integers(0, n))
-    sources = [trajset.gen_symmetric(n, m)]
+    ts = trajset.gen_symmetric(n, m)
+    assert len(ts) == math.comb(n, m) and "members" not in vars(ts)
+    assert [t.qubits for t in ts.members] == list(itertools.combinations(range(1, n + 1), m))
     if 1 <= m < n or m == n == 1:
-        sources.append(trajset.gen_cyclic(n, m))
-    members = list(data.draw(st.sampled_from(sources)).members)
-    edit = data.draw(st.sampled_from(["none", "subset", "shuffle"]))
-    if edit == "subset":
-        keep = data.draw(st.lists(st.integers(0, len(members) - 1), unique=True,
-                                  max_size=len(members) - 1))
-        members = [members[i] for i in sorted(keep)]
-    elif edit == "shuffle":
-        members = data.draw(st.permutations(members))
-    members = tuple(members)
-    label = data.draw(st.sampled_from(["symmetric", "cyclic"]))
-    m_label = data.draw(st.one_of(st.just(m), st.integers(0, n)))
-    got = [t.qubits for t in members]
-    if label == "symmetric":
-        ok = sorted(got) == list(itertools.combinations(range(1, n + 1), m_label))
-    else:
-        ok = m_label >= 1 and got == _window_tuples(n, m_label)
-    if ok:
-        assert trajset.TrajectorySet(n, label, m_label, members).members == members
-    else:
-        with pytest.raises(ValueError, match=f"label '{label}'"):
-            trajset.TrajectorySet(n, label, m_label, members)
+        ts = trajset.gen_cyclic(n, m)
+        assert len(ts) == n and "members" not in vars(ts)
+        assert [t.qubits for t in ts.members] == _window_tuples(n, m)
 
 
-def test_mislabeled_sets_raise_at_construction():
-    partial = trajset.gen_symmetric(4, 2).members[:3]
-    with pytest.raises(ValueError, match=r"label 'symmetric' needs all C\(4,2\) weight-2 "
-                                         r"subsets of 1\.\.4, got 3 members \{1,2\},\{1,3\},\{1,4\}"):
-        trajset.TrajectorySet(4, "symmetric", 2, partial)
-    pairs = tuple(trajset.Trajectory(q) for q in ((1, 2), (3, 4), (5, 6)))
-    with pytest.raises(ValueError, match=r"label 'cyclic' needs the 6 width-2 windows in "
-                                         r"start order, got 3 members \{1,2\},\{3,4\},\{5,6\}"):
-        trajset.TrajectorySet(6, "cyclic", 2, pairs)
-    custom = trajset.TrajectorySet(6, "custom", 2, pairs)
-    assert custom.family == "custom" and custom.kappa is None
+def test_sym_and_cyc_take_no_members():
+    """A sym or cyc family is its (n, m); a member list is a custom family."""
+    members = trajset.gen_symmetric(4, 2).members
+    for label in ("symmetric", "cyclic"):
+        with pytest.raises(ValueError, match=f"a {label} family is fixed by \\(n, m\\) "
+                                             f"and takes no members"):
+            trajset.TrajectorySet(4, label, 2, members)
+    custom = trajset.TrajectorySet(4, "custom", 2, members[:3])
+    assert custom.members == members[:3] and len(custom) == 3
+    assert custom.kappa is None and custom.orbits is None
     with pytest.raises(ValueError, match="unknown family 'windows'"):
-        trajset.TrajectorySet(4, "windows", 2, partial)
+        trajset.TrajectorySet(4, "windows", 2)
+    with pytest.raises(ValueError, match=r"need 0 <= m <= n, got m=5, n=4"):
+        trajset.gen_symmetric(4, 5)
 
 
 @pytest.mark.parametrize("build", [
