@@ -5,7 +5,7 @@ Subsystems, roughly bottom-up:
 - ``rng``      counter-based uniform streams (reproducible, order-independent)
 - ``qcore``    dense statevectors, bit weights, symmetrized basis, ket JSON
 - ``trajset``  trajectory families and the phase matrix of their rotations
-- ``simplex``  phase-1 feasibility: float solve certified in rationals
+- ``simplex``  phase-1 feasibility: a float solve's exact rational bracket
 - ``solver``   sensing-state construction, closed-form and LP routes
 - ``discrim``  optimal discrimination, failure curves, repetition analysis
 - ``beam``     four-atom beam-crossing scenario, entangled vs unentangled

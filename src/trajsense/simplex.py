@@ -1,89 +1,20 @@
-"""Elastic phase-1 feasibility: certify a float solve, else pivot exactly.
+"""Elastic phase-1 feasibility: an exact bracket from a float solve.
 
 Decides feasibility of {x >= 0 : A x = b} by minimizing the total elastic
 violation sum |A x - b| (split into s+ and s- columns).  Coefficients are
 rationalized exactly (every float is a dyadic rational), so systems that
-miss feasibility by one ulp report a comparably tiny objective instead of
+miss feasibility by one ulp have a comparably tiny optimum instead of
 jumping to O(1) as the classic one-sided artificial formulation would.
-`certified_phase1` brackets that exact objective between rational bounds
-built from a float solve (`_float_phase1`, a dense numpy tableau); only
-when the bracket straddles the tolerance does `exact_phase1`, a Bland's-rule
-rational tableau, compute it outright.
+`certified_phase1` brackets that exact optimum between rational bounds
+built from a float solve (`_float_phase1`, a dense numpy tableau).  The
+caller holds the tolerance: a bracket on one side of it is a verdict, and
+a bracket that straddles it decides nothing.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
-
-
-def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
-    """Minimize sum |A x - b| over x >= 0, exactly.
-
-    Returns (objective: Fraction, x: list[Fraction]).  objective == 0 iff
-    the rationalized system is feasible; x is a basic (vertex) solution of
-    the elastic program either way.
-    """
-    m = len(A)
-    if m == 0:
-        return Fraction(0), []
-    N = len(A[0])
-    rows = []
-    for i in range(m):
-        row = [Fraction(v) for v in A[i]]
-        bi = Fraction(b[i])
-        if bi < 0:  # keep rhs nonnegative so the s+ basis starts feasible
-            row = [-v for v in row]
-            bi = -bi
-        elastic = [Fraction(0)] * (2 * m)
-        elastic[i] = Fraction(1)        # s+ column
-        elastic[m + i] = Fraction(-1)   # s- column
-        rows.append(row + elastic + [bi])
-
-    ncols = N + 2 * m
-    # reduced costs for cost (0,..,0 | 1,..,1), initial basis = s+ block
-    red = [Fraction(0)] * (ncols + 1)
-    for j in range(ncols + 1):
-        cj = Fraction(1) if N <= j < ncols else Fraction(0)
-        red[j] = cj - sum(r[j] for r in rows)
-    basis = list(range(N, N + m))
-
-    while True:
-        enter = -1
-        for j in range(ncols):  # Bland: smallest improving index
-            if red[j] < 0:
-                enter = j
-                break
-        if enter < 0:
-            break
-        leave, best, best_var = -1, None, None
-        for i in range(m):
-            a = rows[i][enter]
-            if a > 0:
-                ratio = rows[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
-                    leave, best, best_var = i, ratio, basis[i]
-        if leave < 0:
-            raise RuntimeError("phase-1 objective unbounded — malformed input")
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        prow = rows[leave]
-        for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
-        if red[enter] != 0:
-            f = red[enter]
-            red = [v - f * p for v, p in zip(red, prow)]
-        basis[leave] = enter
-
-    obj = -red[ncols]
-    x = [Fraction(0)] * N
-    for i, jb in enumerate(basis):
-        if jb < N:
-            x[jb] = rows[i][ncols]
-    return obj, x
 
 
 #: pivot tolerance of `_float_phase1`: reduced costs and column entries this small count as 0
@@ -93,7 +24,7 @@ _PIVOT_TOL = 1e-11
 def _float_phase1(A: np.ndarray, b: np.ndarray):
     """(x >= 0, row duals y) of the elastic program, or None if the pivoting stalls.
 
-    A dense float tableau on `exact_phase1`'s setup: rows with b_i < 0 flipped,
+    A dense float tableau of the elastic program: rows with b_i < 0 flipped,
     the [I | -I] elastic block at cost 1, the s+ block as the first basis;
     Dantzig pricing, and the largest pivot among ratio-test ties.  At an
     optimum the tableau is refactored from the original rows and pivoting goes
@@ -161,43 +92,41 @@ def _solve_exact(M: list, rhs: list):
     return z
 
 
-def certified_phase1(A: Sequence[Sequence[float]], b: Sequence[float], tol: float):
-    """(lower, upper, x): lower <= the `exact_phase1` objective <= upper.
+def certified_phase1(A: np.ndarray, b: np.ndarray):
+    """(lower, upper, x): lower <= min sum |A x - b| over x >= 0 <= upper, exactly.
 
-    The bounds are Fractions, and either upper <= tol or lower > tol: a
-    straddle runs `exact_phase1` and returns its objective as both.  upper is
-    the exact residual |A x - b|_1 of a rational x >= 0 whose rounding is
-    returned: the float solve's support re-solved exactly when that is
-    nonnegative (then upper = 0), else the float point itself.  lower is weak
-    duality, b.y / max(1, |y|_inf) for any y with A^T y <= 0: the float duals
-    get there by lowering y's last entry, which needs an all-positive last
-    row (a normalisation row); without one, lower = 0.
+    The bounds are Fractions.  upper is the exact residual |A x - b|_1 of a
+    rational x >= 0 whose rounding is returned: the float solve's support
+    re-solved exactly when that is nonnegative (then upper = 0), else the
+    float point itself.  lower is weak duality, b.y / max(1, |y|_inf) for
+    any y with A^T y <= 0: the float duals get there by lowering y's last
+    entry, which needs an all-positive last row (a normalisation row);
+    without one, lower = 0.  When the float solve stalls or is not finite,
+    x = 0, which the elastic program admits, gives (0, |b|_1, 0).
     """
-    A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+    bq = [Fraction(v) for v in b.tolist()]
     sol = _float_phase1(A, b)
-    if sol is not None and np.isfinite(sol[0]).all() and np.isfinite(sol[1]).all():
-        x, y = sol
-        bq, yq = [Fraction(v) for v in b.tolist()], [Fraction(v) for v in y.tolist()]
-        # a basis guess: the support first, then the columns of least reduced cost
-        S = np.argsort(np.where(x > 0, -1.0, np.abs(A.T @ y)), kind="stable")[:len(b)]
-        z = _solve_exact([[Fraction(v) for v in row] for row in A[:, S].tolist()], bq)
-        if z is not None and min(z) >= 0:
-            upper, x = Fraction(0), np.zeros_like(x)
-            x[S] = [float(v) for v in z]
-        else:
-            S = np.flatnonzero(x)
-            xq = [Fraction(v) for v in x[S].tolist()]
-            upper = sum(abs(sum(Fraction(a) * v for a, v in zip(row, xq)) - bi)
-                        for row, bi in zip(A[:, S].tolist(), bq))
-        lower = Fraction(0)
-        Ak, eA = _dyadic(A)
-        if (Ak[-1] > 0).all():
-            yk, ey = _dyadic(y)
-            g = yk @ Ak                         # A^T y == g * 2**(eA + ey)
-            yq[-1] -= max((Fraction(gj, a) for gj, a in zip(g, Ak[-1]) if gj > 0),
-                          default=0) * Fraction(2) ** ey
-            lower = max(lower, sum(bi * yi for bi, yi in zip(bq, yq)) / max(1, *map(abs, yq)))
-        if upper <= tol or lower > tol:
-            return lower, upper, x
-    obj, x_exact = exact_phase1(A.tolist(), b.tolist())
-    return obj, obj, np.array([float(v) for v in x_exact])
+    if sol is None or not (np.isfinite(sol[0]).all() and np.isfinite(sol[1]).all()):
+        return Fraction(0), sum(map(abs, bq), Fraction(0)), np.zeros(A.shape[1])
+    x, y = sol
+    yq = [Fraction(v) for v in y.tolist()]
+    # a basis guess: the support first, then the columns of least reduced cost
+    S = np.argsort(np.where(x > 0, -1.0, np.abs(A.T @ y)), kind="stable")[:len(b)]
+    z = _solve_exact([[Fraction(v) for v in row] for row in A[:, S].tolist()], bq)
+    if z is not None and min(z) >= 0:
+        upper, x = Fraction(0), np.zeros_like(x)
+        x[S] = [float(v) for v in z]
+    else:
+        S = np.flatnonzero(x)
+        xq = [Fraction(v) for v in x[S].tolist()]
+        upper = sum(abs(sum(Fraction(a) * v for a, v in zip(row, xq)) - bi)
+                    for row, bi in zip(A[:, S].tolist(), bq))
+    lower = Fraction(0)
+    Ak, eA = _dyadic(A)
+    if (Ak[-1] > 0).all():
+        yk, ey = _dyadic(y)
+        g = yk @ Ak                         # A^T y == g * 2**(eA + ey)
+        yq[-1] -= max((Fraction(gj, a) for gj, a in zip(g, Ak[-1]) if gj > 0),
+                      default=0) * Fraction(2) ** ey
+        lower = max(lower, sum(bi * yi for bi, yi in zip(bq, yq)) / max(1, *map(abs, yq)))
+    return lower, upper, x

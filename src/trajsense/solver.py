@@ -80,7 +80,7 @@ class FeasibilityCertificate:
     family: str
     cbar_sq: list | None = None      # symmetrized squared magnitudes (may carry
                                      # the sign-violating ray when infeasible)
-    p: list | None = None            # per-bitstring probabilities (LP route)
+    p: np.ndarray | None = None      # per-bitstring probabilities (LP route)
     max_residual: float = float("nan")
     witness_state: Ket | None = None
     boundary: bool = False
@@ -104,7 +104,7 @@ class FeasibilityCertificate:
         if self.cbar_sq is not None:
             obj["cbar_sq"] = [float(v) for v in self.cbar_sq]
         if self.p is not None:
-            obj["p"] = [float(v) for v in self.p]
+            obj["p"] = self.p.tolist()
         if self.witness_state is not None:
             obj["witness_state"] = qcore.ket_to_dict(self.witness_state)
         return obj
@@ -303,32 +303,34 @@ def _lp_system(ts: TrajectorySet, theta: float):
     return np.array(rows), rhs, inv
 
 def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
-    """Independent oracle: feasibility of the magnitude-space linear system."""
+    """Independent oracle: feasibility of the magnitude-space linear system, the
+    one place where FEAS_TOL meets the exact bracket of `certified_phase1`."""
     ts, theta = problem.trajectories, problem.theta
     if not 0.0 < theta <= math.pi:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
     cert = FeasibilityCertificate(False, "lp", ts.n, theta, ts.family)
     if problem.trivial:
         cert = _trivial(cert, ts, theta)
-        cert.p = list(cert.witness_state.probs())
+        cert.p = cert.witness_state.probs()
         return cert
 
     A, b, inv = _lp_system(ts, theta)
-    lower, upper, x = certified_phase1(A, b, FEAS_TOL)
-    if upper > FEAS_TOL:
+    lower, upper, x = certified_phase1(A, b)
+    if lower > FEAS_TOL:
         cert.infeasibility = float(lower)
         cert.detail = f"phase-1 infeasibility >= {cert.infeasibility:.3e} exceeds tolerance"
         return cert
+    if upper > FEAS_TOL:
+        raise ValueError(f"LP verdict undecided: exact phase-1 infeasibility in [{float(lower):.3e}"
+                         f", {float(upper):.3e}] straddles FEAS_TOL = {FEAS_TOL:g}")
 
     cert.feasible = True
     cert.infeasibility = float(upper)       # exact L1 residual |A x - b| of x
     cert.marginal = upper > 0
-    p = np.clip(x[inv], 0.0, None)
-    p = p / p.sum()
-    witness = Ket(ts.n, np.sqrt(p).astype(complex))
-    cert.p = [float(v) for v in p]
-    cert.witness_state = witness
-    cert.max_residual = max_gram_residual(witness, ts, theta)
+    p = x[inv]                              # certified_phase1 returns x >= 0
+    cert.p = p / p.sum()
+    cert.witness_state = Ket(ts.n, np.sqrt(cert.p).astype(complex))
+    cert.max_residual = max_gram_residual(cert.witness_state, ts, theta)
     return cert
 
 
@@ -365,19 +367,22 @@ def build_cyclic(n: int, m: int, theta: float) -> FeasibilityCertificate:
     witness = Ket(n, amps.reshape((2,) * n).transpose(order).ravel())
     cert.feasible = True
     cert.witness_state = witness
-    cert.p = [float(v) for v in witness.probs()]
+    cert.p = witness.probs()
     cert.max_residual = max_gram_residual(witness, ts, theta)
     return cert
 
 
 def solve(problem: TSProblem) -> FeasibilityCertificate:
     """The family's constructive route: the closed form for sym, tensor
-    composition for cyc with n = kappa*m, and the LP for every other family."""
+    composition for cyc with n = kappa*m (only sufficient for kappa >= 4 and
+    m >= 2, so there the LP decides where it finds no state), else the LP."""
     ts = problem.trajectories
     if ts.family == "symmetric":
         return solve_symmetric(ts.n, ts.m, problem.theta)
     if _composable(ts):
-        return build_cyclic(ts.n, ts.m, problem.theta)
+        cert = build_cyclic(ts.n, ts.m, problem.theta)
+        if cert.feasible or ts.kappa <= 3 or ts.m == 1:
+            return cert
     return solve_lp(problem)
 
 

@@ -116,12 +116,8 @@ class TrajectorySet:
             return Orbits(Trajectory(tuple(range(1, m + 1))), partners,
                           (1 << weight_on(n, range(1, n + 1))) - 1)
         if self.family == "cyclic":
-            mask = (1 << n) - 1
-            rep = cur = np.arange(1 << n, dtype=np.int64)
-            for _ in range(n - 1):
-                cur = ((cur << 1) | (cur >> (n - 1))) & mask
-                rep = np.minimum(rep, cur)
-            return Orbits(_window(n, m, 0), [_window(n, m, s) for s in range(1, n)], rep)
+            return Orbits(_window(n, m, 0), [_window(n, m, s) for s in range(1, n)],
+                          _smallest_rotation(n))
         return None
 
     @property
@@ -130,6 +126,18 @@ class TrajectorySet:
         if self.family == "cyclic" and self.n % self.m == 0:
             return self.n // self.m
         return None
+
+
+@functools.cache
+def _smallest_rotation(n: int) -> np.ndarray:
+    """Read-only: the smallest cyclic rotation of every n-bit string, built once per n."""
+    mask = (1 << n) - 1
+    rep = cur = np.arange(1 << n, dtype=np.int64)
+    for _ in range(n - 1):
+        cur = ((cur << 1) | (cur >> (n - 1))) & mask
+        rep = np.minimum(rep, cur)
+    rep.flags.writeable = False
+    return rep
 
 
 def _window(n: int, m: int, start: int) -> Trajectory:

@@ -19,8 +19,14 @@ rho^(-1/2) G_j rho^(-1/2), the Jezek-Rehacek-Fiurasek fixed point
 P_j <- L G_j P_j G_j L, and the optimality test as one `eigvalsh` of
 Gamma - G_j per element.  Its results are `discrim.DiscriminationResult`s, so
 it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
+
+`exact_phase1` is a Bland's-rule rational simplex on the elastic phase-1
+program of `simplex.certified_phase1`; its exact optimum is what the
+certified bracket must contain.
 """
 import math
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -300,3 +306,74 @@ def helstrom_pair(states):
     pos = vecs[:, vals > 0]
     P0 = pos @ pos.conj().T
     return _result(coords, np.stack([P0, np.eye(len(a)) - P0]), "helstrom")
+
+
+# ---------------------------------------------------------------------------
+# exact elastic phase 1
+
+def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
+    """Minimize sum |A x - b| over x >= 0, exactly.
+
+    Returns (objective: Fraction, x: list[Fraction]).  objective == 0 iff
+    the rationalized system is feasible; x is a basic (vertex) solution of
+    the elastic program either way.
+    """
+    m = len(A)
+    if m == 0:
+        return Fraction(0), []
+    N = len(A[0])
+    rows = []
+    for i in range(m):
+        row = [Fraction(v) for v in A[i]]
+        bi = Fraction(b[i])
+        if bi < 0:  # keep rhs nonnegative so the s+ basis starts feasible
+            row = [-v for v in row]
+            bi = -bi
+        elastic = [Fraction(0)] * (2 * m)
+        elastic[i] = Fraction(1)        # s+ column
+        elastic[m + i] = Fraction(-1)   # s- column
+        rows.append(row + elastic + [bi])
+
+    ncols = N + 2 * m
+    # reduced costs for cost (0,..,0 | 1,..,1), initial basis = s+ block
+    red = [Fraction(0)] * (ncols + 1)
+    for j in range(ncols + 1):
+        cj = Fraction(1) if N <= j < ncols else Fraction(0)
+        red[j] = cj - sum(r[j] for r in rows)
+    basis = list(range(N, N + m))
+
+    while True:
+        enter = -1
+        for j in range(ncols):  # Bland: smallest improving index
+            if red[j] < 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave, best, best_var = -1, None, None
+        for i in range(m):
+            a = rows[i][enter]
+            if a > 0:
+                ratio = rows[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < best_var):
+                    leave, best, best_var = i, ratio, basis[i]
+        if leave < 0:
+            raise RuntimeError("phase-1 objective unbounded — malformed input")
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        prow = rows[leave]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
+        if red[enter] != 0:
+            f = red[enter]
+            red = [v - f * p for v, p in zip(red, prow)]
+        basis[leave] = enter
+
+    obj = -red[ncols]
+    x = [Fraction(0)] * N
+    for i, jb in enumerate(basis):
+        if jb < N:
+            x[jb] = rows[i][ncols]
+    return obj, x

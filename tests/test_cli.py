@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import trajsense
-from trajsense import beam, cli, qcore, solver
+from trajsense import beam, cli, qcore, simplex, solver
 
 
 def run(argv):
@@ -96,19 +96,34 @@ def test_solve_lp_only_method(capsys):
                 "--theta", "3pi/4", "--method", "lp"]) == 0
 
 
+def test_undecided_lp_verdict_exits_2(capsys, monkeypatch):
+    """A bracket that straddles FEAS_TOL is no verdict: exit 2, nothing on stdout."""
+    monkeypatch.setattr(simplex, "_float_phase1", lambda A, b: None)
+    assert run(["solve", "--family", "sym", "--n", "4", "--m", "2",
+                "--theta", "3pi/4", "--method", "lp"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: LP verdict undecided: exact phase-1 infeasibility in "
+                   "[0.000e+00, 1.000e+00] straddles FEAS_TOL = 1e-09\n")
+
+
 def test_both_runs_the_lp_once_where_it_is_the_only_route(capsys, monkeypatch):
-    """cyc(5,2) has no constructive route (5 mod 2 != 0), so there is nothing to agree with."""
-    calls = []
+    """Where `solve` itself ends in the LP there is nothing for the LP to agree with:
+    cyc(5,2) has no constructive route (5 mod 2 != 0), and cyc(8,2) at 0.65pi lies
+    below threshold_cyc(4), where the composition does not decide."""
     solve_lp = solver.solve_lp
-    monkeypatch.setattr(solver, "solve_lp",
-                        lambda problem: calls.append(1) or solve_lp(problem))
-    code = run(["solve", "--family", "cyc", "--n", "5", "--m", "2", "--theta", "pi",
-                "--format", "json"])
-    cert = json.loads(capsys.readouterr().out)
-    assert code == (0 if cert["feasible"] else 1)
-    assert calls == [1]
-    assert cert["method"] == "lp"
-    assert "lp route agrees" not in cert["detail"]
+    for n, m, theta in (("5", "2", "pi"), ("8", "2", "0.65pi")):
+        calls = []
+        monkeypatch.setattr(solver, "solve_lp",
+                            lambda problem: calls.append(1) or solve_lp(problem))
+        code = run(["solve", "--family", "cyc", "--n", n, "--m", m, "--theta", theta,
+                    "--format", "json"])
+        cert = json.loads(capsys.readouterr().out)
+        assert code == (0 if cert["feasible"] else 1)
+        assert calls == [1]
+        assert cert["method"] == "lp"
+        assert "lp route agrees" not in cert["detail"]
+    assert cert["feasible"] and cert["max_residual"] < 1e-12
 
 
 def test_usage_errors_exit_two(capsys):

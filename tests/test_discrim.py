@@ -301,6 +301,16 @@ def test_failure_curve_properties():
             assert qp.p_fail < 1e-9
 
 
+def test_cyc_curve_is_zero_between_the_lp_onset_and_threshold_cyc():
+    """cyc(8,2) has sensing states from 0.6098pi (the LP onset), below the
+    composition's 2pi/3; the curve's entangled arm uses them there."""
+    ts = trajset.gen_cyclic(8, 2)
+    q = discrim.failure_curve(ts, "solver_witness", [t * PI for t in (0.60, 0.615, 0.64, 0.66)])
+    assert q[0].p_fail > 1e-6
+    for point in q[1:]:
+        assert point.method == "projective_orthogonal" and point.p_fail < 1e-12, point
+
+
 def test_failure_curve_rejects_unknown_source():
     for source in ("witness", "classical_best"):
         with pytest.raises(ValueError, match="unknown psi_source"):

@@ -1,8 +1,8 @@
-"""Exact rational feasibility: the elastic phase-1 pivot engine."""
+"""Exact rational feasibility: the elastic phase-1 pivot oracle of `tests/oracles.py`."""
 import math
 from fractions import Fraction
 
-from trajsense.simplex import exact_phase1
+from oracles import exact_phase1
 
 
 def test_feasible_system_exact_zero():

@@ -8,6 +8,7 @@ pairwise orthogonality residual.
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -113,11 +114,12 @@ def test_theta_domain_rejected(theta):
 # --- LP oracle -------------------------------------------------------------
 
 def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
-    """The float solve certifies every grid system alone, and the LP verdict is the
-    constructive one: the closed form for sym, the tensor composition for cyc, and
-    the exact simplex for the 3-qubit custom families."""
-    exact, calls = simplex.exact_phase1, []
-    monkeypatch.setattr(simplex, "exact_phase1", lambda A, b: calls.append(1) or exact(A, b))
+    """No grid system is undecided, and the LP verdict is the constructive one: the
+    closed form for sym, `solve` for cyc, and `oracles.exact_phase1` for the
+    3-qubit custom families."""
+    brackets, certified = [], solver.certified_phase1
+    monkeypatch.setattr(solver, "certified_phase1",
+                        lambda A, b: brackets.append(certified(A, b)) or brackets[-1])
     grid = [float(t) for t in np.linspace(PI / 13, PI, 13)]
     for n in range(2, 9):
         for m in range(1, n):
@@ -125,7 +127,7 @@ def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
                 c1 = solver.solve_symmetric(n, m, theta)
                 c2 = solver.solve_lp(TSProblem(trajset.gen_symmetric(n, m), theta))
                 assert c1.feasible == c2.feasible, (n, m, theta)
-    for n in range(2, 11):
+    for n in range(2, 13):
         for m in range(1, n):
             ts = trajset.gen_cyclic(n, m)
             for theta in grid:
@@ -134,8 +136,10 @@ def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
                 composable = n % m == 0 and n // m >= 2
                 if composable and solver.build_cyclic(n, m, theta).feasible != lp.feasible:
                     # the composition is only sufficient: for kappa >= 4 the onset
-                    # lies below threshold_cyc, where the LP alone finds a witness
-                    assert n // m >= 4 and lp.feasible and theta < solver.threshold_cyc(n // m)
+                    # lies below threshold_cyc, where `solve` takes the LP's witness
+                    assert n // m >= 4 and m >= 2 and lp.feasible, (n, m, theta)
+                    assert theta < solver.threshold_cyc(n // m)
+                    assert solver.solve(TSProblem(ts, theta)).method == "lp"
     subsets = [q for r in (1, 2, 3) for q in itertools.combinations((1, 2, 3), r)]
     for k in (2, 3):
         for members in itertools.combinations(subsets, k):
@@ -144,8 +148,10 @@ def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
             for theta in np.linspace(PI / 7, PI, 7):
                 lp = solver.solve_lp(TSProblem(ts, float(theta)))
                 A, b, _ = solver._lp_system(ts, float(theta))
-                assert lp.feasible == (exact(A.tolist(), b.tolist())[0] <= solver.FEAS_TOL)
-    assert calls == []
+                assert lp.feasible == (oracles.exact_phase1(A.tolist(), b.tolist())[0]
+                                       <= solver.FEAS_TOL)
+    assert brackets and all(upper <= solver.FEAS_TOL or lower > solver.FEAS_TOL
+                            for lower, upper, _ in brackets)
 
 
 def test_lp_marginal_flag_at_exact_boundary():
@@ -173,19 +179,20 @@ def test_lp_witness_expands_orbit_variables():
         assert np.ptp(cls) < 1e-12
 
 
-def test_lp_band_fallback_same_verdicts(monkeypatch):
-    """A float solve that certifies nothing (U = 1, L = 0) hands over to the exact simplex."""
-    exact, calls = simplex.exact_phase1, []
-    monkeypatch.setattr(simplex, "_float_phase1",
-                        lambda A, b: (np.zeros(A.shape[1]), np.zeros(A.shape[0])))
-    monkeypatch.setattr(simplex, "_solve_exact", lambda M, rhs: None)
-    monkeypatch.setattr(simplex, "exact_phase1", lambda A, b: calls.append(1) or exact(A, b))
-    for theta, feasible in [(0.6 * PI, False), (0.85 * PI, True)]:
-        cert = solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), theta))
-        assert cert.feasible is feasible
-        if feasible:
-            assert cert.max_residual < 1e-8
-    assert len(calls) == 2
+@pytest.mark.parametrize("stalled", [None, (np.array([np.nan]), np.zeros(1))],
+                         ids=["stall", "nan"])
+def test_stalled_float_solve_leaves_the_verdict_undecided(stalled, monkeypatch):
+    """Without a float solve the bracket is x = 0's: [0, |b|_1], which decides nothing."""
+    monkeypatch.setattr(simplex, "_float_phase1", lambda A, b: stalled)
+    lower, upper, x = simplex.certified_phase1(np.array([[1.0, 2.0], [3.0, 4.0]]),
+                                               np.array([0.5, -0.25]))
+    assert (lower, upper) == (0, Fraction(3, 4)) and x.tolist() == [0.0, 0.0]
+    # the LP's right-hand side is the normalisation row's 1, so |b|_1 = 1
+    msg = ("LP verdict undecided: exact phase-1 infeasibility in "
+           "[0.000e+00, 1.000e+00] straddles FEAS_TOL = 1e-09")
+    for theta in (0.6 * PI, 0.85 * PI):
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            solver.solve_lp(TSProblem(trajset.gen_symmetric(4, 2), theta))
 
 
 def test_certified_lower_bound_needs_positive_last_row(monkeypatch):
@@ -193,7 +200,7 @@ def test_certified_lower_bound_needs_positive_last_row(monkeypatch):
     A, b = np.array([[1.0, 0.0], [1.0, -1.0]]), np.array([1.0, 0.0])   # x = (1, 1): opt = 0
     # y = (1, 1) gives A^T y = (2, -1); lowering y's last entry by 2 makes column 2 positive
     monkeypatch.setattr(simplex, "_float_phase1", lambda A, b: (np.ones(2), np.ones(2)))
-    lower, upper, _ = simplex.certified_phase1(A, b, solver.FEAS_TOL)
+    lower, upper, _ = simplex.certified_phase1(A, b)
     assert lower == 0 == upper
 
 
@@ -228,17 +235,19 @@ _NEAR = st.tuples(st.sampled_from([10.0 ** -k for k in range(6, 14)]), st.sample
 @given(_FAMILIES, st.data())
 @settings(max_examples=40, deadline=None)
 def test_certified_bounds_bracket_exact_optimum(family, data):
-    """L <= exact optimum <= U in rationals, and the certified verdict is the exact one."""
+    """L <= exact optimum <= U in rationals, and a decided bracket gives the exact verdict."""
     ts, threshold = family
     if threshold is None:
         theta = data.draw(_GRID)
     else:
         theta = data.draw(_GRID | _NEAR.map(lambda ds: threshold + ds[1] * ds[0]))
     A, b, _ = solver._lp_system(ts, theta)
-    lower, upper, _ = simplex.certified_phase1(A, b, solver.FEAS_TOL)
-    opt, _ = simplex.exact_phase1(A.tolist(), b.tolist())
+    lower, upper, _ = simplex.certified_phase1(A, b)
+    opt, _ = oracles.exact_phase1(A.tolist(), b.tolist())
     assert lower <= opt <= upper
-    assert (upper <= solver.FEAS_TOL) == (opt <= solver.FEAS_TOL)
+    tol = solver.FEAS_TOL
+    assert upper > tol or opt <= tol
+    assert lower <= tol or opt > tol
 
 
 def test_lp_custom_family():
@@ -457,6 +466,15 @@ def test_solve_dispatch():
     assert solver.solve(cyc).method == "tensor_composition"
     # 2 does not divide 5: no tensor composition, so the LP is the route
     assert solver.solve(TSProblem(trajset.gen_cyclic(5, 2), PI)).method == "lp"
+    # an infeasible composition decides kappa <= 3 and m = 1; the LP decides the rest
+    for (n, m), theta, method, feasible in [
+            ((6, 2), 0.6 * PI, "tensor_composition", False),
+            ((4, 1), 0.6 * PI, "tensor_composition", False),
+            ((8, 2), 0.65 * PI, "lp", True),
+            ((8, 2), 0.5 * PI, "lp", False)]:
+        cert = solver.solve(TSProblem(trajset.gen_cyclic(n, m), theta))
+        assert (cert.method, cert.feasible) == (method, feasible), (n, m, theta)
+        assert not feasible or cert.max_residual < 1e-12
 
 
 @pytest.mark.parametrize("ts,expect", [

@@ -75,6 +75,14 @@ def test_members_are_built_from_n_and_m(n, data):
         assert [t.qubits for t in ts.members] == _window_tuples(n, m)
 
 
+def test_cyclic_orbit_reps_are_built_once_per_n():
+    """Every cyc family on n qubits shares one read-only smallest-rotation array."""
+    rep = trajset.gen_cyclic(9, 3).orbits.rep
+    assert trajset.gen_cyclic(9, 3).orbits.rep is rep
+    assert trajset.gen_cyclic(9, 4).orbits.rep is rep
+    assert not rep.flags.writeable
+
+
 def test_sym_and_cyc_take_no_members():
     """A sym or cyc family is its (n, m); a member list is a custom family."""
     members = trajset.gen_symmetric(4, 2).members
