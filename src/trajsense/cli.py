@@ -199,13 +199,12 @@ def cmd_qec(args) -> int:
         stab = qec.stabilizer_check(state, qec.window_code_group())
         built = solver.build_cyclic(4, 2, math.pi / 2).witness_state
         kl = qec.kl_verify(state, trajset.gen_cyclic(4, 2), math.pi / 2)
+        matches = qcore.equal_up_to_phase(built, state)
         checks["window"] = {
             "stabilized": stab.all_plus_one,
-            "matches_builder": qcore.equal_up_to_phase(built, state),
+            "matches_builder": matches,
             "kl_verdict": kl.verdict,
-            "passed": (stab.all_plus_one
-                       and qcore.equal_up_to_phase(built, state)
-                       and kl.verdict == "discriminating code"),
+            "passed": stab.all_plus_one and matches and kl.verdict == "discriminating code",
         }
     if args.check in ("steane", "all"):
         good = qec.transversal_rotation_check(math.pi / 2)

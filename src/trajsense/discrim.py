@@ -257,12 +257,7 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
         raise ValueError(f"unknown psi_source {psi_source!r}")
     k = len(ts)
     points = []
-    threshold_witness = None
-    if psi_source == "solver_witness":
-        cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
-        if cert0.feasible:
-            threshold_witness = cert0.witness_state
-
+    candidates = None                  # built at the first angle below the onset
     for theta in theta_grid:
         theta = float(theta)
         if theta == 0.0:
@@ -278,9 +273,12 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
             points.append(CurvePoint(theta, res.p_fail, "projective_orthogonal"))
             continue
         # below threshold: best of a deterministic symmetrized-state sweep
-        candidates = _symmetrized_candidates(ts.n)
-        if threshold_witness is not None:
-            candidates.append(threshold_witness)
+        # and the witness at the onset
+        if candidates is None:
+            candidates = _symmetrized_candidates(ts.n)
+            cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
+            if cert0.feasible:
+                candidates.append(cert0.witness_state)
         phases = trajset.phase_matrix(ts.members, ts.n, theta)
         best = min((optimal_measurement(phases * psi.amps) for psi in candidates),
                    key=lambda res: res.p_fail)

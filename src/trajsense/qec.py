@@ -32,18 +32,6 @@ _PAULI_MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-# single-letter products: (a, b) -> (power of i, resulting letter)
-_PAULI_MUL = {
-    ("I", "I"): (0, "I"), ("X", "X"): (0, "I"), ("Y", "Y"): (0, "I"),
-    ("Z", "Z"): (0, "I"),
-    ("X", "Y"): (1, "Z"), ("Y", "X"): (3, "Z"),
-    ("Y", "Z"): (1, "X"), ("Z", "Y"): (3, "X"),
-    ("Z", "X"): (1, "Y"), ("X", "Z"): (3, "Y"),
-}
-for _a in "XYZ":
-    _PAULI_MUL[("I", _a)] = (0, _a)
-    _PAULI_MUL[(_a, "I")] = (0, _a)
-
 
 # ---------------------------------------------------------------------------
 # the uniform trajectory channel
@@ -113,28 +101,6 @@ def _commute(a: str, b: str) -> bool:
     return anti % 2 == 0
 
 
-def _string_product(items):
-    """Multiply signed Pauli strings exactly; returns (phase, letters).
-
-    phase is a power of i stored mod 4 together with the +/- signs.
-    """
-    items = list(items)
-    n = len(items[0][1])
-    letters = "I" * n
-    ipow = 0
-    sign = 1
-    for s, p in items:
-        sign *= s
-        out = []
-        for x, y in zip(letters, p):
-            k, r = _PAULI_MUL[(x, y)]
-            ipow = (ipow + k) % 4
-            out.append(r)
-        letters = "".join(out)
-    phase = sign * (1j ** ipow)
-    return phase, letters
-
-
 class StabilizerGroup:
     """A commuting set of signed Pauli strings whose group avoids -I."""
 
@@ -150,16 +116,13 @@ class StabilizerGroup:
                 if not _commute(parsed[i][1], parsed[j][1]):
                     raise ValueError(
                         f"generators {generators[i]!r} and {generators[j]!r} anticommute")
-        if len(parsed) > 16:
-            raise ValueError("too many generators to screen for -I")
-        for mask in range(1, 2 ** len(parsed)):
-            subset = [parsed[k] for k in range(len(parsed)) if mask >> k & 1]
-            phase, letters = _string_product(subset)
-            if set(letters) == {"I"} and phase == -1:
-                raise ValueError("group contains -I")
         self.generators = tuple(generators)
         self._parsed = parsed
         self.n = n
+        # commuting generators: the joint +1 eigenspace has dimension 2^(n-r) for
+        # r independent ones, and is empty exactly when the group holds -I
+        if np.trace(self.projector()).real < 0.5:
+            raise ValueError("group contains -I")
 
     def matrices(self):
         for sign, letters in self._parsed:

@@ -1,21 +1,25 @@
 """Construct trajectory-sensing states and decide when they exist.
 
-Two independent routes answer the same feasibility question:
+Two routes build the rows of the same feasibility question:
 
 * the closed-form route (`solve_symmetric`) works in the bit-flip and
-  permutation invariant subspace, summing phase rows over the weight classes
-  of `qcore.weight_classes` and analyzing the resulting small linear system
-  directly; and
+  permutation invariant subspace, summing phase rows over the weight-class
+  masks of `qcore.weight_classes`; and
 * the LP oracle (`solve_lp`) treats the squared magnitudes p_j = |c_j|^2 as
   variables of a linear feasibility program built from per-bitstring phase
-  differences, whose verdict is certified in exact rationals (`simplex.certified_phase1`).
+  differences (`_pair_coeffs`) folded onto orbit variables by a bincount.
 
-`build_cyclic` realizes the tensor-composition construction for the cyclic
-family.  Every certificate's witness is re-verified afterwards by
-`max_gram_residual`: for the symmetric and cyclic families on one
-representative pair of members per orbit of member pairs, with a proven bound
-on every other pair, and for custom families (or states whose |psi|^2 is not
-constant on orbits) against the full set of pairwise orthogonality conditions.
+Both decide with one rule, `_decide`: the exact rational bracket of
+`simplex.certified_phase1` on the L1 infeasibility, compared with FEAS_TOL.
+The distinct rows keep `solve --method both` a cross-check of the two
+formulations; the solver itself is checked against a rational simplex in
+the tests.  `build_cyclic` realizes the tensor-composition construction for
+the cyclic family from a sym(kappa, 1) closed form.  Every certificate's
+witness is re-verified afterwards by `max_gram_residual`: for the symmetric
+and cyclic families on one representative pair of members per orbit of
+member pairs, with a proven bound on every other pair, and for custom
+families (or states whose |psi|^2 is not constant on orbits) against the
+full set of pairwise orthogonality conditions.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from .qcore import Ket
 from .simplex import certified_phase1
 from .trajset import TrajectorySet, Trajectory
 
-#: feasibility slack shared by both routes so verdicts agree at boundaries
+#: largest certified L1 infeasibility that `_decide` accepts as feasible
 FEAS_TOL = 1e-9
 #: entries this close to zero (after max-normalization) count as boundary ties
 BOUNDARY_TOL = 1e-10
@@ -174,6 +178,23 @@ def _trivial(cert: FeasibilityCertificate, ts: TrajectorySet, theta: float):
     return cert
 
 
+def _decide(A: np.ndarray, b: np.ndarray):
+    """(feasible, bound, x) for {x >= 0 : A x = b}: the one place where FEAS_TOL
+    meets the exact bracket [lower, upper] of `certified_phase1`.
+
+    lower > FEAS_TOL is infeasible, with bound = lower; upper <= FEAS_TOL is
+    feasible, with bound = upper, the exact L1 residual of x >= 0.  A bracket
+    that straddles FEAS_TOL decides nothing and raises ValueError.
+    """
+    lower, upper, x = certified_phase1(A, b)
+    if lower > FEAS_TOL:
+        return False, lower, x
+    if upper > FEAS_TOL:
+        raise ValueError(f"LP verdict undecided: exact phase-1 infeasibility in [{float(lower):.3e}"
+                         f", {float(upper):.3e}] straddles FEAS_TOL = {FEAS_TOL:g}")
+    return True, upper, x
+
+
 # ---------------------------------------------------------------------------
 # closed-form symmetrized route
 
@@ -188,36 +209,16 @@ def _sym_constraint_rows(ts: TrajectorySet, theta: float) -> np.ndarray:
     assert np.abs(cmplx.imag).max() < 1e-9, "symmetrized constraint rows must be real"
     return cmplx.real
 
-def _nonneg_solution(A: np.ndarray, norms: np.ndarray):
-    """Search for x >= 0 with A x = 0 and norms . x = 1 via basic solutions.
-
-    Enumerates column-support subsets (largest first) and accepts the first
-    exact solution that is nonnegative within BOUNDARY_TOL.  Returns
-    (x or None, diagnostics).
-    """
-    K = len(norms)
-    scale = np.abs(A).max(axis=1, keepdims=True)
-    scale[scale == 0] = 1.0
-    B = np.vstack([A / scale, norms / norms.max()])
-    b = np.zeros(B.shape[0])
-    b[-1] = 1.0 / norms.max()
-    best = None
-    for size in range(K, 0, -1):
-        for cols in itertools.combinations(range(K), size):
-            sub = B[:, cols]
-            x_s, *_ = np.linalg.lstsq(sub, b, rcond=None)
-            if np.linalg.norm(sub @ x_s - b) > FEAS_TOL:
-                continue
-            x = np.zeros(K)
-            x[list(cols)] = x_s
-            if x.min() >= -BOUNDARY_TOL * max(1.0, x.max()):
-                return np.clip(x, 0.0, None), best
-            if best is None:
-                best = x
-    return None, best
-
 def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
-    """Decide existence for the all-weight-m family via the invariant subspace."""
+    """Decide existence for the all-weight-m family via the invariant subspace.
+
+    The class rows and the class sizes (the normalisation row) go to the
+    certified bracket of `_decide`.  The certificate's squared magnitudes come
+    from one least-squares solve of the same system with max-scaled rows: a
+    solution that is nonnegative within BOUNDARY_TOL is the witness, else it
+    is the sign-violating ray reported, and a feasible verdict then takes the
+    bracket's x >= 0.
+    """
     if not 0.0 < theta <= math.pi:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
     ts = trajset.gen_symmetric(n, m)
@@ -232,21 +233,28 @@ def solve_symmetric(n: int, m: int, theta: float) -> FeasibilityCertificate:
     rank = int((sv > 1e-10 * sv.max()).sum())
     cert.nullspace_dim = len(norms) - rank
 
-    x, ray = _nonneg_solution(A, norms)
-    if x is None:
-        cert.infeasibility = float(-ray.min() / max(abs(ray).max(), 1e-300)) if ray is not None else 1.0
-        if ray is not None:
-            # report the sign-violating candidate (ratios remain meaningful)
-            if ray[np.argmax(np.abs(ray))] < 0:
-                ray = -ray
-            cert.cbar_sq = list(ray / np.abs(ray).max())
-            cert.sign_violations = [int(i) for i in np.nonzero(ray < -BOUNDARY_TOL * np.abs(ray).max())[0]]
-            cert.detail = ("no nonnegative solution; sign condition violated at nu="
-                           + ",".join(map(str, cert.sign_violations)))
-        else:
+    rhs = np.zeros(len(A) + 1)
+    rhs[-1] = 1.0
+    feasible, bound, x_cert = _decide(np.vstack([A, norms]), rhs)
+    scale = np.abs(A).max(axis=1, keepdims=True)
+    scale[scale == 0] = 1.0
+    x, *_ = np.linalg.lstsq(np.vstack([A / scale, norms / norms.max()]),
+                            rhs / norms.max(), rcond=None)
+    nonneg = x.min() >= -BOUNDARY_TOL * max(1.0, x.max())
+    if not feasible:
+        cert.infeasibility = float(bound)
+        if nonneg:
             cert.detail = "constraint system admits no nonzero solution"
+            return cert
+        # report the sign-violating candidate (ratios remain meaningful)
+        ray = -x if x[np.argmax(np.abs(x))] < 0 else x
+        cert.cbar_sq = list(ray / np.abs(ray).max())
+        cert.sign_violations = [int(i) for i in np.nonzero(ray < -BOUNDARY_TOL * np.abs(ray).max())[0]]
+        cert.detail = ("no nonnegative solution; sign condition violated at nu="
+                       + ",".join(map(str, cert.sign_violations)))
         return cert
 
+    x = np.clip(x, 0.0, None) if nonneg else x_cert
     x = x / float(norms @ x)           # sum_nu N_nu |cbar_nu|^2 = 1
     witness = Ket(n, qcore.symmetrized_amplitudes(n, x))
     cert.feasible = True
@@ -303,8 +311,7 @@ def _lp_system(ts: TrajectorySet, theta: float):
     return np.array(rows), rhs, inv
 
 def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
-    """Independent oracle: feasibility of the magnitude-space linear system, the
-    one place where FEAS_TOL meets the exact bracket of `certified_phase1`."""
+    """Independent oracle: feasibility of the magnitude-space linear system."""
     ts, theta = problem.trajectories, problem.theta
     if not 0.0 < theta <= math.pi:
         raise ValueError(f"theta must be in (0, pi], got {theta}")
@@ -315,18 +322,13 @@ def solve_lp(problem: TSProblem) -> FeasibilityCertificate:
         return cert
 
     A, b, inv = _lp_system(ts, theta)
-    lower, upper, x = certified_phase1(A, b)
-    if lower > FEAS_TOL:
-        cert.infeasibility = float(lower)
+    cert.feasible, bound, x = _decide(A, b)
+    cert.infeasibility = float(bound)
+    if not cert.feasible:
         cert.detail = f"phase-1 infeasibility >= {cert.infeasibility:.3e} exceeds tolerance"
         return cert
-    if upper > FEAS_TOL:
-        raise ValueError(f"LP verdict undecided: exact phase-1 infeasibility in [{float(lower):.3e}"
-                         f", {float(upper):.3e}] straddles FEAS_TOL = {FEAS_TOL:g}")
 
-    cert.feasible = True
-    cert.infeasibility = float(upper)       # exact L1 residual |A x - b| of x
-    cert.marginal = upper > 0
+    cert.marginal = bound > 0
     p = x[inv]                              # certified_phase1 returns x >= 0
     cert.p = p / p.sum()
     cert.witness_state = Ket(ts.n, np.sqrt(cert.p).astype(complex))

@@ -22,8 +22,12 @@ it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
 
 `exact_phase1` is a Bland's-rule rational simplex on the elastic phase-1
 program of `simplex.certified_phase1`; its exact optimum is what the
-certified bracket must contain.
+certified bracket must contain.  `nonneg_solution` is the symmetric closed
+form's earlier decision rule: a search over column supports for a
+nonnegative solution of the class rows, with its own residual and sign
+tolerances.
 """
+import itertools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -377,3 +381,35 @@ def exact_phase1(A: Sequence[Sequence[float]], b: Sequence[float]):
         if jb < N:
             x[jb] = rows[i][ncols]
     return obj, x
+
+
+# ---------------------------------------------------------------------------
+# support enumeration for the symmetrized system
+
+def nonneg_solution(A: np.ndarray, norms: np.ndarray):
+    """Search for x >= 0 with A x = 0 and norms . x = 1 via basic solutions.
+
+    Enumerates column-support subsets (largest first) and accepts the first
+    exact solution that is nonnegative within BOUNDARY_TOL.  Returns
+    (x or None, diagnostics).
+    """
+    K = len(norms)
+    scale = np.abs(A).max(axis=1, keepdims=True)
+    scale[scale == 0] = 1.0
+    B = np.vstack([A / scale, norms / norms.max()])
+    b = np.zeros(B.shape[0])
+    b[-1] = 1.0 / norms.max()
+    best = None
+    for size in range(K, 0, -1):
+        for cols in itertools.combinations(range(K), size):
+            sub = B[:, cols]
+            x_s, *_ = np.linalg.lstsq(sub, b, rcond=None)
+            if np.linalg.norm(sub @ x_s - b) > solver.FEAS_TOL:
+                continue
+            x = np.zeros(K)
+            x[list(cols)] = x_s
+            if x.min() >= -solver.BOUNDARY_TOL * max(1.0, x.max()):
+                return np.clip(x, 0.0, None), best
+            if best is None:
+                best = x
+    return None, best

@@ -107,6 +107,17 @@ def test_undecided_lp_verdict_exits_2(capsys, monkeypatch):
                    "[0.000e+00, 1.000e+00] straddles FEAS_TOL = 1e-09\n")
 
 
+@pytest.mark.parametrize("method", [[], ["--method", "closed"]], ids=["both", "closed"])
+def test_just_below_the_necessary_threshold_is_infeasible(method, capsys):
+    """sym(2,1) 1.5e-9 below pi/2: the closed form's certified bracket says
+    infeasible, as the LP's does, so the routes agree and nothing goes to stderr."""
+    assert run(["solve", "--family", "sym", "--n", "2", "--m", "1",
+                "--theta", "1.5707963252948966"] + method) == 1
+    out, err = capsys.readouterr()
+    assert out == "sym(2,1) at theta=1.570796: infeasible\n"
+    assert err == ""
+
+
 def test_both_runs_the_lp_once_where_it_is_the_only_route(capsys, monkeypatch):
     """Where `solve` itself ends in the LP there is nothing for the LP to agree with:
     cyc(5,2) has no constructive route (5 mod 2 != 0), and cyc(8,2) at 0.65pi lies

@@ -182,14 +182,12 @@ def test_builder_state_matches_hand_entry():
 
 
 def test_window_group_contains_y_products():
-    # product of -Z1Z3 and X1X3 is a Y1Y3 element (times a sign); the code
-    # state must sit in its +1 eigenspace too
-    phase, letters = qec._string_product([(-1, "ZIZI"), (1, "XIXI")])
-    assert letters == "YIYI"
-    sign = phase.real if abs(phase.imag) < 1e-15 else None
-    assert sign in (-1.0, 1.0)
-    label = ("-" if sign < 0 else "") + letters
-    rep = qec.stabilizer_check(qec.window_code_state(), qec.StabilizerGroup([label]))
+    # the product of -Z1Z3 and X1X3 is +Y1Y3 (ZX = iY on each of the two
+    # qubits); the code state must sit in its +1 eigenspace too
+    zz, xx = qec.StabilizerGroup(["-ZIZI", "XIXI"]).matrices()
+    (yy,) = qec.StabilizerGroup(["YIYI"]).matrices()
+    assert np.array_equal(zz @ xx, yy)
+    rep = qec.stabilizer_check(qec.window_code_state(), qec.StabilizerGroup(["YIYI"]))
     assert rep.all_plus_one
 
 

@@ -115,15 +115,28 @@ def test_theta_domain_rejected(theta):
 
 def test_lp_agrees_with_closed_form_on_grid(monkeypatch):
     """No grid system is undecided, and the LP verdict is the constructive one: the
-    closed form for sym, `solve` for cyc, and `oracles.exact_phase1` for the
-    3-qubit custom families."""
+    closed form for sym (on the grid and within 1e-6 of the necessary
+    threshold of the half-weight families), `solve` for cyc, and
+    `oracles.exact_phase1` for the 3-qubit custom families.  On the grid the
+    support enumeration of `oracles.nonneg_solution` agrees as well."""
     brackets, certified = [], solver.certified_phase1
     monkeypatch.setattr(solver, "certified_phase1",
                         lambda A, b: brackets.append(certified(A, b)) or brackets[-1])
     grid = [float(t) for t in np.linspace(PI / 13, PI, 13)]
     for n in range(2, 9):
+        norms = qcore.weight_classes(n)[1].astype(float)
         for m in range(1, n):
             for theta in grid:
+                c1 = solver.solve_symmetric(n, m, theta)
+                c2 = solver.solve_lp(TSProblem(trajset.gen_symmetric(n, m), theta))
+                assert c1.feasible == c2.feasible, (n, m, theta)
+                rows = solver._sym_constraint_rows(trajset.gen_symmetric(n, m), theta)
+                x, _ = oracles.nonneg_solution(rows, norms)
+                assert (x is not None) == c1.feasible, (n, m, theta)
+    for n in range(2, 11):
+        for m in sorted({n // 2, (n + 1) // 2}):
+            threshold = solver.threshold_sym(n, m).theta
+            for theta in (threshold + s * 10.0 ** -k for k in range(6, 14) for s in (-1, 1)):
                 c1 = solver.solve_symmetric(n, m, theta)
                 c2 = solver.solve_lp(TSProblem(trajset.gen_symmetric(n, m), theta))
                 assert c1.feasible == c2.feasible, (n, m, theta)
