@@ -8,8 +8,8 @@ array, `make_ensemble` (`trajset.phase_matrix` times psi); sweeps build the
 phase matrix once per angle and reuse it for every input state.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
-* `pgm` is the square-root measurement; optimal for the geometrically uniform
-  ensembles that appear here, and cheap enough to screen parameter sweeps.
+* `pgm` is the square-root measurement, optimal for the geometrically uniform
+  ensembles that appear here (Eldar & Forney, IEEE TIT 47, 858 (2001)).
 * `optimal_measurement` runs the fixed-point iteration for the minimum-error
   POVM (Jezek, Rehacek & Fiurasek 2002), seeded from the PGM so it can only
   improve on it.
@@ -18,9 +18,10 @@ phase matrix once per angle and reuse it for every input state.
   its docstring; Alberti & Uhlmann 1980, Chefles, Jozsa & Winter 2004), so
   entangled-vs-classical gaps are measured against the best unentangled
   sensor with matched generosity on the measurement side.
-* `failure_curve` sweeps theta, `repetition_analysis` converts a per-shot
-  result into plurality-vote repetition counts with one exact tail DP
-  (`plurality_error`) for every k and r.
+* `failure_curve` sweeps theta (below the onset, `_screen`'s Gram spectra
+  spare `optimal_measurement` the candidates that cannot hold the minimum),
+  `repetition_analysis` converts a per-shot result into plurality-vote
+  repetition counts with one exact tail DP (`plurality_error`) for every k and r.
 
 Measurements live in the span of the ensemble (dimension d <= k, state j at
 coordinates c_j from the SVD in `_reduce`) as rank-one factors: G_j =
@@ -240,6 +241,39 @@ def _symmetrized_candidates(n: int):
     return [Ket(n, amps) for amps in qcore.symmetrized_amplitudes(n, profiles)]
 
 
+def _screen(phases, candidates):
+    """PGM value p, error bound err and optimality certificate per candidate.
+
+    From the Gram G = (phases |psi|^2) phases^H: g = diag(G^(1/2)) over the
+    eigenvalues above 1e-12 lam_max (the `_pgm_vectors` cut), p = 1 - g.g/k.
+    A backward error k eps lam_max moves g by at most (to first order)
+    dg = k eps lam_max/sqrt(lam_min), lam_min the least kept eigenvalue, so
+    p is the SVD route's within err = 4 dg + 2k eps (rounding included).
+    With g0 = max g, Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k
+    = g_j/g0 <= 1, so Gamma0 >= G_j, and the PGM's Gamma lies within
+    (ptp g) sqrt(lam_max)/k of it.  `_is_optimal` thus accepts the PGM, and
+    `optimal_measurement` returns p, where that bound with ptp g + 4 dg is
+    at most `_FP_TOL`/2 and the cut eigenvectors V carry |V^H S|^2 <= 1e-24
+    lam_max, so that `_reduce` drops them.  One `eigh` per block of Grams
+    no larger than `phases`.
+    """
+    k, eps = len(phases), np.finfo(float).eps
+    step, phases_h, out = max(1, phases.shape[1] // k), phases.conj().T, []
+    for lo in range(0, len(candidates), step):
+        block = candidates[lo:lo + step]
+        lam, vecs = np.linalg.eigh([(phases * np.abs(psi.amps) ** 2) @ phases_h for psi in block])
+        lmax = lam[:, -1]
+        kept = lam > 1e-12 * lmax[:, None]
+        g = np.einsum("cia,ca->ci", np.abs(vecs) ** 2, np.sqrt(np.where(kept, lam, 0.0)))
+        dg = k * eps * lmax / np.sqrt(np.where(kept, lam, np.inf).min(axis=1))
+        cert = (np.ptp(g, axis=1) + 4 * dg) * np.sqrt(lmax) / k <= _FP_TOL / 2
+        for c in np.flatnonzero(cert & ~kept.all(axis=1)):
+            cut = vecs[c][:, ~kept[c]].conj().T @ (phases * block[c].amps)
+            cert[c] = np.vdot(cut, cut).real <= 1e-24 * lmax[c]
+        out.append((1.0 - (g * g).sum(axis=1) / k, 4 * dg + 2 * k * eps, cert))
+    return tuple(map(np.concatenate, zip(*out)))
+
+
 @dataclass
 class CurvePoint:
     theta: float
@@ -252,6 +286,9 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
 
     psi_source: solver_witness (entangled; exact witness above threshold, best
     of a symmetrized-state sweep below), or classical_plus (`classical_baseline`).
+    Below the onset only the candidates `_screen` leaves uncertified, and the
+    certified ones with p - err <= min(p + err) over the certified, meet
+    `optimal_measurement`: any other is strictly worse than that min's one.
     """
     if psi_source not in ("solver_witness", "classical_plus"):
         raise ValueError(f"unknown psi_source {psi_source!r}")
@@ -280,7 +317,10 @@ def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurveP
             if cert0.feasible:
                 candidates.append(cert0.witness_state)
         phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        best = min((optimal_measurement(phases * psi.amps) for psi in candidates),
+        p, err, cert = _screen(phases, candidates)
+        top = np.min(p + err, where=cert, initial=np.inf)
+        best = min((optimal_measurement(phases * psi.amps) for psi, low, ok
+                    in zip(candidates, p - err, cert) if low <= top or not ok),
                    key=lambda res: res.p_fail)
         points.append(CurvePoint(theta, best.p_fail, best.method))
     return points

@@ -1,4 +1,5 @@
 """CLI behavior: exit codes, file outputs, determinism, error paths."""
+import hashlib
 import itertools
 import json
 import math
@@ -292,6 +293,30 @@ def test_benchmark_insets_pinned(capsys, family, n, m, theta, r_classical):
                 "--format", "csv"]) == 0
     assert capsys.readouterr().out == "epsilon,r_classical,r_quantum\n" + "".join(
         f"{e},{r},1\n" for e, r in zip(eps, r_classical))
+
+
+_INSET_EPS = ["--epsilons", "1e-1,1e-3,1e-6,1e-9,1e-12", "--format", "csv"]
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (["--family", "sym", "--n", "6", "--m", "3", "--points", "25", "--format", "csv"],
+     "05da34dce76f6847f781f01bc4fa6199616ddb010ee137d616ec6edb760127e3"),
+    (["--family", "sym", "--n", "4", "--m", "2", "--points", "40", "--format", "csv"],
+     "b5facb01d90f97c7eeb5e84e9fe4ac48e783b5e04c15c30d0efb865d4e68f261"),
+    (["--family", "cyc", "--n", "8", "--m", "2", "--points", "13", "--format", "csv"],
+     "00f1b70e1ea6f20ba45aebbdc0a3f06f3f72e582b867894eaffcd7ea1636b0f4"),
+    (["--family", "sym", "--n", "3", "--m", "1", "--points", "5", "--format", "csv",
+      "--classical", "classical_best"],
+     "936c1e79481175554d00b85a494b1cc7f96e830eb8c4ad66d902f648886c8321"),
+    (["--inset", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"] + _INSET_EPS,
+     "e54c012afe2789a43b3bc67a96a64ff72034ecaccd7a5b0f24d2df2b976c94b1"),
+    (["--inset", "--family", "cyc", "--n", "8", "--m", "2", "--theta", "0.7pi"] + _INSET_EPS,
+     "c4cc2d4d04402d390e410e3ff8d89e6047e8c0eb854c1f0386d1fca88f15a1f4"),
+], ids=["sym63", "sym42", "cyc82", "sym31-best", "inset-sym42", "inset-cyc82"])
+def test_curve_sweep_stdout_pinned(argv, digest, capsys):
+    """The benchmark's curve-sweep commands print these bytes (sha256 of stdout)."""
+    assert run(["curve"] + argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("family,n,m", [("cyc", "1", "1"), ("sym", "3", "0"),

@@ -202,6 +202,13 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     assert not res.converged or residuals[-1] <= discrim._FP_TOL
 
 
+def _unscreened(phases, candidates):
+    """A `discrim._screen` that certifies nothing: every candidate meets
+    `optimal_measurement`."""
+    zero = np.zeros(len(candidates))
+    return zero, zero, zero.astype(bool)
+
+
 @pytest.mark.parametrize("family,n,m,points", [
     ("sym", 6, 3, 25),
     ("sym", 4, 2, 40),
@@ -210,16 +217,79 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
 ], ids=["sym63", "sym42", "cyc82", "sym31-best"])
 def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points):
     """The benchmark's four curves on rank-one factors and on (k, d, d) elements
-    (sym31-best is its `--classical classical_best` run, the same |+>^n arm)."""
+    (sym31-best is its `--classical classical_best` run, the same |+>^n arm).
+    The oracle side tries every candidate, so the screened shortlist must
+    keep each point's argmin."""
     ts = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}[family](n, m)
     grid = np.linspace(0.0, PI, points)
     arms = ("solver_witness", "classical_plus")
     fast = [discrim.failure_curve(ts, arm, grid) for arm in arms]
+    monkeypatch.setattr(discrim, "_screen", _unscreened)
     monkeypatch.setattr(discrim, "pgm", oracles.pgm)
     monkeypatch.setattr(discrim, "optimal_measurement", oracles.optimal_measurement)
     for got, want in zip(fast, [discrim.failure_curve(ts, arm, grid) for arm in arms]):
         assert [(p.theta, p.method) for p in got] == [(p.theta, p.method) for p in want]
         assert max(abs(g.p_fail - w.p_fail) for g, w in zip(got, want)) <= 1e-14
+
+
+@st.composite
+def invariant_candidates(draw):
+    """(phases, candidates): sym or cyc with n <= 8 at a random theta below
+    `solver.onset`, and states whose |psi|^2 is a random function on the
+    family's orbits of bitstrings."""
+    n = draw(st.integers(2, 8))
+    gen = draw(st.sampled_from([trajset.gen_symmetric, trajset.gen_cyclic]))
+    ts = gen(n, draw(st.integers(1, n - 1)))
+    theta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * solver.onset(ts)
+    _, orbit = np.unique(ts.orbits.rep, return_inverse=True)
+    size = int(orbit.max()) + 1
+    weights = st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
+    candidates = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = np.array(draw(weights))[orbit]
+        assume(w.sum() > 0.0)
+        candidates.append(qcore.Ket(n, np.sqrt(w / w.sum()).astype(complex)))
+    return trajset.phase_matrix(ts.members, n, theta), candidates
+
+
+@settings(max_examples=80, deadline=None)
+@given(invariant_candidates())
+def test_screen_certificate_holds_on_the_svd_route(case):
+    """Where `_screen` certifies a candidate, the PGM from the SVD passes
+    `_is_optimal`, and the screened value is `optimal_measurement`'s within
+    the stated error bound."""
+    phases, candidates = case
+    for psi, p, err, ok in zip(candidates, *discrim._screen(phases, candidates)):
+        if not ok:
+            continue
+        u, sv = discrim._reduce(phases * psi.amps)
+        coords, m = u * sv, discrim._pgm_vectors(u, sv)[0]
+        assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m))
+        res = discrim.optimal_measurement(phases * psi.amps)
+        assert res.iterations == 0
+        assert abs(p - res.p_fail) <= err
+
+
+def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
+    """A candidate off the invariant subspace is left uncertified, so it runs
+    `optimal_measurement` at every angle, and the curve is the unscreened one."""
+    ts, grid = trajset.gen_symmetric(4, 2), np.linspace(0.0, PI, 13)
+    amps = np.array([1.0, 1.0j]) @ np.random.default_rng(3).normal(size=(2, 16))
+    odd = qcore.Ket(4, amps / np.linalg.norm(amps))
+    sweep, om = discrim._symmetrized_candidates, discrim.optimal_measurement
+    monkeypatch.setattr(discrim, "_symmetrized_candidates", lambda n: sweep(n) + [odd])
+    seen = []
+    monkeypatch.setattr(discrim, "optimal_measurement",
+                        lambda states: seen.append(states) or om(states))
+    screened = discrim.failure_curve(ts, "solver_witness", grid)
+    below = [t for t in grid[1:] if not solver.solve(solver.TSProblem(ts, t)).feasible]
+    assert below
+    for theta in below:
+        states = make_ensemble(odd, ts, theta)
+        assert not discrim._screen(states / odd.amps, [odd])[2][0]
+        assert any(np.array_equal(s, states) for s in seen)
+    monkeypatch.setattr(discrim, "_screen", _unscreened)
+    assert discrim.failure_curve(ts, "solver_witness", grid) == screened
 
 
 # --- classical baselines ---------------------------------------------------
