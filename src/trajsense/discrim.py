@@ -246,16 +246,16 @@ def _screen(phases, candidates):
 
     From the Gram G = (phases |psi|^2) phases^H: g = diag(G^(1/2)) over the
     eigenvalues above 1e-12 lam_max (the `_pgm_vectors` cut), p = 1 - g.g/k.
-    A backward error k eps lam_max moves g by at most (to first order)
-    dg = k eps lam_max/sqrt(lam_min), lam_min the least kept eigenvalue, so
-    p is the SVD route's within err = 4 dg + 2k eps (rounding included).
-    With g0 = max g, Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k
-    = g_j/g0 <= 1, so Gamma0 >= G_j, and the PGM's Gamma lies within
-    (ptp g) sqrt(lam_max)/k of it.  `_is_optimal` thus accepts the PGM, and
-    `optimal_measurement` returns p, where that bound with ptp g + 4 dg is
-    at most `_FP_TOL`/2 and the cut eigenvectors V carry |V^H S|^2 <= 1e-24
-    lam_max, so that `_reduce` drops them.  One `eigh` per block of Grams
-    no larger than `phases`.
+    Either route's g is within k eps (lam_max/sqrt(lam_min) + 1) of exact to
+    first order (backward error k eps lam_max over lam_min, the least kept
+    eigenvalue, plus rounding), so the SVD route's p and ptp g are within
+    err = 4 k eps (lam_max/sqrt(lam_min) + 1) of these.  With g0 = max g,
+    Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0 <= 1,
+    so Gamma0 >= G_j, and the PGM's Gamma lies within (ptp g) sqrt(lam_max)/k
+    of it.  So `optimal_measurement` stops at the PGM (value p within err)
+    where that bound with ptp g + err is at most `_FP_TOL`/2 and the cut
+    eigenvectors V carry |V^H phases psi|^2 <= 1e-24 lam_max, which
+    `_reduce` drops.  One `eigh` per block of Grams no larger than `phases`.
     """
     k, eps = len(phases), np.finfo(float).eps
     step, phases_h, out = max(1, phases.shape[1] // k), phases.conj().T, []
@@ -265,12 +265,12 @@ def _screen(phases, candidates):
         lmax = lam[:, -1]
         kept = lam > 1e-12 * lmax[:, None]
         g = np.einsum("cia,ca->ci", np.abs(vecs) ** 2, np.sqrt(np.where(kept, lam, 0.0)))
-        dg = k * eps * lmax / np.sqrt(np.where(kept, lam, np.inf).min(axis=1))
-        cert = (np.ptp(g, axis=1) + 4 * dg) * np.sqrt(lmax) / k <= _FP_TOL / 2
+        err = 4 * k * eps * (lmax / np.sqrt(np.where(kept, lam, np.inf).min(axis=1)) + 1)
+        cert = (np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _FP_TOL / 2
         for c in np.flatnonzero(cert & ~kept.all(axis=1)):
             cut = vecs[c][:, ~kept[c]].conj().T @ (phases * block[c].amps)
             cert[c] = np.vdot(cut, cut).real <= 1e-24 * lmax[c]
-        out.append((1.0 - (g * g).sum(axis=1) / k, 4 * dg + 2 * k * eps, cert))
+        out.append((1.0 - (g * g).sum(axis=1) / k, err, cert))
     return tuple(map(np.concatenate, zip(*out)))
 
 
