@@ -285,9 +285,9 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
     below = [t for t in grid[1:] if not solver.solve(solver.TSProblem(ts, t)).feasible]
     assert below
     for theta in below:
-        states = make_ensemble(odd, ts, theta)
-        assert not discrim._screen(states / odd.amps, [odd])[2][0]
-        assert any(np.array_equal(s, states) for s in seen)
+        phases = trajset.phase_matrix(ts.members, ts.n, theta)
+        assert not discrim._screen(phases, [odd])[2][0]
+        assert any(np.array_equal(s, phases * odd.amps) for s in seen)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     assert discrim.failure_curve(ts, "solver_witness", grid) == screened
 
