@@ -26,11 +26,13 @@ phase matrix once per angle and reuse it for every input state.
 Measurements live in the span of the ensemble (dimension d <= k, state j at
 coordinates c_j from the SVD in `_reduce`) as rank-one factors: G_j =
 |c_j><c_j|/k has rank one, so the PGM and every fixed-point iterate are
-P_j = |m_j><m_j|, one (k, d) array.  The optimality test Gamma - G_j >= -tol
-is a downdate test: for A = Gamma + tol*I, A - |g><g| >= 0 iff A > 0 and
-<g|A^-1|g> <= 1.  I_d minus the guess elements is the abstain outcome,
-resolved by a uniform random guess.  The entangled arm takes its witness
-from `solver.solve`, so families are dispatched in one place.
+P_j = |m_j><m_j|, one (k, d) array.  The span keeps sv**2 > `_SPAN_CUT`
+sv[0]**2, the PGM's pseudo-inverse cut, so the PGM is U itself.  The
+optimality test Gamma - G_j >= -tol is a downdate test: for A = Gamma +
+tol*I, A - |g><g| >= 0 iff A > 0 and <g|A^-1|g> <= 1.  I_d minus the guess
+elements, with a state's mass off the span, is the abstain outcome, resolved
+by a uniform random guess.  The entangled arm takes its witness from
+`solver.solve`, so families are dispatched in one place.
 """
 from __future__ import annotations
 
@@ -55,6 +57,8 @@ _FP_MAX_ITER = 10_000
 _VERIFY_TOL = 1e-8
 #: draws per profile in the symmetrized candidate sweep below the onset
 _GRANULARITY = 6
+#: the span, and so the PGM's pseudo-inverse, keeps sv**2 > _SPAN_CUT sv[0]**2
+_SPAN_CUT = 1e-12
 
 
 def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
@@ -112,7 +116,7 @@ def _reduce(states):
         raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
                          f"got shape {S.shape}")
     u, sv, _ = np.linalg.svd(S, full_matrices=False)
-    d = max(1, int((sv > sv[0] * 1e-12).sum()))
+    d = max(1, int((sv ** 2 > sv[0] ** 2 * _SPAN_CUT).sum()))
     return u[:, :d], sv[:d]
 
 
@@ -137,13 +141,6 @@ def _result_from_reduced(coords, m, method, **kw) -> DiscriminationResult:
 # ---------------------------------------------------------------------------
 # measurements (every trajectory equally likely)
 
-def _pgm_vectors(u, sv):
-    """m_j = rho^(-1/2) c_j/sqrt(k) = row j of U, the pseudo-inverse cutting
-    sv**2 <= 1e-12 sv[0]**2; the flag says whether nothing was cut."""
-    keep = sv ** 2 > sv[0] ** 2 * 1e-12
-    return u * keep, bool(keep.all())
-
-
 def _is_optimal(coords, m, overlaps) -> bool:
     """Gamma - G_j >= -`_FP_TOL` for every j, Gamma = (1/k) sum_j <c_j|m_j>
     |c_j><m_j| hermitized, as the downdate test: one eigh and k quadratic forms."""
@@ -166,11 +163,10 @@ def _fixed_point_step(coords, overlaps):
 
 
 def pgm(states) -> DiscriminationResult:
-    """Square-root measurement from the ensemble operator."""
+    """Square-root measurement m_j = rho^(-1/2) c_j/sqrt(k) = row j of U."""
     u, sv = _reduce(states)
-    m, full_rank = _pgm_vectors(u, sv)
-    note = "" if full_rank else "rank-deficient ensemble operator (pseudo-inverse)"
-    return _result_from_reduced(u * sv, m, "pgm", note=note)
+    note = "rank-deficient ensemble operator (pseudo-inverse)" if len(sv) < len(u) else ""
+    return _result_from_reduced(u * sv, u, "pgm", note=note)
 
 
 def optimal_measurement(states) -> DiscriminationResult:
@@ -183,9 +179,8 @@ def optimal_measurement(states) -> DiscriminationResult:
     `_is_optimal`; if none does within `_FP_MAX_ITER` steps, the iterate of
     highest success, so the result never does worse than the PGM.
     """
-    u, sv = _reduce(states)
-    coords = u * sv
-    m, _ = _pgm_vectors(u, sv)
+    m, sv = _reduce(states)
+    coords = m * sv
     best, best_succ, it = m, -1.0, 0
     while True:
         a = _overlaps(coords, m)
@@ -199,10 +194,9 @@ def optimal_measurement(states) -> DiscriminationResult:
             break
         m = _fixed_point_step(coords, a)
         it += 1
-    res = _result_from_reduced(coords, best, "fixed_point_optimal",
-                               converged=False, iterations=it)
-    res.note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
-    return res
+    note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
+    return _result_from_reduced(coords, best, "fixed_point_optimal",
+                                converged=False, iterations=it, note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +238,21 @@ def _symmetrized_candidates(n: int):
 def _screen(phases, candidates):
     """PGM value p, error bound err and optimality certificate per candidate.
 
-    From the Gram G = (phases |psi|^2) phases^H: g = diag(G^(1/2)) over the
-    eigenvalues above 1e-12 lam_max (the `_pgm_vectors` cut), p = 1 - g.g/k.
-    Either route's g is within k eps (lam_max/sqrt(lam_min) + 1) of exact to
-    first order (backward error k eps lam_max over lam_min, the least kept
-    eigenvalue, plus rounding), so the SVD route's p and ptp g are within
+    From the Gram G = (phases |psi|^2) phases^H: its eigenvalues lam above
+    `_SPAN_CUT` lam_max span the PGM, g = diag(G^(1/2)) over them, and state
+    i's weight a_i on the cut eigenvectors goes to the uniform abstain guess
+    (`_result_from_reduced`), so p = 1 - (g.g + sum(a)/k)/k, sum(a) being the
+    sum of the cut lam.  To first order either route's g is within k eps
+    (lam_max/sqrt(lam_min) + 1) of exact (backward error k eps lam_max over
+    lam_min, the least kept eigenvalue, plus rounding) and sum(a)/k^2 within
+    eps lam_max <= k eps; so where no lam lies within k eps lam_max of the
+    cut, the SVD route keeps the same span, and its p and ptp g are within
     err = 4 k eps (lam_max/sqrt(lam_min) + 1) of these.  With g0 = max g,
     Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0 <= 1,
     so Gamma0 >= G_j, and the PGM's Gamma lies within (ptp g) sqrt(lam_max)/k
     of it.  So `optimal_measurement` stops at the PGM (value p within err)
-    where that bound with ptp g + err is at most `_FP_TOL`/2 and the cut
-    eigenvectors V carry |V^H phases psi|^2 <= 1e-24 lam_max, which
-    `_reduce` drops.  One `eigh` per block of Grams no larger than `phases`.
+    where no lam is in that band and that bound with ptp g + err is at most
+    `_FP_TOL`/2.  One `eigh` per block of Grams no larger than `phases`.
     """
     k, eps = len(phases), np.finfo(float).eps
     step, phases_h, out = max(1, phases.shape[1] // k), phases.conj().T, []
@@ -263,14 +260,14 @@ def _screen(phases, candidates):
         block = candidates[lo:lo + step]
         lam, vecs = np.linalg.eigh([(phases * np.abs(psi.amps) ** 2) @ phases_h for psi in block])
         lmax = lam[:, -1]
-        kept = lam > 1e-12 * lmax[:, None]
+        cut = _SPAN_CUT * lmax[:, None]
+        kept = lam > cut
         g = np.einsum("cia,ca->ci", np.abs(vecs) ** 2, np.sqrt(np.where(kept, lam, 0.0)))
+        dropped = np.where(kept, 0.0, lam).sum(axis=1)
         err = 4 * k * eps * (lmax / np.sqrt(np.where(kept, lam, np.inf).min(axis=1)) + 1)
-        cert = (np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _FP_TOL / 2
-        for c in np.flatnonzero(cert & ~kept.all(axis=1)):
-            cut = vecs[c][:, ~kept[c]].conj().T @ (phases * block[c].amps)
-            cert[c] = np.vdot(cut, cut).real <= 1e-24 * lmax[c]
-        out.append((1.0 - (g * g).sum(axis=1) / k, err, cert))
+        band = (np.abs(lam - cut) > k * eps * lmax[:, None]).all(axis=1)
+        cert = band & ((np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _FP_TOL / 2)
+        out.append((1.0 - ((g * g).sum(axis=1) + dropped / k) / k, err, cert))
     return tuple(map(np.concatenate, zip(*out)))
 
 
@@ -418,10 +415,8 @@ def repetition_analysis(per_shot: DiscriminationResult,
         r = 1
         while r <= _VOTE_R_CAP and err_at(r) > eps:
             r += 1
-        if r > _VOTE_R_CAP:
-            reports.append(RepetitionReport(math.inf, per_succ, err_at(_VOTE_R_CAP), eps))
-        else:
-            reports.append(RepetitionReport(r, per_succ, err_at(r), eps))
+        reports.append(RepetitionReport(r if r <= _VOTE_R_CAP else math.inf, per_succ,
+                                        err_at(min(r, _VOTE_R_CAP)), eps))
     return reports
 
 

@@ -17,10 +17,12 @@ import numpy as np
 
 #: Hard cap on register size (16 MB of complex amplitudes).
 N_MAX = 20
+#: `equal_up_to_phase` accepts |<a|b>| above 1 minus this
+_PHASE_TOL = 1e-10
 
 
 def _check_n(n: int) -> None:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n!r}")
     if n > N_MAX:
         raise ValueError(f"qubit count {n} exceeds N_MAX={N_MAX}")
@@ -72,9 +74,10 @@ class Ket:
         return float(np.linalg.norm(self.amps))
 
     def normalize(self) -> "Ket":
-        nrm = self.norm()
-        if nrm < 1e-300:
-            raise ValueError("cannot normalize the zero vector")
+        with np.errstate(over="ignore"):
+            nrm = self.norm()
+        if not 1e-300 <= nrm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {nrm}")
         return Ket(self.n, self.amps / nrm)
 
     def probs(self) -> np.ndarray:
@@ -84,7 +87,7 @@ class Ket:
 def make_ket(n: int, assignments: Sequence[tuple[str, complex]]) -> Ket:
     """Build a normalized Ket from (bitstring, amplitude) pairs.
 
-    Rejects duplicate bitstrings and all-zero amplitude lists.
+    Rejects duplicate bitstrings, non-finite amplitudes and all-zero lists.
     """
     _check_n(n)
     amps = np.zeros(1 << n, dtype=np.complex128)
@@ -97,6 +100,8 @@ def make_ket(n: int, assignments: Sequence[tuple[str, complex]]) -> Ket:
             raise ValueError(f"duplicate bitstring {bits!r}")
         seen.add(j)
         amps[j] = a
+    if not np.isfinite(amps).all():
+        raise ValueError("amplitudes must be finite")
     if not np.any(amps):
         raise ValueError("all amplitudes are zero")
     return Ket(n, amps).normalize()
@@ -114,8 +119,8 @@ def inner(a: Ket, b: Ket) -> complex:
     return complex(np.vdot(a.amps, b.amps))
 
 
-def equal_up_to_phase(a: Ket, b: Ket, tol: float = 1e-10) -> bool:
-    return abs(inner(a, b)) > 1 - tol
+def equal_up_to_phase(a: Ket, b: Ket) -> bool:
+    return abs(inner(a, b)) > 1 - _PHASE_TOL
 
 
 def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
@@ -133,9 +138,9 @@ def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
 # serialization: the state format `solve` writes and `verify` reads, and the
 # text of every JSON artifact the CLI writes
 
-def ket_to_dict(k: Ket, tol: float = 0.0) -> dict:
-    """{"n": n, "amps": {bitstring: (re, im)}} over the amplitudes above tol."""
-    idx = np.nonzero(np.abs(k.amps) > tol)[0]
+def ket_to_dict(k: Ket) -> dict:
+    """{"n": n, "amps": {bitstring: (re, im)}} over the nonzero amplitudes."""
+    idx = np.flatnonzero(k.amps)
     kept = k.amps[idx]
     fmt = f"0{k.n}b"
     keys = [format(j, fmt) for j in idx.tolist()]
@@ -192,6 +197,8 @@ def _float_lists(lists, pad: str) -> list[str] | None:
 
 def ket_from_json(text: str) -> Ket:
     obj = json.loads(text)
+    if not isinstance(obj, dict) or not isinstance(obj.get("amps"), dict):
+        raise ValueError('a state is a JSON object {"n": n, "amps": {bitstring: [re, im]}}')
     n = obj["n"]
     pairs = [(bits, complex(re, im)) for bits, (re, im) in obj["amps"].items()]
     return make_ket(n, pairs)

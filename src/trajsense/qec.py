@@ -31,6 +31,9 @@ _PAULI_MATS = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+#: pass tolerances: |M - I/N| entry by entry in `kl_verify`, the generator
+#: residual in `stabilizer_check`, leak and logical residual in the transversal check
+_KL_TOL, _STABILIZER_TOL, _TRANSVERSAL_TOL = 1e-8, 1e-10, 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +46,10 @@ class KLReport:
     max_offdiag: float
     max_diag_dev: float        # deviation of diagonal entries from 1/N
     hermiticity: float
-    tol: float
     matrix: np.ndarray = field(repr=False, default=None)
 
 
-def kl_verify(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> KLReport:
+def kl_verify(psi: Ket, ts: TrajectorySet, theta: float) -> KLReport:
     """Classify psi against the channel of `ts` at theta via M_ij = <psi|K_i^dag K_j|psi>.
 
     The Kraus operators K_i = R^(T_i)(theta)/sqrt(N) are diagonal with
@@ -72,13 +74,11 @@ def kl_verify(psi: Ket, ts: TrajectorySet, theta: float, tol: float = 1e-8) -> K
     diag_dev = float(np.abs(np.diag(M) - 1.0 / N).max())
     off = M - np.diag(np.diag(M))
     max_off = float(np.abs(off).max()) if N > 1 else 0.0
-    if herm <= tol and diag_dev <= tol and max_off <= tol:
-        verdict = "discriminating code"
-    elif herm <= tol and diag_dev <= tol:
-        verdict = "KL-recoverable only"
-    else:
+    if not (herm <= _KL_TOL and diag_dev <= _KL_TOL):
         verdict = "not a code state"
-    return KLReport(verdict, N, max_off, diag_dev, herm, tol, M)
+    else:
+        verdict = "discriminating code" if max_off <= _KL_TOL else "KL-recoverable only"
+    return KLReport(verdict, N, max_off, diag_dev, herm, M)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +142,9 @@ class StabilizerReport:
     all_plus_one: bool
     residuals: dict
     failing: tuple
-    tol: float
 
 
-def stabilizer_check(psi: Ket, group: StabilizerGroup,
-                     tol: float = 1e-10) -> StabilizerReport:
+def stabilizer_check(psi: Ket, group: StabilizerGroup) -> StabilizerReport:
     """Is psi a +1 eigenstate of every generator?"""
     if group.n != psi.n:
         raise ValueError(f"group acts on {group.n} qubits, state has {psi.n}")
@@ -155,9 +153,9 @@ def stabilizer_check(psi: Ket, group: StabilizerGroup,
     for name, g in zip(group.generators, group.matrices()):
         res = float(np.abs(g @ psi.amps - psi.amps).max())
         residuals[name] = res
-        if res > tol:
+        if res > _STABILIZER_TOL:
             failing.append(name)
-    return StabilizerReport(not failing, residuals, tuple(failing), tol)
+    return StabilizerReport(not failing, residuals, tuple(failing))
 
 
 def window_code_group() -> StabilizerGroup:
@@ -211,8 +209,7 @@ class TransversalityReport:
         }
 
 
-def transversal_rotation_check(angle: float = math.pi / 2,
-                               tol: float = 1e-9) -> TransversalityReport:
+def transversal_rotation_check(angle: float = math.pi / 2) -> TransversalityReport:
     """Does the per-qubit Z rotation act as the inverse logical rotation?
 
     Rotating every physical qubit of the seven-qubit code by `angle` should
@@ -238,7 +235,7 @@ def transversal_rotation_check(angle: float = math.pi / 2,
     phase = L[k] / target[k] if abs(target[k]) > 0 else 1.0
     phase = phase / abs(phase) if abs(phase) > 0 else 1.0
     logical_res = float(np.abs(L - phase * target).max())
-    passed = leak <= tol and logical_res <= tol
-    detail = "" if passed else "codespace leak" if leak > tol else "wrong logical action"
+    passed = leak <= _TRANSVERSAL_TOL and logical_res <= _TRANSVERSAL_TOL
+    detail = "" if passed else "codespace leak" if leak > _TRANSVERSAL_TOL else "wrong logical action"
     return TransversalityReport(passed, float(angle), leak, logical_res,
                                 complex(phase), detail)

@@ -492,10 +492,17 @@ def test_verify_rejects_wrong_angle(tmp_path, capsys):
                 "--m", "1", "--theta", "0.3"]) == 1
 
 
-def test_verify_malformed_file(tmp_path, capsys):
+@pytest.mark.parametrize("text,n", [
+    ("{this is not json", "2"),
+    ('{"n": 2, "amps": [1, 2]}', "2"),
+    ('{"n": 2, "amps": {"01": [NaN, 0], "10": [1, 0]}}', "2"),
+    ('{"n": 2, "amps": {"01": [1e200, 0], "10": [1e200, 0]}}', "2"),   # the norm overflows
+    ('{"n": true, "amps": {"1": [1, 0]}}', "1"),
+], ids=["not-json", "amps-list", "nan", "norm-overflow", "bool-n"])
+def test_verify_malformed_file(tmp_path, capsys, text, n):
     p = tmp_path / "broken.json"
-    p.write_text("{this is not json")
-    code = run(["verify", "--state", str(p), "--family", "sym", "--n", "2",
+    p.write_text(text)
+    code = run(["verify", "--state", str(p), "--family", "sym", "--n", n,
                 "--m", "1", "--theta", "pi/2"])
     assert code == 2
     err = capsys.readouterr().err

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from trajsense import discrim, qcore, rng, solver, trajset
@@ -84,15 +84,19 @@ def test_pgm_identical_states():
 
 
 def test_pgm_pseudo_inverse_cut_matches_dense():
-    """A span direction with sv**2 <= 1e-12 sv0**2 gets no PGM weight, as in the
-    pseudo-inverse of rho that the dense elements rho^(-1/2) G_j rho^(-1/2) use."""
+    """The span keeps a direction with sv**2 > 1e-12 sv0**2 and drops one below,
+    as the pseudo-inverse of rho that the dense elements rho^(-1/2) G_j
+    rho^(-1/2) use does, so the PGM factors are (3, 2) and measure as the
+    dense PGM on the oracle's wider span."""
     gen = np.random.default_rng(5)
     S = gen.normal(size=(3, 8)) + 1j * gen.normal(size=(3, 8))
-    S[2] = S[0] + 1e-7 * gen.normal(size=8)          # sv**2 ~ 1e-15 sv0**2, kept in the span
+    S[1] = S[0] + 3e-5 * gen.normal(size=8)          # sv**2 ~ 8e-11 sv0**2: kept
+    S[2] = S[0] + 1e-7 * gen.normal(size=8)          # sv**2 ~ 1e-15 sv0**2: cut
     S /= np.linalg.norm(S, axis=1, keepdims=True)
-    res = discrim.pgm(S)
-    assert res.povm.shape == (3, 3) and "rank-deficient" in res.note
-    np.testing.assert_allclose(oracles.elements(res.povm), oracles.pgm(S).povm, atol=1e-9)
+    res, dense = discrim.pgm(S), oracles.pgm(S)
+    assert res.povm.shape == (3, 2) and "rank-deficient" in res.note
+    np.testing.assert_allclose(res.confusion, dense.confusion, atol=1e-9)
+    assert abs(res.p_fail - dense.p_fail) <= 1e-9
 
 
 def test_pgm_confusion_rows_stochastic():
@@ -185,9 +189,8 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     on the PGM, the first fixed-point iterates and the returned measurement,
     and a converged result passes the dense test.  Draws whose dense residual
     lies within 1e-12 of the tolerance are skipped."""
-    u, sv = discrim._reduce(S)
-    coords = u * sv
-    m, _ = discrim._pgm_vectors(u, sv)
+    m, sv = discrim._reduce(S)
+    coords = m * sv
     measurements = [m]
     for _ in range(3):
         m = discrim._fixed_point_step(coords, discrim._overlaps(coords, m))
@@ -254,6 +257,8 @@ def invariant_candidates(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(invariant_candidates())
+@example((trajset.phase_matrix(TS21.members, 2, 3 * PI / 8),      # mass on a cut direction
+          [qcore.Ket(2, np.sqrt(np.array([0.0, 2e-14, 2e-14, 1.0]) / (1.0 + 4e-14)))]))
 def test_screen_certificate_holds_on_the_svd_route(case):
     """Where `_screen` certifies a candidate, the PGM from the SVD passes
     `_is_optimal`, and the screened value is `optimal_measurement`'s within
@@ -262,12 +267,23 @@ def test_screen_certificate_holds_on_the_svd_route(case):
     for psi, p, err, ok in zip(candidates, *discrim._screen(phases, candidates)):
         if not ok:
             continue
-        u, sv = discrim._reduce(phases * psi.amps)
-        coords, m = u * sv, discrim._pgm_vectors(u, sv)[0]
+        m, sv = discrim._reduce(phases * psi.amps)
+        coords = m * sv
         assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m))
         res = discrim.optimal_measurement(phases * psi.amps)
         assert res.iterations == 0
         assert abs(p - res.p_fail) <= err
+
+
+def test_screen_leaves_a_candidate_at_the_cut_uncertified():
+    """A Gram eigenvalue within k eps lam_max of the span cut may land on either
+    side of it in the SVD, so `_screen` does not certify its candidate."""
+    phases = trajset.phase_matrix(TS21.members, 2, 3 * PI / 8)
+    w = np.array([0.0, 1.6198709040793347e-12, 1.6198709040793347e-12, 1.0])
+    psi = qcore.Ket(2, np.sqrt(w / w.sum()).astype(complex))
+    lam = np.linalg.eigvalsh((phases * psi.probs()) @ phases.conj().T)
+    assert abs(lam[0] - discrim._SPAN_CUT * lam[-1]) <= 2 * np.finfo(float).eps * lam[-1]
+    assert not discrim._screen(phases, [psi])[2][0]
 
 
 def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
@@ -290,6 +306,18 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
         assert any(np.array_equal(s, phases * odd.amps) for s in seen)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     assert discrim.failure_curve(ts, "solver_witness", grid) == screened
+
+
+def test_small_angle_sweep_converges(monkeypatch):
+    """On sym(6,3) at pi/314 the candidates' spans have directions with
+    sv**2 ~ 1e-15 sv0**2.  The span cuts them as the PGM does, so every fixed
+    point inside `failure_curve` converges; with the span keeping them, 26
+    candidates ran to `_FP_MAX_ITER`."""
+    om, results = discrim.optimal_measurement, []
+    monkeypatch.setattr(discrim, "optimal_measurement",
+                        lambda states: results.append(om(states)) or results[-1])
+    discrim.failure_curve(trajset.gen_symmetric(6, 3), "solver_witness", [PI / 314])
+    assert results and all(res.converged for res in results)
 
 
 # --- classical baselines ---------------------------------------------------
