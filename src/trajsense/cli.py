@@ -15,6 +15,7 @@ to a manifest recording the configuration; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import math
 import re
@@ -63,9 +64,10 @@ def _git_describe() -> str:
     return "unknown"
 
 
-def _json(obj) -> str:
-    """The text of every JSON artifact: sorted keys, two-space indent, one final newline."""
-    return qcore.indented_json(obj) + "\n"
+def _json(obj):
+    """Every JSON artifact's text, in pieces: sorted keys, two-space indent, a final newline."""
+    yield from qcore.indented_json(obj)
+    yield "\n"
 
 
 def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
@@ -75,28 +77,33 @@ def _write_manifest(outdir: Path, args: argparse.Namespace) -> None:
         "git_describe": _git_describe(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    (outdir / "manifest.json").write_text(_json(manifest))
+    (outdir / "manifest.json").write_text("".join(_json(manifest)))
 
 
 def _emit(args, payload, filename: str, summary: str) -> None:
     """Write a primary artifact (and the manifest) only under --out.
 
-    `payload()` returns the artifact: a dict for a .json file, which `_json`
+    `payload()` returns the artifact: JSON data for a .json file, which `_json`
     writes, or the finished text of a .csv file.  It runs only when the
     artifact is written or printed: a large witness takes seconds to
-    serialize.  Stdout gets a JSON artifact itself under --format json, else
-    the summary.
+    serialize; its text reaches the file and stdout piece by piece.  Stdout
+    gets a JSON artifact itself under --format json, else the summary.
     """
     is_json = filename.endswith(".json")
     printed = args.format == "json" and is_json
-    if printed or args.out is not None:
-        text = _json(payload()) if is_json else payload()
-    if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / filename).write_text(text, newline="")
-        _write_manifest(outdir, args)
-    sys.stdout.write(text if printed else summary + "\n")
+    sinks = [sys.stdout] if printed else []
+    with contextlib.ExitStack() as files:
+        if args.out is not None:
+            outdir = Path(args.out)
+            outdir.mkdir(parents=True, exist_ok=True)
+            _write_manifest(outdir, args)
+            sinks.append(files.enter_context(open(outdir / filename, "w", newline="")))
+        if sinks:
+            for piece in _json(payload()) if is_json else [payload()]:
+                for sink in sinks:
+                    sink.write(piece)
+    if not printed:
+        sys.stdout.write(summary + "\n")
 
 
 # ---------------------------------------------------------------- solve
@@ -233,7 +240,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"cannot read state file {path}: {exc}") from None
     try:
         psi = qcore.ket_from_json(text)
-    except (KeyError, ValueError, TypeError) as exc:  # JSONDecodeError is a ValueError
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:  # JSONDecodeError: ValueError
         raise ValueError(f"malformed state file {path}: {exc}") from None
     ts = _FAMILIES[args.family](args.n, args.m)
     if psi.n != ts.n:

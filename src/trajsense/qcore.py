@@ -6,6 +6,7 @@ sum_k jk * 2**(n-k).  Only `weight_on` reads bit positions.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 from dataclasses import dataclass
@@ -85,21 +86,28 @@ class Ket:
 
 
 def make_ket(n: int, assignments: Sequence[tuple[str, complex]]) -> Ket:
-    """Build a normalized Ket from (bitstring, amplitude) pairs.
+    """Build a normalized Ket from (bitstring, amplitude) pairs."""
+    return _ket_from_arrays(n, [b for b, _ in assignments], [a for _, a in assignments])
 
-    Rejects duplicate bitstrings, non-finite amplitudes and all-zero lists.
-    """
+
+def _ket_from_arrays(n: int, keys: list, vals) -> Ket:
+    """The normalized Ket with amplitude vals[i] on bitstring keys[i].  Rejects keys of
+    the wrong length, malformed or repeated, non-finite amplitudes and all zeros."""
     _check_n(n)
+    if set(map(len, keys)) - {n}:
+        bits = next(k for k in keys if len(k) != n)
+        raise ValueError(f"bitstring {bits!r} has length {len(bits)}, expected {n}")
+    # one byte per character: "replace" turns each non-ASCII character into "?"
+    digits = np.frombuffer("".join(keys).encode("ascii", "replace"), np.uint8).reshape(-1, n)
+    digits = digits - ord("0")
+    if (digits > 1).any():
+        raise ValueError(f"malformed bitstring {keys[(digits > 1).any(axis=1).argmax()]!r}")
+    idx = digits @ (1 << np.arange(n - 1, -1, -1))
+    repeated = np.bincount(idx, minlength=1 << n)[idx] > 1
+    if repeated.any():
+        raise ValueError(f"duplicate bitstring {keys[repeated.argmax()]!r}")
     amps = np.zeros(1 << n, dtype=np.complex128)
-    seen = set()
-    for bits, a in assignments:
-        if len(bits) != n:
-            raise ValueError(f"bitstring {bits!r} has length {len(bits)}, expected {n}")
-        j = basis_index(bits)
-        if j in seen:
-            raise ValueError(f"duplicate bitstring {bits!r}")
-        seen.add(j)
-        amps[j] = a
+    amps[idx] = vals
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     if not np.any(amps):
@@ -138,67 +146,80 @@ def symmetrized_amplitudes(n: int, profiles) -> np.ndarray:
 # serialization: the state format `solve` writes and `verify` reads, and the
 # text of every JSON artifact the CLI writes
 
-def ket_to_dict(k: Ket) -> dict:
-    """{"n": n, "amps": {bitstring: (re, im)}} over the nonzero amplitudes."""
-    idx = np.flatnonzero(k.amps)
-    kept = k.amps[idx]
-    fmt = f"0{k.n}b"
-    keys = [format(j, fmt) for j in idx.tolist()]
-    return {"n": k.n, "amps": dict(zip(keys, zip(kept.real.tolist(), kept.imag.tolist())))}
+_CHUNK = 1 << 16      # entries per piece of the text of a Ket's map or a float array
 
 
-def indented_json(obj, _pad: str = "\n") -> str:
-    """Exactly ``json.dumps(obj, sort_keys=True, indent=2)`` for str-keyed JSON values.
+def indented_json(obj, _pad: str = "\n"):
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``, in pieces.
 
-    With an indent the standard library runs its pure-Python encoder, one
-    generator step per value.  Here a list of finite floats, and a dict whose
-    values are such lists of one length (a witness's {bitstring: (re, im)}
-    map), are joined from ``float.__repr__`` strings in one comprehension
-    each; anything else recurses, and other scalars go through ``json.dumps``.
+    In `obj`, a `Ket` stands for the state file's {"n": n, "amps": {bitstring:
+    [re, im]}} over its nonzero amplitudes and a float array for its list.  Both
+    are written from arrays, one ``float.__repr__`` per distinct value and at
+    most ``_CHUNK`` entries a piece; other scalars go through ``json.dumps``.
     """
     inner = _pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        keys = sorted(obj)
-        vals = [obj[key] for key in keys]
-        texts = _float_lists(vals, inner) or [indented_json(v, inner) for v in vals]
-        return ("{" + ",".join([f"{inner}{encode_basestring_ascii(key)}: {text}"
-                                for key, text in zip(keys, texts)]) + _pad + "}")
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        texts = _float_reprs(obj) or [indented_json(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(texts) + _pad + "]"
-    return json.dumps(obj)
+    if isinstance(obj, Ket):
+        idx = np.flatnonzero(obj.amps)
+        texts, inv = _distinct_texts(np.concatenate([obj.amps[idx].real, obj.amps[idx].imag]))
+        low, entry = obj.n // 2, inner + "  "     # a key is a high and a low half of bits
+        high_bits, low_bits = ([format(j | 1 << w, "b")[1:] for j in range(1 << w)]
+                               for w in (obj.n - low, low))
+        yield "{" + inner + '"amps": '
+        yield from _rows("{}", inner, idx.size, [
+            ([f',{entry}"{b}' for b in high_bits], idx >> low),
+            ([f'{b}": [{entry}  ' for b in low_bits], idx & ((1 << low) - 1)),
+            ([f"{t},{entry}  " for t in texts], inv[:idx.size]),
+            ([f"{t}{entry}]" for t in texts], inv[idx.size:])])
+        yield f',{inner}"n": {json.dumps(obj.n)}{_pad}}}'
+    elif isinstance(obj, np.ndarray):
+        texts, inv = _distinct_texts(np.asarray(obj, dtype=np.float64))
+        yield from _rows("[]", _pad, inv.size, [(["," + inner + t for t in texts], inv)])
+    elif isinstance(obj, (dict, list, tuple)) and obj:
+        keyed = isinstance(obj, dict)
+        for i, key in enumerate(sorted(obj) if keyed else range(len(obj))):
+            head = encode_basestring_ascii(key) + ": " if keyed else ""
+            yield ("," if i else "{" if keyed else "[") + inner + head
+            yield from indented_json(obj[key], inner)
+        yield _pad + ("}" if keyed else "]")
+    else:
+        yield json.dumps(obj)             # a scalar, {} or []
 
 
-def _float_reprs(vals) -> list[str] | None:
-    """``float.__repr__`` of every value if all are finite floats, else None."""
-    if not (set(map(type, vals)) <= {float} and all(map(math.isfinite, vals))):
-        return None
-    # one repr per distinct value; 0.0 == -0.0, so zeros skip the memo
-    memo = {v: float.__repr__(v) for v in set(vals) if v}
-    return [memo.get(v) or float.__repr__(v) for v in vals]
+def _distinct_texts(x: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """JSON texts of the distinct bit patterns of `x` (-0.0 is not 0.0), and each one's index."""
+    bits, inv = np.unique(x.view(np.uint64), return_inverse=True)
+    return [float.__repr__(v) if math.isfinite(v) else json.dumps(v)
+            for v in bits.view(np.float64).tolist()], inv
 
 
-def _float_lists(lists, pad: str) -> list[str] | None:
-    """Indented texts of equal-length float lists, or None if `lists` holds anything else."""
-    if not all(isinstance(v, (list, tuple)) for v in lists):
-        return None
-    lengths = set(map(len, lists))
-    reprs = _float_reprs(list(chain.from_iterable(lists))) if len(lengths) == 1 else None
-    if not reprs:
-        return None
-    inner = pad + "  "
-    sep = "," + inner
-    return [f"[{inner}{sep.join(row)}{pad}]" for row in zip(*[iter(reprs)] * lengths.pop())]
+def _rows(brackets: str, pad: str, count: int, columns):
+    """`count` rows in `brackets`, ``_CHUNK`` a piece: row r joins each column's table[index[r]]."""
+    tables = [np.array(table, dtype=object) for table, _ in columns]
+    for start in range(0, count, _CHUNK):
+        block = np.empty((min(count - start, _CHUNK), len(columns)), dtype=object)
+        for c, (table, (_, index)) in enumerate(zip(tables, columns)):
+            block[:, c] = table[index[start:start + _CHUNK]]
+        text = "".join(block.ravel().tolist())
+        yield brackets[0] + text[1:] if start == 0 else text     # row 0 has no "," before it
+    yield pad + brackets[1] if count else brackets
 
 
 def ket_from_json(text: str) -> Ket:
-    obj = json.loads(text)
+    """The Ket of a state file {"n": n, "amps": {bitstring: [re, im]}}, as written for a Ket."""
+    enabled = gc.isenabled()
+    gc.disable()        # the parse makes no cycles, and the collector's passes over the
+    try:                # lists it allocates, one per amplitude, take a fifth of it at N_MAX
+        obj = json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(obj, dict) or not isinstance(obj.get("amps"), dict):
         raise ValueError('a state is a JSON object {"n": n, "amps": {bitstring: [re, im]}}')
-    n = obj["n"]
-    pairs = [(bits, complex(re, im)) for bits, (re, im) in obj["amps"].items()]
-    return make_ket(n, pairs)
+    vals = list(obj["amps"].values())
+    if not (set(map(type, vals)) <= {list} and set(map(len, vals)) <= {2}
+            and set(map(type, chain.from_iterable(vals))) <= {int, float}):
+        bits = next(b for b, v in obj["amps"].items() if type(v) is not list
+                    or len(v) != 2 or not {*map(type, v)} <= {int, float})
+        raise ValueError(f"amplitude of {bits!r} is not [re, im], two JSON numbers")
+    parts = np.fromiter(chain.from_iterable(vals), np.float64, count=2 * len(vals))
+    return _ket_from_arrays(obj["n"], list(obj["amps"]), parts.view(np.complex128))

@@ -108,9 +108,9 @@ class FeasibilityCertificate:
         if self.cbar_sq is not None:
             obj["cbar_sq"] = [float(v) for v in self.cbar_sq]
         if self.p is not None:
-            obj["p"] = self.p.tolist()
+            obj["p"] = self.p
         if self.witness_state is not None:
-            obj["witness_state"] = qcore.ket_to_dict(self.witness_state)
+            obj["witness_state"] = self.witness_state
         return obj
 
 

@@ -20,6 +20,11 @@ P_j <- L G_j P_j G_j L, and the optimality test as one `eigvalsh` of
 Gamma - G_j per element.  Its results are `discrim.DiscriminationResult`s, so
 it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
 
+`ket_to_dict` is the state file's {"n": n, "amps": {bitstring: (re, im)}}
+map as a plain dict, built one key at a time; `json.dumps` of it with sorted
+keys and a two-space indent is the byte reference for the text that
+`qcore.indented_json` writes from a Ket's arrays.
+
 `exact_phase1` is a Bland's-rule rational simplex on the elastic phase-1
 program of `simplex.certified_phase1`; its exact optimum is what the
 certified bracket must contain.  `nonneg_solution` is the symmetric closed
@@ -46,6 +51,14 @@ def bit_table(n):
     """(2**n, n) uint8 array; column k-1 holds the bit of qubit k."""
     idx = np.arange(1 << n, dtype=">u4")       # big-endian: qubit 1's bit comes first
     return np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - n:]
+
+
+def ket_to_dict(k):
+    """{"n": n, "amps": {bitstring: (re, im)}} over the nonzero amplitudes, in index order."""
+    idx = np.flatnonzero(k.amps)
+    kept = k.amps[idx]
+    keys = [format(j, f"0{k.n}b") for j in idx.tolist()]
+    return {"n": k.n, "amps": dict(zip(keys, zip(kept.real.tolist(), kept.imag.tolist())))}
 
 
 def _gather(bits, positions):

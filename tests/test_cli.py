@@ -13,8 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 import trajsense
 from trajsense import beam, cli, qcore, simplex, solver
+
+
+#: the directory the package is imported from, for subprocesses
+_SRC = str(Path(trajsense.__file__).resolve().parents[1])
 
 
 def run(argv):
@@ -473,7 +478,7 @@ def test_qec_single_check(capsys):
 def bell_file(tmp_path):
     bell = qcore.make_ket(2, [("01", 1), ("10", 1)])
     p = tmp_path / "bell.json"
-    p.write_text(json.dumps(qcore.ket_to_dict(bell)))
+    p.write_text(json.dumps(oracles.ket_to_dict(bell)))
     return p
 
 
@@ -492,14 +497,28 @@ def test_verify_rejects_wrong_angle(tmp_path, capsys):
                 "--m", "1", "--theta", "0.3"]) == 1
 
 
-@pytest.mark.parametrize("text,n", [
-    ("{this is not json", "2"),
-    ('{"n": 2, "amps": [1, 2]}', "2"),
-    ('{"n": 2, "amps": {"01": [NaN, 0], "10": [1, 0]}}', "2"),
-    ('{"n": 2, "amps": {"01": [1e200, 0], "10": [1e200, 0]}}', "2"),   # the norm overflows
-    ('{"n": true, "amps": {"1": [1, 0]}}', "1"),
-], ids=["not-json", "amps-list", "nan", "norm-overflow", "bool-n"])
-def test_verify_malformed_file(tmp_path, capsys, text, n):
+@pytest.mark.parametrize("text,n,names", [
+    ("{this is not json", "2", None),
+    ('{"n": 2, "amps": [1, 2]}', "2", None),
+    ('{"n": 2, "amps": {"01": [NaN, 0], "10": [1, 0]}}', "2", None),
+    ('{"n": 2, "amps": {"01": [1e200, 0], "10": [1e200, 0]}}', "2", None),   # the norm overflows
+    ('{"n": true, "amps": {"1": [1, 0]}}', "1", None),
+    ('{"n": 2, "amps": {"01": [true, 0], "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": ["1", 0], "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"10": [1, 0], "01": [1]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": [1, 0, 0], "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": null, "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": "ab", "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": {"re": 1}, "10": [1, 0]}}', "2", "'01'"),
+    ('{"n": 2, "amps": {"01": [1, 0], "10": [1%s, 0]}}' % ("0" * 400), "2",  # beyond a float
+     "too large"),
+    ('{"n": 2, "amps": {"01": [1, 0], "-1": [1, 0]}}', "2", "'-1'"),
+    ('{"n": 2, "amps": {"01": [1, 0], "+1": [1, 0]}}', "2", "'+1'"),
+    ('{"n": 3, "amps": {"011": [1, 0], "1_0": [1, 0]}}', "3", "'1_0'"),
+], ids=["not-json", "amps-list", "nan", "norm-overflow", "bool-n", "bool-amp", "str-amp",
+        "one-part", "three-parts", "null-amp", "str-pair", "dict-amp", "int-overflow",
+        "minus-key", "plus-key", "underscore-key"])
+def test_verify_malformed_file(tmp_path, capsys, text, n, names):
     p = tmp_path / "broken.json"
     p.write_text(text)
     code = run(["verify", "--state", str(p), "--family", "sym", "--n", n,
@@ -507,6 +526,7 @@ def test_verify_malformed_file(tmp_path, capsys, text, n):
     assert code == 2
     err = capsys.readouterr().err
     assert "broken.json" in err
+    assert names is None or names in err
 
 
 def test_verify_non_utf8_file_names_it(tmp_path, capsys):
@@ -531,7 +551,7 @@ def test_verify_qubit_mismatch(tmp_path, capsys):
 def test_verify_refusal_names_the_dense_cap(tmp_path, capsys):
     """A state that is not constant on weight classes needs the dense Gram check."""
     p = tmp_path / "one.json"
-    p.write_text(json.dumps(qcore.ket_to_dict(qcore.make_ket(12, [("000000000001", 1)]))))
+    p.write_text(json.dumps(oracles.ket_to_dict(qcore.make_ket(12, [("000000000001", 1)]))))
     assert run(["verify", "--state", str(p), "--family", "sym", "--n", "12",
                 "--m", "6", "--theta", "pi/2"]) == 2
     err = capsys.readouterr().err
@@ -573,6 +593,30 @@ def test_json_artifact_is_stdout_with_one_final_newline(argv, tmp_path, capsys):
     assert manifest.endswith("}\n") and json.loads(manifest)["command"] == argv[0]
 
 
+@pytest.mark.parametrize("argv,digest", [
+    (["--family", "sym", "--n", "16", "--m", "8", "--theta", "3.066556304490821"],
+     "876263ce8c033215a4d8a9378787e2e2884750ebe98e9a2fe4828d8e5334d0cf"),
+    (["--family", "sym", "--n", "16", "--m", "2", "--theta", "2.872244334927023"],
+     "a05e4f8fce2c82b6b2c21fcbfa17e97ac7600c233efbcfa9f5ae3bd44da9c1ab"),
+    (["--family", "cyc", "--n", "12", "--m", "4", "--theta", "2pi/3"],
+     "dd1b419ee935f9eca23649af24c84f9359a46b0d4e0cff334ec7dbd9c85f8c97"),
+    (["--family", "sym", "--n", "10", "--m", "5", "--theta", "9pi/10", "--method", "lp"],
+     "7ed26b01cea23d409ff5454e3b8af565779df13812409cd5798715e0d36c556e"),
+], ids=["sym16-8", "sym16-2", "cyc12-4", "lp-sym10-5"])
+def test_solve_json_stdout_pinned(argv, digest):
+    """sha256 of `solve --format json` stdout: solve-mix's sym(16,8) and sym(16,2) at
+    their seed-1 angles, a certificate with both a witness and `p`, and a 2^10-entry `p`.
+
+    With one BLAS thread, as the benchmark runs: the sym(16,*) witnesses' last bits
+    move with the thread count of the closed form's matrix products."""
+    r = subprocess.run([sys.executable, "-m", "trajsense.cli", "solve", *argv, "--format", "json"],
+                       capture_output=True, env={**os.environ, "PYTHONPATH": _SRC,
+                                                 "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                                 "MKL_NUM_THREADS": "1"})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
 def test_manifest_describes_the_package_checkout_not_the_cwd(tmp_path, monkeypatch, capsys):
     """git describe runs in the package's directory: a repository at the cwd is not recorded."""
     git = shutil.which("git")
@@ -595,9 +639,8 @@ def test_manifest_describes_the_package_checkout_not_the_cwd(tmp_path, monkeypat
 # ----------------------------------------------------------- console script
 
 def _python(code):
-    src = str(Path(trajsense.__file__).resolve().parents[1])
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src})
+                          env={**os.environ, "PYTHONPATH": _SRC})
 
 
 def test_cli_import_skips_scipy_stats_and_optimize():

@@ -1,8 +1,11 @@
 """Statevector core: indexing convention, bit weights, symmetrized basis; the
 tensor placement and Born sampling oracles of `oracles`."""
 import functools
+import gc
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +33,17 @@ def test_make_ket_normalizes():
 
 
 def test_make_ket_rejects_duplicates_and_zero():
-    with pytest.raises(ValueError):
-        make_ket(2, [("00", 1.0), ("00", 0.5)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate bitstring '00'"):
+        make_ket(2, [("00", 1.0), ("01", 1.0), ("00", 0.5)])
+    with pytest.raises(ValueError, match="all amplitudes are zero"):
         make_ket(2, [("01", 0.0)])
-    with pytest.raises(ValueError):
-        make_ket(2, [("001", 1.0)])  # wrong register size
+    with pytest.raises(ValueError, match="bitstring '001' has length 3, expected 2"):
+        make_ket(2, [("01", 1.0), ("001", 1.0)])  # wrong register size
+    for bits in ("0a", "-1", "+1", "0\u00b9", "\uff10\uff11"):   # "\uff10\uff11" is fullwidth "01"
+        with pytest.raises(ValueError, match="malformed bitstring"):
+            make_ket(2, [("11", 1.0), (bits, 1.0)])
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        make_ket(2, [("11", 1.0), ("10", complex(0, math.inf))])
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,11 +190,21 @@ def test_sample_measurement_frequencies():
 
 def test_ket_json_roundtrip():
     k = make_ket(3, [("010", 0.5), ("101", 0.5j), ("111", -0.5)])
-    text = json.dumps(qcore.ket_to_dict(k))
+    text = json.dumps(oracles.ket_to_dict(k))
     back = qcore.ket_from_json(text)
     assert back.n == 3
     np.testing.assert_allclose(back.amps, k.amps, atol=1e-15)
     assert set(json.loads(text)) == {"n", "amps"}
+    # the parse runs with the collector off and leaves the caller's setting as it found it
+    gc.disable()
+    try:
+        qcore.ket_from_json(text)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    with pytest.raises(ValueError):
+        qcore.ket_from_json("{not json")
+    assert gc.isenabled()
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.text(max_size=6)
@@ -206,7 +224,44 @@ _JSON_VALUES = st.recursive(
 @example([0.0, -0.0, float("nan"), 1e-300])
 @settings(max_examples=300, deadline=None)
 def test_indented_json_matches_stdlib_bytes(obj):
-    assert qcore.indented_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    assert "".join(qcore.indented_json(obj)) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+#: amplitude parts: signed zeros and values that repeat, plus arbitrary ones
+_PARTS = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.1, 5e-324]) | st.floats(-1e3, 1e3)
+
+
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+           st.just(n), st.dictionaries(st.integers(0, (1 << n) - 1),
+                                       st.tuples(_PARTS, _PARTS), max_size=12))),
+       st.sampled_from([1, 2, 5, 1 << 16]))
+@example((2, {1: (-0.0, 0.5), 2: (0.5, -0.0)}), 1)
+@example((3, {}), 2)
+@settings(max_examples=300, deadline=None)
+def test_ket_and_array_text_match_the_oracle_dict(ket, chunk):
+    """A Ket's map and a float array are written from their arrays, in pieces of at most
+    `chunk` entries, with the bytes of json.dumps of the plain data; the state text reads
+    back to the amps `make_ket` builds from the same pairs, bit for bit."""
+    n, entries = ket
+    amps = np.zeros(1 << n, dtype=complex)
+    for j, part in entries.items():
+        amps[j] = complex(*part)
+    k = Ket(n, amps)
+    p = np.concatenate([amps.real, amps.imag, [math.nan, math.inf, -math.inf]])
+    with mock.patch.object(qcore, "_CHUNK", chunk):
+        pieces = list(qcore.indented_json({"witness_state": k, "p": p, "n": n}))
+        state = "".join(qcore.indented_json(k))
+    reference = {"witness_state": oracles.ket_to_dict(k), "p": p.tolist(), "n": n}
+    assert "".join(pieces) == json.dumps(reference, sort_keys=True, indent=2)
+    assert max(map(len, pieces)) <= 128 * chunk
+    pairs = [(bits, complex(*part)) for bits, part in oracles.ket_to_dict(k)["amps"].items()]
+    try:
+        expect = make_ket(n, pairs)
+    except ValueError as exc:                # all zero, or a norm below 1e-300
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            qcore.ket_from_json(state)
+    else:
+        assert qcore.ket_from_json(state).amps.tobytes() == expect.amps.tobytes()
 
 
 @given(st.integers(0, 3), st.integers(0, 7), st.floats(0.0, 2 * math.pi))
