@@ -15,17 +15,16 @@ from trajsense import discrim, solver, trajset
 ts = trajset.gen_symmetric(4, 2)
 grid = np.linspace(0.0, math.pi, 13)
 
-quantum = discrim.failure_curve(ts, "solver_witness", grid)
-classical = discrim.failure_curve(ts, "classical_plus", grid)
+curve = discrim.failure_curve(ts, grid)
 
 print("single-shot failure probability (6 hypotheses, 4 qubits):")
 print(f"  {'theta/pi':>9} {'entangled':>12} {'product |+>':>12}")
-for q, c in zip(quantum, classical):
-    print(f"  {q.theta/math.pi:9.3f} {q.p_fail:12.6f} {c.p_fail:12.6f}")
+for pt in curve:
+    print(f"  {pt.theta/math.pi:9.3f} {pt.p_fail_quantum:12.6f} {pt.p_fail_classical:12.6f}")
 print("  both start at 5/6 (pure guessing among six), the entangled curve")
 print("  hits zero at 3/4 pi and stays there.")
 
-table = discrim.curve_csv(quantum, classical)
+table = discrim.curve_csv(curve)
 print(f"\nCSV export: {len(table.splitlines())} lines")
 
 # repeated shots at the onset angle

@@ -149,7 +149,7 @@ def cmd_curve(args) -> int:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
         quantum = discrim.optimal_measurement(
             discrim.make_ensemble(cert.witness_state, ts, theta))
-        table = discrim.repetition_csv(eps, discrim.repetition_analysis(classical, eps),
+        table = discrim.repetition_csv(discrim.repetition_analysis(classical, eps),
                                        discrim.repetition_analysis(quantum, eps))
         filename, what = "inset.csv", "repetition table"
     else:
@@ -160,8 +160,7 @@ def cmd_curve(args) -> int:
         if args.points < 1:
             raise ValueError(f"--points must be at least 1, got {args.points}")
         grid = np.linspace(lo, hi, args.points)
-        table = discrim.curve_csv(discrim.failure_curve(ts, "solver_witness", grid),
-                                  discrim.failure_curve(ts, "classical_plus", grid))
+        table = discrim.curve_csv(discrim.failure_curve(ts, grid))
         filename, what = "curve.csv", f"{len(grid)}-point failure curve"
     if args.format == "csv":
         # the file keeps csv's \r\n rows; stdout gets plain newlines

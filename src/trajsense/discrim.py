@@ -18,10 +18,12 @@ phase matrix once per angle and reuse it for every input state.
   its docstring; Alberti & Uhlmann 1980, Chefles, Jozsa & Winter 2004), so
   entangled-vs-classical gaps are measured against the best unentangled
   sensor with matched generosity on the measurement side.
-* `failure_curve` sweeps theta (below the onset, `_screen`'s Gram spectra
-  spare `optimal_measurement` the candidates that cannot hold the minimum),
-  `repetition_analysis` converts a per-shot result into plurality-vote
-  repetition counts with one exact tail DP (`plurality_error`) for every k and r.
+* `failure_curve` sweeps theta once for both arms, the paper's curve table
+  (below the onset, `_screen`'s Gram spectra spare `optimal_measurement` the
+  candidates that cannot hold the minimum); `repetition_analysis` turns a
+  per-shot result into plurality-vote repetition counts, the inset, from one
+  sequence of exact vote errors (`plurality_error`, a tail DP with one matrix
+  step per category) for every k and r.
 
 Measurements live in the span of the ensemble (dimension d <= k, state j at
 coordinates c_j from the SVD in `_reduce`) as rank-one factors: G_j =
@@ -274,52 +276,51 @@ def _screen(phases, candidates):
 @dataclass
 class CurvePoint:
     theta: float
-    p_fail: float
-    method: str
+    p_fail_quantum: float
+    p_fail_classical: float
+    method: str                  # entangled arm's method/classical arm's method
 
 
-def failure_curve(ts: TrajectorySet, psi_source: str, theta_grid) -> list[CurvePoint]:
-    """p_fail(theta) for one protocol arm.
+def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
+    """p_fail(theta) of both arms, one sweep over the grid.
 
-    psi_source: solver_witness (entangled; exact witness above threshold, best
-    of a symmetrized-state sweep below), or classical_plus (`classical_baseline`).
-    Below the onset only the candidates `_screen` leaves uncertified, and the
-    certified ones with p - err <= min(p + err) over the certified, meet
-    `optimal_measurement`: any other is strictly worse than that min's one.
+    The entangled arm is the exact witness above threshold and the best of a
+    symmetrized-state sweep below; the classical arm is `classical_baseline`.
+    At each angle the entangled arm runs first.  Below the onset only the
+    candidates `_screen` leaves uncertified, and the certified ones with
+    p - err <= min(p + err) over the certified, meet `optimal_measurement`:
+    any other is strictly worse than that min's one.
     """
-    if psi_source not in ("solver_witness", "classical_plus"):
-        raise ValueError(f"unknown psi_source {psi_source!r}")
     k = len(ts)
     points = []
     candidates = None                  # built at the first angle below the onset
     for theta in theta_grid:
         theta = float(theta)
         if theta == 0.0:
-            points.append(CurvePoint(theta, 1.0 - 1.0 / k, "degenerate"))
-            continue
-        if psi_source != "solver_witness":
-            res = classical_baseline(ts, theta)
-            points.append(CurvePoint(theta, res.p_fail, res.method))
+            points.append(CurvePoint(theta, 1.0 - 1.0 / k, 1.0 - 1.0 / k, "degenerate/degenerate"))
             continue
         cert = solver.solve(solver.TSProblem(ts, theta))
         if cert.feasible:
-            res = pgm(make_ensemble(cert.witness_state, ts, theta))
-            points.append(CurvePoint(theta, res.p_fail, "projective_orthogonal"))
-            continue
-        # below threshold: best of a deterministic symmetrized-state sweep
-        # and the witness at the onset
-        if candidates is None:
-            candidates = _symmetrized_candidates(ts.n)
-            cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
-            if cert0.feasible:
-                candidates.append(cert0.witness_state)
-        phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        p, err, cert = _screen(phases, candidates)
-        top = np.min(p + err, where=cert, initial=np.inf)
-        best = min((optimal_measurement(phases * psi.amps) for psi, low, ok
-                    in zip(candidates, p - err, cert) if low <= top or not ok),
-                   key=lambda res: res.p_fail)
-        points.append(CurvePoint(theta, best.p_fail, best.method))
+            q_fail = pgm(make_ensemble(cert.witness_state, ts, theta)).p_fail
+            q_method = "projective_orthogonal"
+        else:
+            # below threshold: best of a deterministic symmetrized-state sweep
+            # and the witness at the onset
+            if candidates is None:
+                candidates = _symmetrized_candidates(ts.n)
+                cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
+                if cert0.feasible:
+                    candidates.append(cert0.witness_state)
+            phases = trajset.phase_matrix(ts.members, ts.n, theta)
+            p, err, cert = _screen(phases, candidates)
+            top = np.min(p + err, where=cert, initial=np.inf)
+            best = min((optimal_measurement(phases * psi.amps) for psi, low, ok
+                        in zip(candidates, p - err, cert) if low <= top or not ok),
+                       key=lambda res: res.p_fail)
+            q_fail, q_method = best.p_fail, best.method
+        classical = classical_baseline(ts, theta)
+        points.append(CurvePoint(theta, q_fail, classical.p_fail,
+                                 f"{q_method}/{classical.method}"))
     return points
 
 
@@ -330,8 +331,8 @@ def _plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
     """P(category i wins the plurality vote of r iid draws), exact tail DP.
 
     Conditions on the true-category count a, then walks the other categories
-    with a factorial-normalized convolution; ties at a are tracked so the
-    uniform tie-break enters as 1/(ties+1).
+    with a factorial-normalized convolution, one matrix product each; ties at
+    a are tracked as an axis so the uniform tie-break enters as 1/(ties+1).
     """
     k = len(p)
     if k == 1:
@@ -360,24 +361,19 @@ def _plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
         if s > a * (k - 1):
             continue                     # someone must exceed a
         # g[u, t]: P-weight (divided by u!) that processed categories used u
-        # draws, all counts <= a, t of them exactly at a
+        # draws, all counts <= a, t of them exactly at a.  A category of
+        # weight qj takes l < a draws, the lower-triangular Toeplitz matrix of
+        # qj^l/l!, or exactly a, which shifts t up by one with weight qj^a/a!
+        lag = np.abs(np.subtract.outer(np.arange(s + 1), np.arange(s + 1)))
+        steps = np.tril(q[:, None, None] ** lag * inv_fact[lag] * (lag < a))
         g = np.zeros((s + 1, k))
         g[0, 0] = 1.0
-        for qj in q:
-            below = min(a - 1, s)
-            pw = qj ** np.arange(below + 1) * inv_fact[:below + 1]
-            new = np.zeros_like(g)
-            for t in range(k):
-                col = g[:, t]
-                if not col.any():
-                    continue
-                new[:, t] += np.convolve(col, pw)[:s + 1]
-                if a <= s and t + 1 < k:
-                    wa = qj ** a * inv_fact[a]
-                    new[a:, t + 1] += col[:s + 1 - a] * wa
+        for step, wa in zip(steps, q ** a * inv_fact[a]):
+            new = step @ g
+            if a <= s:
+                new[a:, 1:] += g[:s + 1 - a, :-1] * wa
             g = new
-        tail = g[s] * math.factorial(s)
-        win += pmf_a[a] * sum(tail[t] / (t + 1) for t in range(k))
+        win += pmf_a[a] * (g[s] * math.factorial(s)) @ (1.0 / np.arange(1, k + 1))
     return float(min(1.0, max(0.0, win)))
 
 
@@ -392,32 +388,24 @@ def repetition_analysis(per_shot: DiscriminationResult,
                         epsilon_grid) -> list[RepetitionReport]:
     """Minimal repetition count r reaching each target error epsilon.
 
-    Exact plurality-vote tail per r, up to r = `_VOTE_R_CAP`; reports r = inf
-    when the per-shot success cannot beat chance (the vote then never
-    converges) or the cap is reached first.
+    One sequence of exact plurality-vote tails err(r), r = 1, 2, ..., up to
+    the first r that meets the smallest epsilon or r = `_VOTE_R_CAP`; each
+    epsilon reads its first r off it.  Reports r = inf when the per-shot
+    success cannot beat chance (the vote then never converges) or the cap is
+    reached first.
     """
     conf = per_shot.confusion
     k = conf.shape[0]
     per_succ = float(np.full(k, 1.0 / k) @ conf.diagonal())
+    eps = [float(e) for e in epsilon_grid]
     if k > 1 and per_succ <= 1.0 / k + 1e-15:
-        return [RepetitionReport(math.inf, per_succ, 1.0 - per_succ, float(eps))
-                for eps in epsilon_grid]
-    errs: dict[int, float] = {}
-
-    def err_at(r):
-        if r not in errs:
-            errs[r] = plurality_error(conf, r)
-        return errs[r]
-
-    reports = []
-    for eps in epsilon_grid:
-        eps = float(eps)
-        r = 1
-        while r <= _VOTE_R_CAP and err_at(r) > eps:
-            r += 1
-        reports.append(RepetitionReport(r if r <= _VOTE_R_CAP else math.inf, per_succ,
-                                        err_at(min(r, _VOTE_R_CAP)), eps))
-    return reports
+        return [RepetitionReport(math.inf, per_succ, 1.0 - per_succ, e) for e in eps]
+    errs = [plurality_error(conf, 1)]
+    while errs[-1] > min(eps, default=1.0) and len(errs) < _VOTE_R_CAP:
+        errs.append(plurality_error(conf, len(errs) + 1))
+    firsts = [next((r for r, err in enumerate(errs, 1) if err <= e), None) for e in eps]
+    return [RepetitionReport(r or math.inf, per_succ, errs[(r or len(errs)) - 1], e)
+            for r, e in zip(firsts, eps)]
 
 
 # ---------------------------------------------------------------------------
@@ -429,20 +417,18 @@ def _csv_text(rows) -> str:
     return buf.getvalue()
 
 
-def curve_csv(quantum: list[CurvePoint], classical: list[CurvePoint]) -> str:
+def curve_csv(points: list[CurvePoint]) -> str:
     """Two-arm table: theta, p_fail_quantum, p_fail_classical, method."""
-    if [p.theta for p in quantum] != [p.theta for p in classical]:
-        raise ValueError("curve arms evaluated on different theta grids")
     return _csv_text([["theta", "p_fail_quantum", "p_fail_classical", "method"]]
-                     + [[repr(qp.theta), repr(qp.p_fail), repr(cp.p_fail),
-                         f"{qp.method}/{cp.method}"] for qp, cp in zip(quantum, classical)])
+                     + [[repr(pt.theta), repr(pt.p_fail_quantum), repr(pt.p_fail_classical),
+                         pt.method] for pt in points])
 
 
-def repetition_csv(epsilons, classical: list[RepetitionReport],
+def repetition_csv(classical: list[RepetitionReport],
                    quantum: list[RepetitionReport]) -> str:
     """Inset table: epsilon, r_classical, r_quantum (inf when the vote never converges)."""
     def r(rep):
         return "inf" if math.isinf(rep.r) else int(rep.r)
     return _csv_text([["epsilon", "r_classical", "r_quantum"]]
-                     + [[repr(float(eps)), r(rc), r(rq)]
-                        for eps, rc, rq in zip(epsilons, classical, quantum)])
+                     + [[repr(rc.epsilon_target), r(rc), r(rq)]
+                        for rc, rq in zip(classical, quantum)])

@@ -9,6 +9,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -204,12 +205,21 @@ def _rows(brackets: str, pad: str, count: int, columns):
     yield pad + brackets[1] if count else brackets
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict; a repeated key is an error, where json keeps the last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"repeated key {key!r}")
+    return obj
+
+
 def ket_from_json(text: str) -> Ket:
     """The Ket of a state file {"n": n, "amps": {bitstring: [re, im]}}, as written for a Ket."""
     enabled = gc.isenabled()
     gc.disable()        # the parse makes no cycles, and the collector's passes over the
     try:                # lists it allocates, one per amplitude, take a fifth of it at N_MAX
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     finally:
         if enabled:
             gc.enable()

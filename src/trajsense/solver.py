@@ -137,11 +137,12 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
     For the symmetric and cyclic families, let p = |psi|^2 and p' = p o rep,
     where rep sends each bitstring to a fixed member of its orbit (its weight
     class, or its cyclic rotations).  A group element g maps each pair (a, b)
-    of members to its representative r from `ts.orbits`, and G_ab(p') =
-    G_r(p') because p' is orbit-constant.  Each entry is sum_j p_j e^{i phi_j},
-    so |G_ab(p) - G_ab(p')| <= ||p - p'||_1 = delta, and
+    of members, or (b, a), to its representative r from `ts.orbits`, and
+    |G_ab(p')| = |G_r(p')| because p' is orbit-constant and |G_ba| = |G_ab|
+    (G is hermitian).  Each entry is sum_j p_j e^{i phi_j}, so
+    |G_ab(p) - G_ab(p')| <= ||p - p'||_1 = delta, and
 
-        |G_ab - G_r| <= 2 ||p - p'||_1.
+        ||G_ab| - |G_r|| <= 2 ||p - p'||_1.
 
     When delta <= ORBIT_TOL the value is max(|sum p - 1|, max_r |G_r|) +
     2 delta, computed from the phase rows of the representative pairs in

@@ -47,8 +47,10 @@ class Orbits(NamedTuple):
     """A sym or cyc family under its group: qubit permutations or the cyclic shift.
 
     The pairs (first, b), b in `partners`, hold one pair of members per orbit
-    of member pairs.  `rep` maps every bitstring to a fixed member of its
-    orbit: the lowest bitstring of its weight, or its smallest cyclic rotation.
+    of unordered member pairs: the cyc partners are the shifts 1 .. n // 2,
+    as shifting (first, shift n - s) by s gives (shift s, first).  `rep` maps
+    every bitstring to a fixed member of its orbit: the lowest bitstring of
+    its weight, or its smallest cyclic rotation.
     """
 
     first: Trajectory
@@ -116,7 +118,7 @@ class TrajectorySet:
             return Orbits(Trajectory(tuple(range(1, m + 1))), partners,
                           (1 << weight_on(n, range(1, n + 1))) - 1)
         if self.family == "cyclic":
-            return Orbits(_window(n, m, 0), [_window(n, m, s) for s in range(1, n)],
+            return Orbits(_window(n, m, 0), [_window(n, m, s) for s in range(1, n // 2 + 1)],
                           _smallest_rotation(n))
         return None
 

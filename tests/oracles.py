@@ -25,6 +25,10 @@ map as a plain dict, built one key at a time; `json.dumps` of it with sorted
 keys and a two-space indent is the byte reference for the text that
 `qcore.indented_json` writes from a Ket's arrays.
 
+`plurality_win_dp` is the vote tail DP with one convolution per category
+and tie count, the form `discrim._plurality_win_dp` had before the tie count
+became an array axis.
+
 `exact_phase1` is a Bland's-rule rational simplex on the elastic phase-1
 program of `simplex.certified_phase1`; its exact optimum is what the
 certified bracket must contain.  `nonneg_solution` is the symmetric closed
@@ -323,6 +327,57 @@ def helstrom_pair(states):
     pos = vecs[:, vals > 0]
     P0 = pos @ pos.conj().T
     return _result(coords, np.stack([P0, np.eye(len(a)) - P0]), "helstrom")
+
+
+# ---------------------------------------------------------------------------
+# plurality-vote tail
+
+def plurality_win_dp(p: np.ndarray, i: int, r: int) -> float:
+    """P(category i wins the plurality vote of r iid draws), one convolution
+    per category and tie count t: the reference for `discrim._plurality_win_dp`."""
+    k = len(p)
+    if k == 1:
+        return 1.0
+    p = np.clip(p, 0.0, 1.0)
+    pi_ = p[i]
+    if pi_ <= 0.0:
+        return 0.0
+    q = np.delete(p, i)
+    rest = q.sum()
+    if rest <= 0.0:
+        return 1.0
+    q = q / rest
+    pmf_a = [math.comb(r, a) * pi_ ** a * (1 - pi_) ** (r - a) for a in range(r + 1)]
+    inv_fact = np.array([1.0 / math.factorial(u) for u in range(r + 1)])
+    win = 0.0
+    for a in range(1, r + 1):
+        if pmf_a[a] < 1e-18:
+            continue
+        s = r - a
+        if s == 0:
+            win += pmf_a[a]
+            continue
+        if s > a * (k - 1):
+            continue                     # someone must exceed a
+        # g[u, t]: P-weight (divided by u!) that processed categories used u
+        # draws, all counts <= a, t of them exactly at a
+        g = np.zeros((s + 1, k))
+        g[0, 0] = 1.0
+        for qj in q:
+            below = min(a - 1, s)
+            pw = qj ** np.arange(below + 1) * inv_fact[:below + 1]
+            new = np.zeros_like(g)
+            for t in range(k):
+                col = g[:, t]
+                if not col.any():
+                    continue
+                new[:, t] += np.convolve(col, pw)[:s + 1]
+                if a <= s and t + 1 < k:
+                    new[a:, t + 1] += col[:s + 1 - a] * (qj ** a * inv_fact[a])
+            g = new
+        tail = g[s] * math.factorial(s)
+        win += pmf_a[a] * sum(tail[t] / (t + 1) for t in range(k))
+    return float(min(1.0, max(0.0, win)))
 
 
 # ---------------------------------------------------------------------------

@@ -170,11 +170,10 @@ def test_criterion_5_curve_properties():
     """Quantum curve dominates, vanishes above 3pi/4, and starts at 5/6."""
     ts = trajset.gen_symmetric(4, 2)
     grid = np.linspace(0.0, math.pi, 21)     # includes 3pi/4 at index 15
-    quantum = discrim.failure_curve(ts, "solver_witness", grid)
-    classical = discrim.failure_curve(ts, "classical_plus", grid)
-    worst_gap = max(q.p_fail - c.p_fail for q, c in zip(quantum, classical))
-    tail = max(q.p_fail for q in quantum if q.theta >= 3 * math.pi / 4 - 1e-12)
-    start_q, start_c = quantum[0].p_fail, classical[0].p_fail
+    curve = discrim.failure_curve(ts, grid)
+    worst_gap = max(pt.p_fail_quantum - pt.p_fail_classical for pt in curve)
+    tail = max(pt.p_fail_quantum for pt in curve if pt.theta >= 3 * math.pi / 4 - 1e-12)
+    start_q, start_c = curve[0].p_fail_quantum, curve[0].p_fail_classical
     ok = (worst_gap <= 1e-9 and tail < 1e-9
           and abs(start_q - 5 / 6) < 1e-12 and abs(start_c - 5 / 6) < 1e-12)
     _report(5, ok, f"dominance margin {worst_gap:.1e}, max tail p_fail "

@@ -317,9 +317,13 @@ _INSET_EPS = ["--epsilons", "1e-1,1e-3,1e-6,1e-9,1e-12", "--format", "csv"]
      "e54c012afe2789a43b3bc67a96a64ff72034ecaccd7a5b0f24d2df2b976c94b1"),
     (["--inset", "--family", "cyc", "--n", "8", "--m", "2", "--theta", "0.7pi"] + _INSET_EPS,
      "c4cc2d4d04402d390e410e3ff8d89e6047e8c0eb854c1f0386d1fca88f15a1f4"),
-], ids=["sym63", "sym42", "cyc82", "sym31-best", "inset-sym42", "inset-cyc82"])
+    (["--inset", "--family", "sym", "--n", "8", "--m", "4", "--theta", "7pi/8",
+      "--epsilons", "1e-6,1e-9", "--format", "csv"],      # 1e-06,5,1 and 1e-09,7,1
+     "5c4896994cc0df3f5a2745a9e9f2c9a29dc9c4a3ec7b403d53aa84a81554afee"),
+], ids=["sym63", "sym42", "cyc82", "sym31-best", "inset-sym42", "inset-cyc82", "inset-sym84"])
 def test_curve_sweep_stdout_pinned(argv, digest, capsys):
-    """The benchmark's curve-sweep commands print these bytes (sha256 of stdout)."""
+    """The benchmark's curve-sweep commands print these bytes (sha256 of stdout), and
+    a 70-category inset, where the vote tail DP has the most categories."""
     assert run(["curve"] + argv) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
@@ -515,9 +519,10 @@ def test_verify_rejects_wrong_angle(tmp_path, capsys):
     ('{"n": 2, "amps": {"01": [1, 0], "-1": [1, 0]}}', "2", "'-1'"),
     ('{"n": 2, "amps": {"01": [1, 0], "+1": [1, 0]}}', "2", "'+1'"),
     ('{"n": 3, "amps": {"011": [1, 0], "1_0": [1, 0]}}', "3", "'1_0'"),
+    ('{"n": 2, "amps": {"01": [1, 0], "10": [1, 0], "01": [0, 0]}}', "2", "'01'"),
 ], ids=["not-json", "amps-list", "nan", "norm-overflow", "bool-n", "bool-amp", "str-amp",
         "one-part", "three-parts", "null-amp", "str-pair", "dict-amp", "int-overflow",
-        "minus-key", "plus-key", "underscore-key"])
+        "minus-key", "plus-key", "underscore-key", "repeated-key"])
 def test_verify_malformed_file(tmp_path, capsys, text, n, names):
     p = tmp_path / "broken.json"
     p.write_text(text)
@@ -599,7 +604,7 @@ def test_json_artifact_is_stdout_with_one_final_newline(argv, tmp_path, capsys):
     (["--family", "sym", "--n", "16", "--m", "2", "--theta", "2.872244334927023"],
      "a05e4f8fce2c82b6b2c21fcbfa17e97ac7600c233efbcfa9f5ae3bd44da9c1ab"),
     (["--family", "cyc", "--n", "12", "--m", "4", "--theta", "2pi/3"],
-     "dd1b419ee935f9eca23649af24c84f9359a46b0d4e0cff334ec7dbd9c85f8c97"),
+     "24f6c4ef11ddc1d53ea3b556030f18368ddfe5d866b20656377c9c43b87145ad"),
     (["--family", "sym", "--n", "10", "--m", "5", "--theta", "9pi/10", "--method", "lp"],
      "7ed26b01cea23d409ff5454e3b8af565779df13812409cd5798715e0d36c556e"),
 ], ids=["sym16-8", "sym16-2", "cyc12-4", "lp-sym10-5"])
@@ -615,6 +620,26 @@ def test_solve_json_stdout_pinned(argv, digest):
                                                  "MKL_NUM_THREADS": "1"})
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,code,line", [
+    (["--n", "16", "--m", "4", "--theta", "0.50015pi"], 1,
+     "cyc(16,4) at theta=1.571268: infeasible"),
+    (["--n", "16", "--m", "8", "--theta", "1.5707963167948966"], 1,
+     "cyc(16,8) at theta=1.570796: infeasible"),
+    (["--n", "8", "--m", "2", "--theta", "0.64pi"], 0, "cyc(8,2) at theta=2.010619: feasible"),
+    (["--n", "12", "--m", "4", "--theta", "0.9pi", "--method", "lp"], 0,
+     "cyc(12,4) at theta=2.827433: feasible"),
+    (["--n", "6", "--m", "3", "--theta", "0.9pi", "--method", "lp"], 0,
+     "cyc(6,3) at theta=2.827433: feasible"),
+], ids=["cyc16-4", "cyc16-8", "cyc8-2", "lp-cyc12-4", "lp-cyc6-3"])
+def test_cyc_lp_rows_one_per_unordered_pair(argv, code, line, capsys):
+    """The shifts s and n - s give equal or opposite LP rows, so the cyc partners
+    stop at n // 2.  With both, the float phase 1 stopped at a wrong vertex
+    (cyc(16,*) exited 2 with "LP verdict undecided") or at a nonzero residual
+    (the three "(marginal)" flags)."""
+    assert run(["solve", "--family", "cyc", *argv]) == code
+    assert capsys.readouterr().out == line + "\n"
 
 
 def test_manifest_describes_the_package_checkout_not_the_cwd(tmp_path, monkeypatch, capsys):

@@ -4,6 +4,7 @@ import functools
 import io
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,14 +226,14 @@ def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points)
     keep each point's argmin."""
     ts = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}[family](n, m)
     grid = np.linspace(0.0, PI, points)
-    arms = ("solver_witness", "classical_plus")
-    fast = [discrim.failure_curve(ts, arm, grid) for arm in arms]
+    got = discrim.failure_curve(ts, grid)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     monkeypatch.setattr(discrim, "pgm", oracles.pgm)
     monkeypatch.setattr(discrim, "optimal_measurement", oracles.optimal_measurement)
-    for got, want in zip(fast, [discrim.failure_curve(ts, arm, grid) for arm in arms]):
-        assert [(p.theta, p.method) for p in got] == [(p.theta, p.method) for p in want]
-        assert max(abs(g.p_fail - w.p_fail) for g, w in zip(got, want)) <= 1e-14
+    want = discrim.failure_curve(ts, grid)
+    assert [(p.theta, p.method) for p in got] == [(p.theta, p.method) for p in want]
+    for arm in ("p_fail_quantum", "p_fail_classical"):
+        assert max(abs(getattr(g, arm) - getattr(w, arm)) for g, w in zip(got, want)) <= 1e-14
 
 
 @st.composite
@@ -297,7 +298,7 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
     seen = []
     monkeypatch.setattr(discrim, "optimal_measurement",
                         lambda states: seen.append(states) or om(states))
-    screened = discrim.failure_curve(ts, "solver_witness", grid)
+    screened = discrim.failure_curve(ts, grid)
     below = [t for t in grid[1:] if not solver.solve(solver.TSProblem(ts, t)).feasible]
     assert below
     for theta in below:
@@ -305,7 +306,7 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
         assert not discrim._screen(phases, [odd])[2][0]
         assert any(np.array_equal(s, phases * odd.amps) for s in seen)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
-    assert discrim.failure_curve(ts, "solver_witness", grid) == screened
+    assert discrim.failure_curve(ts, grid) == screened
 
 
 def test_small_angle_sweep_converges(monkeypatch):
@@ -316,7 +317,7 @@ def test_small_angle_sweep_converges(monkeypatch):
     om, results = discrim.optimal_measurement, []
     monkeypatch.setattr(discrim, "optimal_measurement",
                         lambda states: results.append(om(states)) or results[-1])
-    discrim.failure_curve(trajset.gen_symmetric(6, 3), "solver_witness", [PI / 314])
+    discrim.failure_curve(trajset.gen_symmetric(6, 3), [PI / 314])
     assert results and all(res.converged for res in results)
 
 
@@ -385,34 +386,27 @@ def test_product_p_fail_independent_of_phi(ts):
 # --- failure curves --------------------------------------------------------
 
 def test_failure_curve_properties():
-    grid = np.linspace(0.0, PI, 9)
-    q = discrim.failure_curve(TS42, "solver_witness", grid)
-    c = discrim.failure_curve(TS42, "classical_plus", grid)
-    assert abs(q[0].p_fail - 5 / 6) < 1e-12
-    assert abs(c[0].p_fail - 5 / 6) < 1e-12
-    for qp, cp in zip(q, c):
-        assert qp.p_fail <= cp.p_fail + 1e-9          # entanglement dominance
-    for prev, cur in zip(q, q[1:]):
-        assert cur.p_fail <= prev.p_fail + 1e-9       # monotone in theta
-    for qp in q:
-        if qp.theta >= 3 * PI / 4 - 1e-12:
-            assert qp.p_fail < 1e-9
+    curve = discrim.failure_curve(TS42, np.linspace(0.0, PI, 9))
+    assert abs(curve[0].p_fail_quantum - 5 / 6) < 1e-12
+    assert abs(curve[0].p_fail_classical - 5 / 6) < 1e-12
+    for pt in curve:
+        assert pt.p_fail_quantum <= pt.p_fail_classical + 1e-9    # entanglement dominance
+    for prev, cur in zip(curve, curve[1:]):
+        assert cur.p_fail_quantum <= prev.p_fail_quantum + 1e-9   # monotone in theta
+    for pt in curve:
+        if pt.theta >= 3 * PI / 4 - 1e-12:
+            assert pt.p_fail_quantum < 1e-9
 
 
 def test_cyc_curve_is_zero_between_the_lp_onset_and_threshold_cyc():
     """cyc(8,2) has sensing states from 0.6098pi (the LP onset), below the
     composition's 2pi/3; the curve's entangled arm uses them there."""
     ts = trajset.gen_cyclic(8, 2)
-    q = discrim.failure_curve(ts, "solver_witness", [t * PI for t in (0.60, 0.615, 0.64, 0.66)])
-    assert q[0].p_fail > 1e-6
+    q = discrim.failure_curve(ts, [t * PI for t in (0.60, 0.615, 0.64, 0.66)])
+    assert q[0].p_fail_quantum > 1e-6
     for point in q[1:]:
-        assert point.method == "projective_orthogonal" and point.p_fail < 1e-12, point
-
-
-def test_failure_curve_rejects_unknown_source():
-    for source in ("witness", "classical_best"):
-        with pytest.raises(ValueError, match="unknown psi_source"):
-            discrim.failure_curve(TS42, source, [1.0])
+        assert point.method.startswith("projective_orthogonal/"), point
+        assert point.p_fail_quantum < 1e-12, point
 
 
 # --- plurality-vote repetition ---------------------------------------------
@@ -532,6 +526,74 @@ def test_vote_dp_matches_monte_carlo_beyond_enum():
     assert abs(mc - exact) < 4 * sigma + 1e-6
 
 
+@st.composite
+def vote_rows(draw):
+    """(p, i, r): a row over k <= 12 categories, with zeros and exact ties, r <= 25."""
+    k = draw(st.integers(1, 12))
+    p = np.array(draw(st.lists(st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+                                         st.floats(0.0, 1.0)), min_size=k, max_size=k)))
+    assume(p.sum() > 0.0)
+    return p / p.sum(), draw(st.integers(0, k - 1)), draw(st.integers(1, 25))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vote_rows())
+def test_vote_dp_matches_the_per_tie_count_oracle(case):
+    """One matrix product per category gives the per-tie-count convolutions' value."""
+    p, i, r = case
+    assert abs(discrim._plurality_win_dp(p, i, r) - oracles.plurality_win_dp(p, i, r)) <= 1e-14
+
+
+@functools.lru_cache(maxsize=None)
+def _sym84_plus_confusion():
+    return discrim.classical_baseline(trajset.gen_symmetric(8, 4), 7 * PI / 8).confusion
+
+
+@pytest.mark.parametrize("r", [1, 5, 7])
+def test_vote_dp_matches_the_oracle_on_70_categories(r):
+    """Rows of the sym(8,4) |+>^n confusion at 7pi/8 (k = 70, beyond the enumeration):
+    r = 5 and 7 are the inset's classical counts at 1e-6 and 1e-9."""
+    conf = _sym84_plus_confusion()
+    for i in (0, 23, 69):
+        got = discrim._plurality_win_dp(conf[i], i, r)
+        assert abs(got - oracles.plurality_win_dp(conf[i], i, r)) <= 1e-14
+
+
+@st.composite
+def vote_targets(draw):
+    """(confusion, epsilons, cap): k <= 4 with a dominant diagonal, an unsorted
+    epsilon list with repeats, and a vote cap that some targets miss."""
+    k = draw(st.integers(1, 4))
+    gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    weight = draw(st.floats(0.3, 0.95))
+    conf = weight * np.eye(k) + (1 - weight) * gen.dirichlet(np.ones(k), size=k)
+    eps = draw(st.lists(st.sampled_from([0.3, 0.1, 1e-2, 1e-3, 1e-5, 1e-8]),
+                        min_size=1, max_size=6))
+    return conf, eps, draw(st.sampled_from([2, 5, 30]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vote_targets())
+def test_repetition_analysis_matches_the_per_epsilon_search(case):
+    """Each epsilon's r and p_error_after_vote are those of its own search from r = 1."""
+    conf, eps, cap = case
+    res = discrim.DiscriminationResult(None, 0.0, "pgm", conf)
+    errs = {}
+
+    def err_at(r):
+        if r not in errs:
+            errs[r] = discrim.plurality_error(conf, r)
+        return errs[r]
+
+    with mock.patch.object(discrim, "_VOTE_R_CAP", cap):
+        reports = discrim.repetition_analysis(res, eps)
+    for e, rep in zip(eps, reports):
+        r = next((r for r in range(1, cap + 1) if err_at(r) <= e), math.inf)
+        assert (rep.r, rep.p_error_after_vote, rep.epsilon_target) == \
+            (r, err_at(min(r, cap)), e)
+    assert len(reports) == len(eps)
+
+
 def test_repetition_quantum_single_shot():
     cert = solver.solve_symmetric(4, 2, 0.8 * PI)
     res = discrim.pgm(make_ensemble(cert.witness_state, TS42, 0.8 * PI))
@@ -571,19 +633,11 @@ def test_repetition_classical_log_scaling():
 
 def test_curve_csv_roundtrip():
     grid = [0.0, 0.5 * PI, PI]
-    q = discrim.failure_curve(TS21, "solver_witness", grid)
-    c = discrim.failure_curve(TS21, "classical_plus", grid)
-    rows = list(csv.reader(io.StringIO(discrim.curve_csv(q, c))))
+    rows = list(csv.reader(io.StringIO(discrim.curve_csv(discrim.failure_curve(TS21, grid)))))
     assert rows[0] == ["theta", "p_fail_quantum", "p_fail_classical", "method"]
     assert len(rows) == 4
     assert float(rows[1][1]) == 0.5  # theta=0 for two hypotheses
-
-
-def test_curve_csv_grid_mismatch():
-    q = discrim.failure_curve(TS21, "solver_witness", [1.0])
-    c = discrim.failure_curve(TS21, "classical_plus", [1.0, 2.0])
-    with pytest.raises(ValueError):
-        discrim.curve_csv(q, c)
+    assert rows[1][3] == "degenerate/degenerate"
 
 
 def test_repetition_csv():
@@ -593,9 +647,9 @@ def test_repetition_csv():
     qres = discrim.pgm(make_ensemble(cert.witness_state, TS21, 0.75 * PI))
     cl = discrim.repetition_analysis(flat, eps)
     qu = discrim.repetition_analysis(qres, eps)
-    rows = list(csv.reader(io.StringIO(discrim.repetition_csv(eps, cl, qu))))
-    assert rows[0] == ["epsilon", "r_classical", "r_quantum"]
-    assert rows[1][1] == "inf" and rows[1][2] == "1"
+    rows = list(csv.reader(io.StringIO(discrim.repetition_csv(cl, qu))))
+    assert rows == [["epsilon", "r_classical", "r_quantum"], ["0.1", "inf", "1"],
+                    ["0.01", "inf", "1"]]
 
 
 # --- ensemble validation ---------------------------------------------------

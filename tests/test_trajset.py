@@ -75,6 +75,23 @@ def test_members_are_built_from_n_and_m(n, data):
         assert [t.qubits for t in ts.members] == _window_tuples(n, m)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_cyc_partners_hit_each_unordered_pair_orbit_once(n):
+    """Under the cyclic shift, every unordered pair of distinct windows is the
+    image of exactly one (first, partner) pair."""
+    for m in range(1, n):
+        first, partners, _ = trajset.gen_cyclic(n, m).orbits
+        images = {}
+        for b in partners:
+            for s in range(n):
+                pair = frozenset(tuple(sorted((q - 1 + s) % n + 1 for q in t.qubits))
+                                 for t in (first, b))
+                images.setdefault(pair, set()).add(b.qubits)
+        windows = _window_tuples(n, m)
+        assert set(images) == {frozenset(p) for p in itertools.combinations(windows, 2)}
+        assert all(len(bs) == 1 for bs in images.values())
+
+
 def test_cyclic_orbit_reps_are_built_once_per_n():
     """Every cyc family on n qubits shares one read-only smallest-rotation array."""
     rep = trajset.gen_cyclic(9, 3).orbits.rep
