@@ -26,8 +26,8 @@ keys and a two-space indent is the byte reference for the text that
 `qcore.indented_json` writes from a Ket's arrays.
 
 `plurality_win_dp` is the vote tail DP with one convolution per category
-and tie count, the form `discrim._plurality_win_dp` had before the tie count
-became an array axis.
+and tie count; `discrim._plurality_win_dp` carries the tie count as an array
+axis, one matrix product per category, and must match it.
 
 `exact_phase1` is a Bland's-rule rational simplex on the elastic phase-1
 program of `simplex.certified_phase1`; its exact optimum is what the
