@@ -14,7 +14,7 @@ from trajsense import discrim, qcore, solver, trajset
 
 theta = math.pi / 2
 family = trajset.gen_symmetric(2, 1)
-print("candidate trajectories:", [t.label() for t in family.members])
+print("candidate trajectories:", [set(t.qubits) for t in family.members])
 
 # ask the solver for a sensing state at theta = pi/2
 cert = solver.solve_symmetric(2, 1, theta)

@@ -159,6 +159,12 @@ def cmd_curve(args) -> int:
             raise ValueError(f"theta grid [{lo:.4f}, {hi:.4f}] must sit inside [0, pi]")
         if args.points < 1:
             raise ValueError(f"--points must be at least 1, got {args.points}")
+        if args.points > trajset.PHASE_CAP:
+            raise ValueError(f"--points {args.points} > PHASE_CAP = {trajset.PHASE_CAP}")
+        c = ts.n // 2 + 2     # the screen's C <= K + 1 generator Grams, and a block of C
+        if 2 * c * len(ts) ** 2 > trajset.PHASE_CAP:
+            raise ValueError(f"below-onset screen too large: 2 x {c} Grams of {len(ts)}^2 "
+                             f"entries > PHASE_CAP = {trajset.PHASE_CAP} elements")
         grid = np.linspace(lo, hi, args.points)
         table = discrim.curve_csv(discrim.failure_curve(ts, grid))
         filename, what = "curve.csv", f"{len(grid)}-point failure curve"
@@ -283,9 +289,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--points", type=int, default=25)
     sp.add_argument("--classical", default="classical_plus",
                     choices=["classical_plus", "classical_best"],
-                    help="both run |+>^n, the optimal unentangled input "
-                         "(discrim.classical_baseline); classical_best stays "
-                         "accepted for commands that still pass it")
+                    help="both run |+>^n, the optimal unentangled input; "
+                         "classical_best stays accepted for older commands")
     sp.add_argument("--inset", action="store_true",
                     help="emit repetition counts instead of the curve")
     sp.add_argument("--theta", default=None, help="inset angle")

@@ -42,7 +42,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -95,8 +95,7 @@ class VerifyReport:
     members: int
 
     def to_dict(self):
-        return {"max_residual": self.max_residual, "is_ts": self.is_ts,
-                "n": self.n, "members": self.members}
+        return asdict(self)
 
 
 def verify_ts(psi: Ket, ts: TrajectorySet, theta: float) -> VerifyReport:
@@ -227,47 +226,51 @@ def classical_baseline(ts: TrajectorySet, theta: float) -> DiscriminationResult:
 
 
 def _symmetrized_candidates(n: int):
-    """Coarse sweep over squared-magnitude profiles in the invariant subspace."""
-    norms = qcore.weight_classes(n)[1].astype(float)
-    K = len(norms)
-    profiles = [np.full(K, 1.0 / (1 << n))]          # the uniform (|+>^n) profile
-    for comp in itertools.combinations_with_replacement(range(K), _GRANULARITY):
-        x = np.bincount(comp, minlength=K).astype(float)
-        profiles.append(x / (norms @ x))
-    return [Ket(n, amps) for amps in qcore.symmetrized_amplitudes(n, profiles)]
+    """Coarse sweep over squared-magnitude profiles in the invariant subspace: the
+    (K, 2**n) indicators `gens` of the classes of `qcore.weight_classes` and the
+    (P, K) class profiles `weights`; candidate i has |psi|^2 = weights[i] @ gens."""
+    fold, sizes = qcore.weight_classes(n)
+    x = np.array([np.bincount(comp, minlength=len(sizes)) for comp in
+                  itertools.combinations_with_replacement(range(len(sizes)), _GRANULARITY)])
+    profiles = np.vstack([np.full(len(sizes), 1.0 / (1 << n)), x / (x @ sizes)[:, None]])
+    return (fold == np.arange(len(sizes))[:, None]).astype(float), profiles
 
 
-def _screen(phases, candidates):
+def _screen(phases, gens, weights):
     """PGM value p, error bound err and optimality certificate per candidate.
 
-    From the Gram G = (phases |psi|^2) phases^H: its eigenvalues lam above
-    `_SPAN_CUT` lam_max span the PGM, g = diag(G^(1/2)) over them, and state
-    i's weight a_i on the cut eigenvectors goes to the uniform abstain guess
-    (`_result_from_reduced`), so p = 1 - (g.g + sum(a)/k)/k, sum(a) being the
-    sum of the cut lam.  To first order either route's g is within k eps
-    (lam_max/sqrt(lam_min) + 1) of exact (backward error k eps lam_max over
-    lam_min, the least kept eigenvalue, plus rounding) and sum(a)/k^2 within
-    eps lam_max <= k eps; so where no lam lies within k eps lam_max of the
-    cut, the SVD route keeps the same span, and its p and ptp g are within
-    err = 4 k eps (lam_max/sqrt(lam_min) + 1) of these.  With g0 = max g,
-    Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0 <= 1,
-    so Gamma0 >= G_j, and the PGM's Gamma lies within (ptp g) sqrt(lam_max)/k
-    of it.  So `optimal_measurement` stops at the PGM (value p within err)
-    where no lam is in that band and that bound with ptp g + err is at most
-    `_FP_TOL`/2.  One `eigh` per block of Grams no larger than `phases`.
+    Candidate i's Gram (phases |psi|^2) phases^H, |psi|^2 = w @ gens for
+    w = weights[i], is G = sum_c w_c B_c, B_c = (phases gens[c]) phases^H: its
+    eigenvalues lam above `_SPAN_CUT` lam_max span the PGM, g = diag(G^(1/2))
+    over them, and state i's weight a_i on the cut eigenvectors goes to the
+    uniform abstain guess (`_result_from_reduced`), so p = 1 - (g.g +
+    sum(a)/k)/k, sum(a) being the sum of the cut lam.  To first order either
+    route's g is within k eps (lam_max/sqrt(lam_min) + 1) of exact (backward
+    error k eps lam_max over lam_min, the least kept eigenvalue, plus
+    rounding) and sum(a)/k^2 within eps lam_max <= k eps.  Each B_c is PSD
+    with |B_c[a, b]| <= sum(gens[c]), and sum(|psi|^2) = 1, so the C-term sum
+    moves G's entries by C eps, lam by C k eps, g by C k eps/sqrt(lam_min).
+    So where no lam lies within k eps (lam_max + C) of the cut, the SVD route
+    keeps the same span, and its p and ptp g are within err = 4 k eps
+    (lam_max/sqrt(lam_min) + 1) + C k eps/sqrt(lam_min) of these.  With g0 =
+    max g, Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0
+    <= 1, so Gamma0 >= G_j, and the PGM's Gamma lies within (ptp g)
+    sqrt(lam_max)/k of it.  So `optimal_measurement` stops at the PGM (value p
+    within err) where no lam is in that band and that bound with ptp g + err
+    is at most `_FP_TOL`/2.  Holds C B_c and a block of up to C Grams.
     """
-    k, eps = len(phases), np.finfo(float).eps
-    step, phases_h, out = max(1, phases.shape[1] // k), phases.conj().T, []
-    for lo in range(0, len(candidates), step):
-        block = candidates[lo:lo + step]
-        lam, vecs = np.linalg.eigh([(phases * np.abs(psi.amps) ** 2) @ phases_h for psi in block])
+    k, C, eps, phases_h, out = len(phases), len(gens), np.finfo(float).eps, phases.conj().T, []
+    grams = np.array([(phases * g) @ phases_h for g in gens])
+    for lo in range(0, len(weights), C):
+        lam, vecs = np.linalg.eigh(np.tensordot(weights[lo:lo + C], grams, axes=1))
         lmax = lam[:, -1]
         cut = _SPAN_CUT * lmax[:, None]
         kept = lam > cut
         g = np.einsum("cia,ca->ci", np.abs(vecs) ** 2, np.sqrt(np.where(kept, lam, 0.0)))
         dropped = np.where(kept, 0.0, lam).sum(axis=1)
-        err = 4 * k * eps * (lmax / np.sqrt(np.where(kept, lam, np.inf).min(axis=1)) + 1)
-        band = (np.abs(lam - cut) > k * eps * lmax[:, None]).all(axis=1)
+        root = np.sqrt(np.where(kept, lam, np.inf).min(axis=1))
+        err = 4 * k * eps * (lmax / root + 1) + C * k * eps / root
+        band = (np.abs(lam - cut) > k * eps * (lmax[:, None] + C)).all(axis=1)
         cert = band & ((np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _FP_TOL / 2)
         out.append((1.0 - ((g * g).sum(axis=1) + dropped / k) / k, err, cert))
     return tuple(map(np.concatenate, zip(*out)))
@@ -293,7 +296,7 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
     """
     k = len(ts)
     points = []
-    candidates = None                  # built at the first angle below the onset
+    gens = None                        # built at the first angle below the onset
     for theta in theta_grid:
         theta = float(theta)
         if theta == 0.0:
@@ -305,17 +308,19 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
             q_method = "projective_orthogonal"
         else:
             # below threshold: best of a deterministic symmetrized-state sweep
-            # and the witness at the onset
-            if candidates is None:
-                candidates = _symmetrized_candidates(ts.n)
+            # and the witness at the onset, one more generator with its own row
+            if gens is None:
+                gens, weights = _symmetrized_candidates(ts.n)
                 cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
                 if cert0.feasible:
-                    candidates.append(cert0.witness_state)
+                    gens = np.vstack([gens, cert0.witness_state.probs()])
+                    weights = np.vstack([np.pad(weights, ((0, 0), (0, 1))), np.eye(len(gens))[-1]])
             phases = trajset.phase_matrix(ts.members, ts.n, theta)
-            p, err, cert = _screen(phases, candidates)
+            p, err, cert = _screen(phases, gens, weights)
             top = np.min(p + err, where=cert, initial=np.inf)
-            best = min((optimal_measurement(phases * psi.amps) for psi, low, ok
-                        in zip(candidates, p - err, cert) if low <= top or not ok),
+            # sqrt(w @ gens) is the candidate's Ket: sqrt(fl(a*a)) == a for the witness's a >= 0
+            best = min((optimal_measurement(phases * np.sqrt(w @ gens))
+                        for w in weights[(p - err <= top) | ~cert]),
                        key=lambda res: res.p_fail)
             q_fail, q_method = best.p_fail, best.method
         classical = classical_baseline(ts, theta)

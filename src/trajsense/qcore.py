@@ -30,13 +30,6 @@ def _check_n(n: int) -> None:
         raise ValueError(f"qubit count {n} exceeds N_MAX={N_MAX}")
 
 
-def basis_index(bits: str) -> int:
-    """Integer index of a bitstring like '0110' (qubit 1 = leftmost)."""
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"malformed bitstring {bits!r}")
-    return int(bits, 2)
-
-
 def bitstring(n: int, j: int) -> str:
     return format(j, f"0{n}b")
 

@@ -39,9 +39,6 @@ class Trajectory:
         if self.qubits and self.qubits[-1] > n:
             raise ValueError(f"trajectory {self.qubits} exceeds register size {n}")
 
-    def label(self) -> str:
-        return "{" + ",".join(map(str, self.qubits)) + "}"
-
 
 class Orbits(NamedTuple):
     """A sym or cyc family under its group: qubit permutations or the cyclic shift.

@@ -15,7 +15,7 @@ import pytest
 
 import oracles
 import trajsense
-from trajsense import beam, cli, qcore, simplex, solver
+from trajsense import beam, cli, discrim, qcore, simplex, solver, trajset
 
 
 #: the directory the package is imported from, for subprocesses
@@ -240,6 +240,48 @@ def test_curve_grid_bounds_rejected(capsys):
         assert run(["curve", "--points", points, "--format", "csv"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and f"--points must be at least 1, got {points}" in err
+
+
+def test_curve_points_over_the_phase_cap_exits_2(capsys, monkeypatch):
+    """A grid of more than PHASE_CAP points is refused before `np.linspace`
+    allocates it (1e11 points once raised numpy's _ArrayMemoryError)."""
+    def no_grid(*args, **kwargs):
+        raise AssertionError("allocated the grid")
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for points in (str(trajset.PHASE_CAP + 1), "100000000000"):
+        assert run(["curve", "--points", points, "--format", "csv"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and f"--points {points} > PHASE_CAP = {trajset.PHASE_CAP}" in err
+
+
+def test_curve_over_the_screen_cap_exits_2(capsys, monkeypatch):
+    """The below-onset screen holds C <= n//2 + 2 generator Grams and a block of
+    C candidate Grams, 2 C k^2 entries; `curve` refuses more than PHASE_CAP of
+    them before any work.  Of the sym and cyc families with n <= N_MAX inside
+    the phase cap, that refuses sym(14, 5..9) alone, whose Grams at C = 9
+    would take 3.4 GB for sym(14,7).  The inset, which has no screen, is not
+    refused by it."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("worked before the cap check")
+    monkeypatch.setattr(np, "linspace", no_work)
+    monkeypatch.setattr(discrim, "failure_curve", no_work)
+    assert run(["curve", "--family", "sym", "--n", "14", "--m", "7", "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("error: below-onset screen too large: 2 x 9 Grams of 3432^2 "
+                                 f"entries > PHASE_CAP = {trajset.PHASE_CAP} elements\n")
+    monkeypatch.setattr(discrim, "classical_baseline", no_work)
+    with pytest.raises(AssertionError, match="worked"):
+        run(["curve", "--inset", "--family", "sym", "--n", "14", "--m", "7"])
+    monkeypatch.undo()
+    monkeypatch.setattr(discrim, "failure_curve", lambda ts, grid: [])
+    refused = []
+    for family, n in itertools.product(("sym", "cyc"), range(1, qcore.N_MAX + 1)):
+        for m in range(0, n + 1) if family == "sym" else range(1, max(n, 2)):
+            if run(["curve", "--family", family, "--n", str(n), "--m", str(m)]) == 2:
+                err = capsys.readouterr().err
+                assert "phase matrix too large" in err or "screen too large" in err
+                refused += [(family, n, m)] if "screen too large" in err else []
+    assert refused == [("sym", 14, m) for m in range(5, 10)]
 
 
 @pytest.mark.parametrize("argv", [["--points", "2"], ["--inset"]], ids=["curve", "inset"])
@@ -596,6 +638,26 @@ def test_json_artifact_is_stdout_with_one_final_newline(argv, tmp_path, capsys):
     assert artifact.read_bytes() == out.encode()
     manifest = (out_dir / "manifest.json").read_text()
     assert manifest.endswith("}\n") and json.loads(manifest)["command"] == argv[0]
+
+
+def test_cyc16_curve_runs_in_one_gib():
+    """The 3-point cyc(16,4) curve, whose 0.5pi angle lies below the onset,
+    screens its 3,004 sweep candidates and the onset witness under a 1 GiB
+    address-space limit: it holds them as weights over the 9 weight-class
+    indicators and the witness's |psi|^2, so nothing of size P * 2^n (1.47 GiB
+    as a (65536, 3004) array) is allocated.  One BLAS thread, so the bytes are pinned."""
+    import resource
+
+    def limit():          # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    r = subprocess.run([sys.executable, "-m", "trajsense.cli", "curve", "--family", "cyc",
+                        "--n", "16", "--m", "4", "--points", "3", "--format", "csv"],
+                       capture_output=True, preexec_fn=limit,
+                       env={**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": "1",
+                            "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == \
+        "1e6bee39482dec278fe2fbdc2d537400474bd4ac9afc3e430a0106eb0642610d"
 
 
 @pytest.mark.parametrize("argv,digest", [

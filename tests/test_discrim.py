@@ -206,10 +206,10 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     assert not res.converged or residuals[-1] <= discrim._FP_TOL
 
 
-def _unscreened(phases, candidates):
+def _unscreened(phases, gens, weights):
     """A `discrim._screen` that certifies nothing: every candidate meets
     `optimal_measurement`."""
-    zero = np.zeros(len(candidates))
+    zero = np.zeros(len(weights))
     return zero, zero, zero.astype(bool)
 
 
@@ -238,40 +238,48 @@ def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points)
 
 @st.composite
 def invariant_candidates(draw):
-    """(phases, candidates): sym or cyc with n <= 8 at a random theta below
-    `solver.onset`, and states whose |psi|^2 is a random function on the
-    family's orbits of bitstrings."""
+    """(phases, gens, weights): sym or cyc with n <= 8 at a random theta below
+    `solver.onset`, 1-3 generators that are random nonnegative functions on the
+    family's orbits of bitstrings, each summing to 1, and 1-3 candidates drawn as
+    nonnegative weights over them, summing to 1, so that every |psi|^2 =
+    weights[i] @ gens sums to 1 and the screen sums its Gram from the generators'."""
     n = draw(st.integers(2, 8))
     gen = draw(st.sampled_from([trajset.gen_symmetric, trajset.gen_cyclic]))
     ts = gen(n, draw(st.integers(1, n - 1)))
     theta = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)) * solver.onset(ts)
     _, orbit = np.unique(ts.orbits.rep, return_inverse=True)
     size = int(orbit.max()) + 1
-    weights = st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
-    candidates = []
+    unit = st.floats(0.0, 1.0)
+    gens = []
     for _ in range(draw(st.integers(1, 3))):
-        w = np.array(draw(weights))[orbit]
+        g = np.array(draw(st.lists(unit, min_size=size, max_size=size)))[orbit]
+        assume(g.sum() > 0.0)
+        gens.append(g / g.sum())
+    weights = []
+    for _ in range(draw(st.integers(1, 3))):
+        w = np.array(draw(st.lists(unit, min_size=len(gens), max_size=len(gens))))
         assume(w.sum() > 0.0)
-        candidates.append(qcore.Ket(n, np.sqrt(w / w.sum()).astype(complex)))
-    return trajset.phase_matrix(ts.members, n, theta), candidates
+        weights.append(w / w.sum())
+    return trajset.phase_matrix(ts.members, n, theta), np.array(gens), np.array(weights)
 
 
 @settings(max_examples=80, deadline=None)
 @given(invariant_candidates())
 @example((trajset.phase_matrix(TS21.members, 2, 3 * PI / 8),      # mass on a cut direction
-          [qcore.Ket(2, np.sqrt(np.array([0.0, 2e-14, 2e-14, 1.0]) / (1.0 + 4e-14)))]))
+          np.array([[0.0, 2e-14, 2e-14, 1.0]]) / (1.0 + 4e-14), np.ones((1, 1))))
 def test_screen_certificate_holds_on_the_svd_route(case):
     """Where `_screen` certifies a candidate, the PGM from the SVD passes
     `_is_optimal`, and the screened value is `optimal_measurement`'s within
     the stated error bound."""
-    phases, candidates = case
-    for psi, p, err, ok in zip(candidates, *discrim._screen(phases, candidates)):
+    phases, gens, weights = case
+    for w, p, err, ok in zip(weights, *discrim._screen(phases, gens, weights)):
         if not ok:
             continue
-        m, sv = discrim._reduce(phases * psi.amps)
+        states = phases * np.sqrt(w @ gens)
+        m, sv = discrim._reduce(states)
         coords = m * sv
         assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m))
-        res = discrim.optimal_measurement(phases * psi.amps)
+        res = discrim.optimal_measurement(states)
         assert res.iterations == 0
         assert abs(p - res.p_fail) <= err
 
@@ -284,17 +292,24 @@ def test_screen_leaves_a_candidate_at_the_cut_uncertified():
     psi = qcore.Ket(2, np.sqrt(w / w.sum()).astype(complex))
     lam = np.linalg.eigvalsh((phases * psi.probs()) @ phases.conj().T)
     assert abs(lam[0] - discrim._SPAN_CUT * lam[-1]) <= 2 * np.finfo(float).eps * lam[-1]
-    assert not discrim._screen(phases, [psi])[2][0]
+    assert not discrim._screen(phases, psi.probs()[None], np.ones((1, 1)))[2][0]
 
 
 def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
-    """A candidate off the invariant subspace is left uncertified, so it runs
-    `optimal_measurement` at every angle, and the curve is the unscreened one."""
+    """A candidate off the invariant subspace, joined as one more generator, is
+    left uncertified, so it runs `optimal_measurement` at every angle, and the
+    curve is the unscreened one.  The sweep expands it as sqrt(|psi|^2), the
+    same ensemble up to a diagonal unitary, so of the same p_fail."""
     ts, grid = trajset.gen_symmetric(4, 2), np.linspace(0.0, PI, 13)
     amps = np.array([1.0, 1.0j]) @ np.random.default_rng(3).normal(size=(2, 16))
     odd = qcore.Ket(4, amps / np.linalg.norm(amps))
     sweep, om = discrim._symmetrized_candidates, discrim.optimal_measurement
-    monkeypatch.setattr(discrim, "_symmetrized_candidates", lambda n: sweep(n) + [odd])
+
+    def with_odd(n):
+        gens, weights = sweep(n)
+        return (np.vstack([gens, odd.probs()]),
+                np.vstack([np.pad(weights, ((0, 0), (0, 1))), np.eye(len(gens) + 1)[-1]]))
+    monkeypatch.setattr(discrim, "_symmetrized_candidates", with_odd)
     seen = []
     monkeypatch.setattr(discrim, "optimal_measurement",
                         lambda states: seen.append(states) or om(states))
@@ -303,8 +318,8 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
     assert below
     for theta in below:
         phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        assert not discrim._screen(phases, [odd])[2][0]
-        assert any(np.array_equal(s, phases * odd.amps) for s in seen)
+        assert not discrim._screen(phases, odd.probs()[None], np.ones((1, 1)))[2][0]
+        assert any(np.array_equal(s, phases * np.abs(odd.amps)) for s in seen)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     assert discrim.failure_curve(ts, grid) == screened
 

@@ -13,7 +13,6 @@ from trajsense.trajset import Trajectory
 def test_trajectory_sorts_and_validates():
     t = Trajectory((3, 1))
     assert t.qubits == (1, 3)
-    assert t.label() == "{1,3}"
     with pytest.raises(ValueError):
         Trajectory((1, 1))
     with pytest.raises(ValueError):
