@@ -3,9 +3,8 @@
 Everything here answers one question from different angles: given the output
 ensemble {R^(T)(theta)|psi>}, how often does a measurement identify T?  The
 trajectory is unknown, so every T is equally likely: all measurements and
-vote tails here are under the uniform prior.  The ensemble is one (k, 2**n)
-array, `make_ensemble` (`trajset.phase_matrix` times psi); sweeps build the
-phase matrix once per angle and reuse it for every input state.
+vote tails here are under the uniform prior.  A measurement depends on the
+outputs only through their k x k Gram, which is what every measurement takes.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
 * `pgm` is the square-root measurement, optimal for the geometrically uniform
@@ -26,10 +25,10 @@ phase matrix once per angle and reuse it for every input state.
   step per category) for every k and r.
 
 Measurements live in the span of the ensemble (dimension d <= k, state j at
-coordinates c_j from the SVD in `_reduce`) as rank-one factors: G_j =
+coordinates c_j from the Gram's eigh in `_reduce`) as rank-one factors: G_j =
 |c_j><c_j|/k has rank one, so the PGM and every fixed-point iterate are
-P_j = |m_j><m_j|, one (k, d) array.  The span keeps sv**2 > `_SPAN_CUT`
-sv[0]**2, the PGM's pseudo-inverse cut, so the PGM is U itself.  The
+P_j = |m_j><m_j|, one (k, d) array.  The span keeps lam > `_SPAN_CUT`
+lam_max, the PGM's pseudo-inverse cut, so the PGM is V itself.  The
 optimality test Gamma - G_j >= -tol is a downdate test: for A = Gamma +
 tol*I, A - |g><g| >= 0 iff A > 0 and <g|A^-1|g> <= 1.  I_d minus the guess
 elements, with a state's mass off the span, is the abstain outcome, resolved
@@ -59,13 +58,14 @@ _FP_MAX_ITER = 10_000
 _VERIFY_TOL = 1e-8
 #: draws per profile in the symmetrized candidate sweep below the onset
 _GRANULARITY = 6
-#: the span, and so the PGM's pseudo-inverse, keeps sv**2 > _SPAN_CUT sv[0]**2
+#: the span, and so the PGM's pseudo-inverse, keeps Gram eigenvalues > _SPAN_CUT lam_max
 _SPAN_CUT = 1e-12
 
 
 def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
-    """Outputs R^(T)(theta)|psi> in trajectory order, one row each."""
-    return trajset.phase_matrix(ts.members, ts.n, theta) * psi.amps
+    """Gram (phases |psi|^2) phases^H of the outputs: entry (a, b) is <out_b|out_a>."""
+    phases = trajset.phase_matrix(ts.members, ts.n, theta)
+    return (phases * psi.probs()) @ phases.conj().T
 
 
 @dataclass
@@ -107,18 +107,15 @@ def verify_ts(psi: Ket, ts: TrajectorySet, theta: float) -> VerifyReport:
 # ---------------------------------------------------------------------------
 # span reduction
 
-def _reduce(states):
-    """U[:, :d] and sv[:d] of S = U diag(sv) Vh; row j of U diag(sv) is state j
-    in the span basis (the rows of Vh), where rho = diag(sv**2)/k."""
-    # ragged rows (states on different registers) fail in asarray
-    S = np.asarray(states, dtype=np.complex128)
-    k, dim = S.shape if S.ndim == 2 else (0, 0)
-    if k == 0 or dim == 0 or dim & (dim - 1):
-        raise ValueError(f"ensemble needs a nonempty (k, 2**n) state array, "
-                         f"got shape {S.shape}")
-    u, sv, _ = np.linalg.svd(S, full_matrices=False)
-    d = max(1, int((sv ** 2 > sv[0] ** 2 * _SPAN_CUT).sum()))
-    return u[:, :d], sv[:d]
+def _reduce(gram):
+    """V and lam**0.5 over the d eigenvalues lam > `_SPAN_CUT` lam_max of the Gram
+    V diag(lam) V^H: row j of V lam**0.5 is state j, and rho = diag(lam)/k."""
+    G = np.asarray(gram, dtype=np.complex128)     # ragged rows fail here
+    if G.ndim != 2 or G.shape[0] != G.shape[1] or G.size == 0:
+        raise ValueError(f"ensemble needs a nonempty square Gram array, got shape {G.shape}")
+    lam, vecs = np.linalg.eigh(G)
+    d = max(1, int((lam > lam[-1] * _SPAN_CUT).sum()))
+    return vecs[:, -d:], np.sqrt(lam[-d:])
 
 
 def _overlaps(coords, m):
@@ -163,14 +160,14 @@ def _fixed_point_step(coords, overlaps):
     return w[:, None] * (coords @ L.T)
 
 
-def pgm(states) -> DiscriminationResult:
-    """Square-root measurement m_j = rho^(-1/2) c_j/sqrt(k) = row j of U."""
-    u, sv = _reduce(states)
-    note = "rank-deficient ensemble operator (pseudo-inverse)" if len(sv) < len(u) else ""
-    return _result_from_reduced(u * sv, u, "pgm", note=note)
+def pgm(gram) -> DiscriminationResult:
+    """Square-root measurement m_j = rho^(-1/2) c_j/sqrt(k) = row j of V."""
+    v, root = _reduce(gram)
+    note = "rank-deficient ensemble operator (pseudo-inverse)" if len(root) < len(v) else ""
+    return _result_from_reduced(v * root, v, "pgm", note=note)
 
 
-def optimal_measurement(states) -> DiscriminationResult:
+def optimal_measurement(gram) -> DiscriminationResult:
     """Fixed-point iteration to the minimum-error POVM, seeded from the PGM.
 
     Every iterate P_j = |m_j><m_j| has rank one, because G_j does, so the
@@ -180,8 +177,8 @@ def optimal_measurement(states) -> DiscriminationResult:
     `_is_optimal`; if none does within `_FP_MAX_ITER` steps, the iterate of
     highest success, so the result never does worse than the PGM.
     """
-    m, sv = _reduce(states)
-    coords = m * sv
+    m, root = _reduce(gram)
+    coords = m * root
     best, best_succ, it = m, -1.0, 0
     while True:
         a = _overlaps(coords, m)
@@ -219,10 +216,14 @@ def classical_baseline(ts: TrajectorySet, theta: float) -> DiscriminationResult:
     mixture of products, and a measurement's success on the mixed outputs
     is the same mixture of its successes on the product components.  So this
     arm is the optimum over all unentangled inputs, for every family and angle.
+    Its Gram needs no phase matrix: each qubit in just one of T_a, T_b adds a
+    factor <+|R_Z(theta)|+> = cos(theta/2), so G_ab = cos(theta/2)^|T_a xor T_b|.
     """
-    dim = 1 << ts.n
-    return optimal_measurement(trajset.phase_matrix(ts.members, ts.n, theta)
-                               * np.full(dim, dim ** -0.5, dtype=complex))
+    if not 0.0 <= theta <= np.pi:
+        raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
+    trajset.check_phase_cap(len(ts), ts.n)
+    masks = np.array([sum(1 << q for q in t.qubits) for t in ts.members], dtype=np.int64)
+    return optimal_measurement(math.cos(theta / 2) ** np.bitwise_count(masks[:, None] ^ masks))
 
 
 def _symmetrized_candidates(n: int):
@@ -236,33 +237,33 @@ def _symmetrized_candidates(n: int):
     return (fold == np.arange(len(sizes))[:, None]).astype(float), profiles
 
 
-def _screen(phases, gens, weights):
+def _screen(grams, weights):
     """PGM value p, error bound err and optimality certificate per candidate.
 
     Candidate i's Gram (phases |psi|^2) phases^H, |psi|^2 = w @ gens for
-    w = weights[i], is G = sum_c w_c B_c, B_c = (phases gens[c]) phases^H: its
-    eigenvalues lam above `_SPAN_CUT` lam_max span the PGM, g = diag(G^(1/2))
-    over them, and state i's weight a_i on the cut eigenvectors goes to the
-    uniform abstain guess (`_result_from_reduced`), so p = 1 - (g.g +
-    sum(a)/k)/k, sum(a) being the sum of the cut lam.  To first order either
-    route's g is within k eps (lam_max/sqrt(lam_min) + 1) of exact (backward
-    error k eps lam_max over lam_min, the least kept eigenvalue, plus
-    rounding) and sum(a)/k^2 within eps lam_max <= k eps.  Each B_c is PSD
-    with |B_c[a, b]| <= sum(gens[c]), and sum(|psi|^2) = 1, so the C-term sum
-    moves G's entries by C eps, lam by C k eps, g by C k eps/sqrt(lam_min).
-    So where no lam lies within k eps (lam_max + C) of the cut, the SVD route
-    keeps the same span, and its p and ptp g are within err = 4 k eps
-    (lam_max/sqrt(lam_min) + 1) + C k eps/sqrt(lam_min) of these.  With g0 =
-    max g, Gamma0 = g0 rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0
-    <= 1, so Gamma0 >= G_j, and the PGM's Gamma lies within (ptp g)
-    sqrt(lam_max)/k of it.  So `optimal_measurement` stops at the PGM (value p
-    within err) where no lam is in that band and that bound with ptp g + err
-    is at most `_FP_TOL`/2.  Holds C B_c and a block of up to C Grams.
+    w = weights[i], is G = sum_c w_c B_c over `grams`, B_c = (phases gens[c])
+    phases^H: its eigenvalues lam above `_SPAN_CUT` lam_max span the PGM,
+    g = diag(G^(1/2)) over them, and state i's weight a_i on the cut
+    eigenvectors goes to the uniform abstain guess (`_result_from_reduced`),
+    so p = 1 - (g.g + sum(a)/k)/k, sum(a) being the sum of the cut lam.  To
+    first order either route's g is within k eps (lam_max/sqrt(lam_min) + 1)
+    of exact (backward error k eps lam_max over lam_min, the least kept
+    eigenvalue, plus rounding) and sum(a)/k^2 within eps lam_max <= k eps.
+    Each B_c is PSD with |B_c[a, b]| <= sum(gens[c]), and sum(|psi|^2) = 1,
+    so the C-term sum moves G's entries by C eps, lam by C k eps, g by C k
+    eps/sqrt(lam_min).  So where no lam lies within k eps (lam_max + C) of
+    the cut, `_reduce`'s eigh of a Gram formed any other way keeps the same
+    span, and its p and ptp g are within err = 4 k eps (lam_max/sqrt(lam_min)
+    + 1) + C k eps/sqrt(lam_min) of these.  With g0 = max g, Gamma0 = g0
+    rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0 <= 1, so Gamma0 >=
+    G_j, and the PGM's Gamma lies within (ptp g) sqrt(lam_max)/k of it.  So
+    `optimal_measurement` stops at the PGM (value p within err) where no lam
+    is in that band and that bound with ptp g + err is at most `_FP_TOL`/2.
     """
-    k, C, eps, phases_h, out = len(phases), len(gens), np.finfo(float).eps, phases.conj().T, []
-    grams = np.array([(phases * g) @ phases_h for g in gens])
+    (C, k), eps, out = grams.shape[:2], np.finfo(float).eps, []
     for lo in range(0, len(weights), C):
-        lam, vecs = np.linalg.eigh(np.tensordot(weights[lo:lo + C], grams, axes=1))
+        # numpy's einsum loops, not BLAS: the same sums at any thread count
+        lam, vecs = np.linalg.eigh(np.einsum("ic,cab->iab", weights[lo:lo + C], grams))
         lmax = lam[:, -1]
         cut = _SPAN_CUT * lmax[:, None]
         kept = lam > cut
@@ -294,8 +295,7 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
     p - err <= min(p + err) over the certified, meet `optimal_measurement`:
     any other is strictly worse than that min's one.
     """
-    k = len(ts)
-    points = []
+    k, points = len(ts), []
     gens = None                        # built at the first angle below the onset
     for theta in theta_grid:
         theta = float(theta)
@@ -307,8 +307,7 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
             q_fail = pgm(make_ensemble(cert.witness_state, ts, theta)).p_fail
             q_method = "projective_orthogonal"
         else:
-            # below threshold: best of a deterministic symmetrized-state sweep
-            # and the witness at the onset, one more generator with its own row
+            # below threshold: the best sweep candidate, or the onset witness as one more generator
             if gens is None:
                 gens, weights = _symmetrized_candidates(ts.n)
                 cert0 = solver.solve(solver.TSProblem(ts, solver.onset(ts)))
@@ -316,12 +315,13 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
                     gens = np.vstack([gens, cert0.witness_state.probs()])
                     weights = np.vstack([np.pad(weights, ((0, 0), (0, 1))), np.eye(len(gens))[-1]])
             phases = trajset.phase_matrix(ts.members, ts.n, theta)
-            p, err, cert = _screen(phases, gens, weights)
+            phases_h = phases.conj().T
+            grams = np.array([(phases * g) @ phases_h for g in gens])
+            del phases, phases_h
+            p, err, cert = _screen(grams, weights)
             top = np.min(p + err, where=cert, initial=np.inf)
-            # sqrt(w @ gens) is the candidate's Ket: sqrt(fl(a*a)) == a for the witness's a >= 0
-            best = min((optimal_measurement(phases * np.sqrt(w @ gens))
-                        for w in weights[(p - err <= top) | ~cert]),
-                       key=lambda res: res.p_fail)
+            best = min((optimal_measurement(np.einsum("c,cab->ab", w, grams))
+                        for w in weights[(p - err <= top) | ~cert]), key=lambda res: res.p_fail)
             q_fail, q_method = best.p_fail, best.method
         classical = classical_baseline(ts, theta)
         points.append(CurvePoint(theta, q_fail, classical.p_fail,
@@ -394,19 +394,17 @@ def repetition_analysis(per_shot: DiscriminationResult,
     """Minimal repetition count r reaching each target error epsilon.
 
     One sequence of exact plurality-vote tails err(r), r = 1, 2, ..., up to
-    the first r that meets the smallest epsilon or r = `_VOTE_R_CAP`; each
-    epsilon reads its first r off it.  Reports r = inf when the per-shot
-    success cannot beat chance (the vote then never converges) or the cap is
-    reached first.
+    the first r that meets the smallest epsilon or r = `_VOTE_R_CAP` (only r = 1
+    when the per-shot success cannot beat chance: the vote never converges);
+    each epsilon takes its first r off it, else r = inf and the last r's error.
     """
     conf = per_shot.confusion
     k = conf.shape[0]
     per_succ = float(np.full(k, 1.0 / k) @ conf.diagonal())
     eps = [float(e) for e in epsilon_grid]
-    if k > 1 and per_succ <= 1.0 / k + 1e-15:
-        return [RepetitionReport(math.inf, per_succ, 1.0 - per_succ, e) for e in eps]
+    last = 1 if k > 1 and per_succ <= 1.0 / k + 1e-15 else _VOTE_R_CAP
     errs = [plurality_error(conf, 1)]
-    while errs[-1] > min(eps, default=1.0) and len(errs) < _VOTE_R_CAP:
+    while errs[-1] > min(eps, default=1.0) and len(errs) < last:
         errs.append(plurality_error(conf, len(errs) + 1))
     firsts = [next((r for r, err in enumerate(errs, 1) if err <= e), None) for e in eps]
     return [RepetitionReport(r or math.inf, per_succ, errs[(r or len(errs)) - 1], e)

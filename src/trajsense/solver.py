@@ -155,7 +155,8 @@ def max_gram_residual(psi: Ket, ts: TrajectorySet, theta: float) -> float:
         p = psi.probs()
         delta = float(np.abs(p - p[orbits.rep]).sum())
         if delta <= ORBIT_TOL:
-            off = max((abs(np.vdot(ra, p * rb)) for ra, rb in _pair_rows(ts, theta)),
+            # numpy's pairwise sum, not BLAS's vdot: the same bytes at any thread count
+            off = max((abs((ra.conj() * (p * rb)).sum()) for ra, rb in _pair_rows(ts, theta)),
                       default=0.0)
             return max(abs(float(p.sum()) - 1.0), float(off)) + 2.0 * delta
     g = eq1_gram(psi, ts, theta)

@@ -17,8 +17,9 @@ conditional failure.
 The reference here keeps the stacked (k, d, d) elements: the PGM as
 rho^(-1/2) G_j rho^(-1/2), the Jezek-Rehacek-Fiurasek fixed point
 P_j <- L G_j P_j G_j L, and the optimality test as one `eigvalsh` of
-Gamma - G_j per element.  Its results are `discrim.DiscriminationResult`s, so
-it can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
+Gamma - G_j per element.  Like `discrim`'s, its measurements take the outputs'
+k x k Gram S S^H, and its results are `discrim.DiscriminationResult`s, so it
+can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
 
 `ket_to_dict` is the state file's {"n": n, "amps": {bitstring: (re, im)}}
 map as a plain dict, built one key at a time; `json.dumps` of it with sorted
@@ -236,12 +237,13 @@ def run_beam_trials(scenario, sensor, trials, seed):
 # dense measurements
 
 
-def span_coords(states):
-    """Row i is state i in the basis of the span that `discrim`'s factors use."""
-    S = np.asarray(states, dtype=np.complex128)
-    _, sv, vh = np.linalg.svd(S, full_matrices=False)
-    d = max(1, int((sv > sv[0] * 1e-12).sum()))
-    return S @ vh[:d].conj().T
+def span_coords(gram):
+    """Row i is state i in the basis of the span that `discrim`'s factors use:
+    V lam^(1/2) over the Gram's eigenvalues lam > `discrim._SPAN_CUT` lam_max."""
+    lam, vecs = np.linalg.eigh(np.asarray(gram, dtype=np.complex128))
+    keep = lam > lam[-1] * discrim._SPAN_CUT
+    keep[-1] = True
+    return vecs[:, keep] * np.sqrt(lam[keep])
 
 
 def elements(m):
@@ -281,20 +283,25 @@ def _result(coords, povm, method, **kw):
 
 
 def _pgm_elements(coords):
+    """rho^(-1/2) from the SVD of the coordinates, rho = Wh^T diag(sv**2) conj(Wh)/k,
+    so its small eigenvalues keep their relative accuracy: `eigh` of rho would
+    square the condition number of the coordinates."""
     G = _weighted(coords)
-    inv = _inv_sqrt(G.sum(axis=0), 1e-12)
+    _, sv, wh = np.linalg.svd(coords, full_matrices=False)
+    keep = sv ** 2 > sv[0] ** 2 * 1e-12
+    inv = math.sqrt(len(coords)) * (wh[keep].T / sv[keep]) @ wh[keep].conj()
     return G, inv @ G @ inv
 
 
-def pgm(states):
+def pgm(gram):
     """Dense square-root measurement."""
-    coords = span_coords(states)
+    coords = span_coords(gram)
     return _result(coords, _pgm_elements(coords)[1], "pgm")
 
 
-def optimal_measurement(states):
+def optimal_measurement(gram):
     """Dense fixed point seeded from the PGM, stopped by the `eigvalsh` test."""
-    coords = span_coords(states)
+    coords = span_coords(gram)
     G, povm = _pgm_elements(coords)
 
     def success(p):
@@ -316,12 +323,12 @@ def optimal_measurement(states):
                    converged=converged, iterations=it)
 
 
-def helstrom_pair(states):
+def helstrom_pair(gram):
     """Two-state minimum error: project on the positive part of (|a><a| - |b><b|)/2.
 
     Its p_fail should be the closed form (1 - sqrt(1 - |<a|b>|^2))/2.
     """
-    coords = span_coords(states)
+    coords = span_coords(gram)
     a, b = coords
     vals, vecs = np.linalg.eigh(0.5 * (np.outer(a, a.conj()) - np.outer(b, b.conj())))
     pos = vecs[:, vals > 0]

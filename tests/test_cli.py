@@ -347,14 +347,14 @@ _INSET_EPS = ["--epsilons", "1e-1,1e-3,1e-6,1e-9,1e-12", "--format", "csv"]
 
 @pytest.mark.parametrize("argv,digest", [
     (["--family", "sym", "--n", "6", "--m", "3", "--points", "25", "--format", "csv"],
-     "05da34dce76f6847f781f01bc4fa6199616ddb010ee137d616ec6edb760127e3"),
+     "cae62b74c8e71a9cf721139436c5d4ff309316bf9dcaa54f70d4566e851b0d76"),
     (["--family", "sym", "--n", "4", "--m", "2", "--points", "40", "--format", "csv"],
-     "b5facb01d90f97c7eeb5e84e9fe4ac48e783b5e04c15c30d0efb865d4e68f261"),
+     "822a0f42a724d4a1d6fc55a5e0c880fe63d025d4c5ef68e36257a0568053a02a"),
     (["--family", "cyc", "--n", "8", "--m", "2", "--points", "13", "--format", "csv"],
-     "00f1b70e1ea6f20ba45aebbdc0a3f06f3f72e582b867894eaffcd7ea1636b0f4"),
+     "b26fa26cbe15ed14beb4f7c18188a999cbd7d311b87ff63949802afd7c4112b0"),
     (["--family", "sym", "--n", "3", "--m", "1", "--points", "5", "--format", "csv",
       "--classical", "classical_best"],
-     "936c1e79481175554d00b85a494b1cc7f96e830eb8c4ad66d902f648886c8321"),
+     "745dde3c5089a8ad475feea48ec9f4d1fa783690d97958806692f710f4f30953"),
     (["--inset", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"] + _INSET_EPS,
      "e54c012afe2789a43b3bc67a96a64ff72034ecaccd7a5b0f24d2df2b976c94b1"),
     (["--inset", "--family", "cyc", "--n", "8", "--m", "2", "--theta", "0.7pi"] + _INSET_EPS,
@@ -645,7 +645,7 @@ def test_cyc16_curve_runs_in_one_gib():
     screens its 3,004 sweep candidates and the onset witness under a 1 GiB
     address-space limit: it holds them as weights over the 9 weight-class
     indicators and the witness's |psi|^2, so nothing of size P * 2^n (1.47 GiB
-    as a (65536, 3004) array) is allocated.  One BLAS thread, so the bytes are pinned."""
+    as a (65536, 3004) array) is allocated."""
     import resource
 
     def limit():          # runs in the child only
@@ -657,31 +657,47 @@ def test_cyc16_curve_runs_in_one_gib():
                             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == \
-        "1e6bee39482dec278fe2fbdc2d537400474bd4ac9afc3e430a0106eb0642610d"
+        "363fca7c0f788cb6a92395bc96cd90c23c85074e2dcba99617514c16cf01c12f"
 
 
 @pytest.mark.parametrize("argv,digest", [
     (["--family", "sym", "--n", "16", "--m", "8", "--theta", "3.066556304490821"],
-     "876263ce8c033215a4d8a9378787e2e2884750ebe98e9a2fe4828d8e5334d0cf"),
+     "9f032e408fd3b693fdd3d315730512890a939f7a10e3182a4fe65bfb975fa987"),
     (["--family", "sym", "--n", "16", "--m", "2", "--theta", "2.872244334927023"],
-     "a05e4f8fce2c82b6b2c21fcbfa17e97ac7600c233efbcfa9f5ae3bd44da9c1ab"),
+     "f99448b724d0ad014eb2fe04b76e3387098f86da42f861a9b8c72c2cf88fa0c0"),
     (["--family", "cyc", "--n", "12", "--m", "4", "--theta", "2pi/3"],
-     "24f6c4ef11ddc1d53ea3b556030f18368ddfe5d866b20656377c9c43b87145ad"),
+     "7f787d5e3b2ad1e92cd25496faf8fffcbc3c47fe36bd882433ba71e82d60734a"),
     (["--family", "sym", "--n", "10", "--m", "5", "--theta", "9pi/10", "--method", "lp"],
-     "7ed26b01cea23d409ff5454e3b8af565779df13812409cd5798715e0d36c556e"),
+     "a4364c240e87589aef804771fbd20e2ef02f610623300aa7e2eed44d0bda1a60"),
 ], ids=["sym16-8", "sym16-2", "cyc12-4", "lp-sym10-5"])
 def test_solve_json_stdout_pinned(argv, digest):
     """sha256 of `solve --format json` stdout: solve-mix's sym(16,8) and sym(16,2) at
     their seed-1 angles, a certificate with both a witness and `p`, and a 2^10-entry `p`.
-
-    With one BLAS thread, as the benchmark runs: the sym(16,*) witnesses' last bits
-    move with the thread count of the closed form's matrix products."""
+    With one BLAS thread, as the benchmark runs."""
     r = subprocess.run([sys.executable, "-m", "trajsense.cli", "solve", *argv, "--format", "json"],
                        capture_output=True, env={**os.environ, "PYTHONPATH": _SRC,
                                                  "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                                                  "MKL_NUM_THREADS": "1"})
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--family", "sym", "--n", "8", "--m", "4", "--points", "9", "--format", "csv"],
+    ["solve", "--family", "sym", "--n", "16", "--m", "8", "--theta", "3.066556304490821",
+     "--format", "json"],
+], ids=["curve-sym84", "solve-sym16-8"])
+def test_stdout_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    """The same bytes at one and two BLAS threads: the Gram residual sums in numpy's
+    pairwise order and the candidate Grams in numpy's loops, not in BLAS's."""
+    outs = []
+    for threads in ("1", "2"):
+        r = subprocess.run([sys.executable, "-m", "trajsense.cli", *argv], capture_output=True,
+                           env={**os.environ, "PYTHONPATH": _SRC, "OPENBLAS_NUM_THREADS": threads,
+                                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads})
+        assert r.returncode == 0, r.stderr
+        outs.append(r.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("argv,code,line", [

@@ -24,6 +24,12 @@ def plus_state(n):
     return qcore.Ket(n, np.full(1 << n, (1 << n) ** -0.5, dtype=complex))
 
 
+def gram_of(S):
+    """The k x k Gram S S^H of stacked output rows, which every measurement takes."""
+    S = np.asarray(S)
+    return S @ S.conj().T
+
+
 # --- orthogonality verification -------------------------------------------
 
 def test_verify_ts_bell():
@@ -48,15 +54,15 @@ def test_verify_ts_zero_theta():
 def test_helstrom_orthogonal_and_identical():
     a = qcore.make_ket(1, [("0", 1.0)])
     b = qcore.make_ket(1, [("1", 1.0)])
-    assert oracles.helstrom_pair(np.stack([a.amps, b.amps])).p_fail < 1e-12
-    assert abs(oracles.helstrom_pair(np.stack([a.amps, a.amps])).p_fail - 0.5) < 1e-12
+    assert oracles.helstrom_pair(gram_of([a.amps, b.amps])).p_fail < 1e-12
+    assert abs(oracles.helstrom_pair(gram_of([a.amps, a.amps])).p_fail - 0.5) < 1e-12
 
 
 @pytest.mark.parametrize("theta", [0.3, 1.2, 2.5])
 def test_helstrom_single_qubit_formula(theta):
     plus = qcore.Ket(1, np.array([1, 1], dtype=complex) / math.sqrt(2))
     rot = qcore.Ket(1, plus.amps * trajset.phase_matrix([trajset.Trajectory((1,))], 1, theta)[0])
-    got = oracles.helstrom_pair(np.stack([plus.amps, rot.amps])).p_fail
+    got = oracles.helstrom_pair(gram_of([plus.amps, rot.amps])).p_fail
     assert abs(got - (1 - abs(math.sin(theta / 2))) / 2) < 1e-12
 
 
@@ -76,25 +82,25 @@ def test_pgm_orthogonal_is_projective():
     # ... and the span coordinates keep every inner product of the outputs,
     # so the measurement acts on the actual output states
     coords = u * sv
-    assert np.abs(coords.conj() @ coords.T - ens.conj() @ ens.T).max() < 1e-12
+    assert np.abs(coords @ coords.conj().T - ens).max() < 1e-12
 
 
 def test_pgm_identical_states():
-    ens = np.stack([qcore.make_ket(2, [("00", 1.0)]).amps] * 6)
+    ens = gram_of([qcore.make_ket(2, [("00", 1.0)]).amps] * 6)
     assert abs(discrim.pgm(ens).p_fail - 5 / 6) < 1e-12
 
 
 def test_pgm_pseudo_inverse_cut_matches_dense():
-    """The span keeps a direction with sv**2 > 1e-12 sv0**2 and drops one below,
+    """The span keeps a Gram eigenvalue lam > 1e-12 lam_max and drops one below,
     as the pseudo-inverse of rho that the dense elements rho^(-1/2) G_j
     rho^(-1/2) use does, so the PGM factors are (3, 2) and measure as the
-    dense PGM on the oracle's wider span."""
+    dense PGM."""
     gen = np.random.default_rng(5)
     S = gen.normal(size=(3, 8)) + 1j * gen.normal(size=(3, 8))
-    S[1] = S[0] + 3e-5 * gen.normal(size=8)          # sv**2 ~ 8e-11 sv0**2: kept
-    S[2] = S[0] + 1e-7 * gen.normal(size=8)          # sv**2 ~ 1e-15 sv0**2: cut
+    S[1] = S[0] + 3e-5 * gen.normal(size=8)          # lam ~ 8e-11 lam_max: kept
+    S[2] = S[0] + 1e-7 * gen.normal(size=8)          # lam ~ 1e-15 lam_max: cut
     S /= np.linalg.norm(S, axis=1, keepdims=True)
-    res, dense = discrim.pgm(S), oracles.pgm(S)
+    res, dense = discrim.pgm(gram_of(S)), oracles.pgm(gram_of(S))
     assert res.povm.shape == (3, 2) and "rank-deficient" in res.note
     np.testing.assert_allclose(res.confusion, dense.confusion, atol=1e-9)
     assert abs(res.p_fail - dense.p_fail) <= 1e-9
@@ -151,7 +157,7 @@ def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
 
 @st.composite
 def small_ensembles(draw):
-    """(k, 2**n) output arrays, k <= 12 and n <= 4, with the degenerate shapes
+    """Grams of k <= 12 outputs on n <= 4 qubits, with the degenerate shapes
     that stress the rank-one test: duplicated, near-parallel and rank-deficient
     rows, and the outputs of custom families."""
     n = draw(st.integers(1, 4))
@@ -180,23 +186,23 @@ def small_ensembles(draw):
         i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
         eps = 0.0 if kind == "duplicated" else draw(st.sampled_from([1e-3, 1e-6, 1e-9]))
         S[j] = S[i] + eps * gauss(dim)
-    return S / np.linalg.norm(S, axis=1, keepdims=True)
+    return gram_of(S / np.linalg.norm(S, axis=1, keepdims=True))
 
 
 @settings(max_examples=150, deadline=None)
 @given(small_ensembles())
-def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
+def test_rank_one_optimality_test_matches_dense_eigvalsh(G):
     """`_is_optimal` decides as lambda_min(Gamma - G_j) >= -tol for every j does,
     on the PGM, the first fixed-point iterates and the returned measurement,
     and a converged result passes the dense test.  Draws whose dense residual
     lies within 1e-12 of the tolerance are skipped."""
-    m, sv = discrim._reduce(S)
+    m, sv = discrim._reduce(G)
     coords = m * sv
     measurements = [m]
     for _ in range(3):
         m = discrim._fixed_point_step(coords, discrim._overlaps(coords, m))
         measurements.append(m)
-    res = discrim.optimal_measurement(S)
+    res = discrim.optimal_measurement(G)
     measurements.append(res.povm)
     residuals = [oracles.kkt_residual(coords, oracles.elements(m)) for m in measurements]
     assume(all(abs(r - discrim._FP_TOL) > 1e-12 for r in residuals))
@@ -206,7 +212,7 @@ def test_rank_one_optimality_test_matches_dense_eigvalsh(S):
     assert not res.converged or residuals[-1] <= discrim._FP_TOL
 
 
-def _unscreened(phases, gens, weights):
+def _unscreened(grams, weights):
     """A `discrim._screen` that certifies nothing: every candidate meets
     `optimal_measurement`."""
     zero = np.zeros(len(weights))
@@ -263,43 +269,52 @@ def invariant_candidates(draw):
     return trajset.phase_matrix(ts.members, n, theta), np.array(gens), np.array(weights)
 
 
+def _gram(phases, probs):
+    """(phases |psi|^2) phases^H for |psi|^2 = probs, formed directly."""
+    return (phases * probs) @ phases.conj().T
+
+
 @settings(max_examples=80, deadline=None)
 @given(invariant_candidates())
 @example((trajset.phase_matrix(TS21.members, 2, 3 * PI / 8),      # mass on a cut direction
           np.array([[0.0, 2e-14, 2e-14, 1.0]]) / (1.0 + 4e-14), np.ones((1, 1))))
-def test_screen_certificate_holds_on_the_svd_route(case):
-    """Where `_screen` certifies a candidate, the PGM from the SVD passes
-    `_is_optimal`, and the screened value is `optimal_measurement`'s within
-    the stated error bound."""
+def test_screen_certificate_holds_on_the_direct_gram(case):
+    """Where `_screen` certifies a candidate from its sum of generator Grams,
+    the PGM of its Gram formed directly from phases (w @ gens) passes
+    `_is_optimal`, and the screened value is `optimal_measurement`'s on that
+    Gram within the stated error bound."""
     phases, gens, weights = case
-    for w, p, err, ok in zip(weights, *discrim._screen(phases, gens, weights)):
+    grams = np.array([_gram(phases, g) for g in gens])
+    for w, p, err, ok in zip(weights, *discrim._screen(grams, weights)):
         if not ok:
             continue
-        states = phases * np.sqrt(w @ gens)
-        m, sv = discrim._reduce(states)
+        G = _gram(phases, w @ gens)
+        m, sv = discrim._reduce(G)
         coords = m * sv
         assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m))
-        res = discrim.optimal_measurement(states)
+        res = discrim.optimal_measurement(G)
         assert res.iterations == 0
         assert abs(p - res.p_fail) <= err
 
 
 def test_screen_leaves_a_candidate_at_the_cut_uncertified():
     """A Gram eigenvalue within k eps lam_max of the span cut may land on either
-    side of it in the SVD, so `_screen` does not certify its candidate."""
+    side of it in a Gram formed another way, so `_screen` does not certify its
+    candidate."""
     phases = trajset.phase_matrix(TS21.members, 2, 3 * PI / 8)
     w = np.array([0.0, 1.6198709040793347e-12, 1.6198709040793347e-12, 1.0])
     psi = qcore.Ket(2, np.sqrt(w / w.sum()).astype(complex))
-    lam = np.linalg.eigvalsh((phases * psi.probs()) @ phases.conj().T)
+    G = _gram(phases, psi.probs())
+    lam = np.linalg.eigvalsh(G)
     assert abs(lam[0] - discrim._SPAN_CUT * lam[-1]) <= 2 * np.finfo(float).eps * lam[-1]
-    assert not discrim._screen(phases, psi.probs()[None], np.ones((1, 1)))[2][0]
+    assert not discrim._screen(G[None], np.ones((1, 1)))[2][0]
 
 
 def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
     """A candidate off the invariant subspace, joined as one more generator, is
     left uncertified, so it runs `optimal_measurement` at every angle, and the
-    curve is the unscreened one.  The sweep expands it as sqrt(|psi|^2), the
-    same ensemble up to a diagonal unitary, so of the same p_fail."""
+    curve is the unscreened one.  The sweep sums its Gram from |psi|^2, on
+    which the Gram alone depends, so it is `make_ensemble`'s."""
     ts, grid = trajset.gen_symmetric(4, 2), np.linspace(0.0, PI, 13)
     amps = np.array([1.0, 1.0j]) @ np.random.default_rng(3).normal(size=(2, 16))
     odd = qcore.Ket(4, amps / np.linalg.norm(amps))
@@ -312,26 +327,26 @@ def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
     monkeypatch.setattr(discrim, "_symmetrized_candidates", with_odd)
     seen = []
     monkeypatch.setattr(discrim, "optimal_measurement",
-                        lambda states: seen.append(states) or om(states))
+                        lambda gram: seen.append(gram) or om(gram))
     screened = discrim.failure_curve(ts, grid)
     below = [t for t in grid[1:] if not solver.solve(solver.TSProblem(ts, t)).feasible]
     assert below
     for theta in below:
-        phases = trajset.phase_matrix(ts.members, ts.n, theta)
-        assert not discrim._screen(phases, odd.probs()[None], np.ones((1, 1)))[2][0]
-        assert any(np.array_equal(s, phases * np.abs(odd.amps)) for s in seen)
+        G = make_ensemble(odd, ts, theta)
+        assert not discrim._screen(G[None], np.ones((1, 1)))[2][0]
+        assert any(np.array_equal(s, G) for s in seen)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     assert discrim.failure_curve(ts, grid) == screened
 
 
 def test_small_angle_sweep_converges(monkeypatch):
-    """On sym(6,3) at pi/314 the candidates' spans have directions with
-    sv**2 ~ 1e-15 sv0**2.  The span cuts them as the PGM does, so every fixed
+    """On sym(6,3) at pi/314 the candidates' Grams have eigenvalues
+    lam ~ 1e-15 lam_max.  The span cuts them as the PGM does, so every fixed
     point inside `failure_curve` converges; with the span keeping them, 26
     candidates ran to `_FP_MAX_ITER`."""
     om, results = discrim.optimal_measurement, []
     monkeypatch.setattr(discrim, "optimal_measurement",
-                        lambda states: results.append(om(states)) or results[-1])
+                        lambda gram: results.append(om(gram)) or results[-1])
     discrim.failure_curve(trajset.gen_symmetric(6, 3), [PI / 314])
     assert results and all(res.converged for res in results)
 
@@ -348,6 +363,37 @@ def test_classical_plus_endpoints():
 def test_classical_plus_positive_below_pi():
     for theta in [0.5 * PI, 0.9 * PI, 0.99 * PI]:
         assert discrim.classical_baseline(TS42, theta).p_fail > 0
+
+
+_CUSTOM = trajset.TrajectorySet(5, "custom", 1, tuple(
+    trajset.Trajectory(q) for q in [(1,), (2, 5), (1, 3, 4), (2, 3), (1, 2, 3, 4, 5)]))
+
+
+@pytest.mark.parametrize("ts", [
+    trajset.gen_symmetric(6, 3), trajset.gen_symmetric(4, 2), trajset.gen_cyclic(8, 2),
+    trajset.gen_cyclic(7, 3), _CUSTOM], ids=["sym63", "sym42", "cyc82", "cyc73", "custom"])
+def test_classical_closed_form_gram_matches_the_phase_matrix(ts, monkeypatch):
+    """cos(theta/2)^|T_a xor T_b| is the |+>^n outputs' Gram from the phase matrix."""
+    monkeypatch.setattr(discrim, "optimal_measurement", lambda gram: gram)
+    for theta in [0.0, 0.1, 0.35 * PI, 0.7 * PI, PI]:
+        dense = make_ensemble(plus_state(ts.n), ts, theta)
+        assert np.abs(discrim.classical_baseline(ts, theta) - dense).max() <= 1e-14
+
+
+def test_classical_baseline_builds_no_phase_matrix(monkeypatch):
+    """The |+>^n arm reads its Gram off the members, and keeps the phase
+    matrix's refusals: an angle outside [0, pi] and a family over `PHASE_CAP`."""
+    want = discrim.classical_baseline(TS42, 0.6 * PI).p_fail
+
+    def refuse(*args):
+        raise AssertionError("phase matrix built")
+    monkeypatch.setattr(trajset, "phase_matrix", refuse)
+    assert discrim.classical_baseline(TS42, 0.6 * PI).p_fail == want
+    with pytest.raises(ValueError, match="outside the modeled range"):
+        discrim.classical_baseline(TS42, 3.5)
+    monkeypatch.setattr(trajset, "PHASE_CAP", 6 * 16 - 1)
+    with pytest.raises(ValueError, match="PHASE_CAP"):
+        discrim.classical_baseline(TS42, 0.6 * PI)
 
 
 @st.composite
@@ -589,8 +635,10 @@ def vote_targets(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(vote_targets())
+@example((np.array([[0.58754866, 0.41245134], [0.61682765, 0.38317235]]), [0.3], 5))  # below chance
 def test_repetition_analysis_matches_the_per_epsilon_search(case):
-    """Each epsilon's r and p_error_after_vote are those of its own search from r = 1."""
+    """Each epsilon's r and p_error_after_vote are those of its own search from r = 1.
+    The diagonal dominates only for weight > 1/2, so some draws are below chance."""
     conf, eps, cap = case
     res = discrim.DiscriminationResult(None, 0.0, "pgm", conf)
     errs = {}
@@ -602,10 +650,13 @@ def test_repetition_analysis_matches_the_per_epsilon_search(case):
 
     with mock.patch.object(discrim, "_VOTE_R_CAP", cap):
         reports = discrim.repetition_analysis(res, eps)
+    k = len(conf)
+    # at or below chance the vote never converges, and the search stops after r = 1
+    last = 1 if k > 1 and np.full(k, 1.0 / k) @ conf.diagonal() <= 1.0 / k + 1e-15 else cap
     for e, rep in zip(eps, reports):
-        r = next((r for r in range(1, cap + 1) if err_at(r) <= e), math.inf)
+        r = next((r for r in range(1, last + 1) if err_at(r) <= e), math.inf)
         assert (rep.r, rep.p_error_after_vote, rep.epsilon_target) == \
-            (r, err_at(min(r, cap)), e)
+            (r, err_at(min(r, last)), e)
     assert len(reports) == len(eps)
 
 
@@ -625,9 +676,12 @@ def test_repetition_single_member_is_one_shot():
 
 
 def test_repetition_chance_level_diverges():
+    """At chance the vote never converges, but err(1) = 5/6 already meets 0.9."""
     flat = discrim.DiscriminationResult(None, 5 / 6, "pgm", np.full((6, 6), 1 / 6))
-    reports = discrim.repetition_analysis(flat, [0.25])
-    assert math.isinf(reports[0].r)
+    low, high = discrim.repetition_analysis(flat, [0.25, 0.9])
+    assert math.isinf(low.r) and high.r == 1
+    assert low.p_error_after_vote == high.p_error_after_vote == discrim.plurality_error(
+        flat.confusion, 1)
 
 
 def test_repetition_classical_log_scaling():
@@ -670,13 +724,13 @@ def test_repetition_csv():
 # --- ensemble validation ---------------------------------------------------
 
 def test_ensemble_validation():
-    """Every measurement takes a nonempty (k, 2**n) array, checked in `_reduce`."""
+    """Every measurement takes a nonempty square Gram array, checked in `_reduce`."""
     for measure in (discrim.pgm, discrim.optimal_measurement):
         with pytest.raises(ValueError, match="nonempty"):
             measure(())
         with pytest.raises(ValueError):                  # ragged rows
             measure([BELL.amps, qcore.make_ket(3, [("000", 1.0)]).amps])
-        with pytest.raises(ValueError, match="nonempty"):   # no register has dimension 3
+        with pytest.raises(ValueError, match="nonempty"):   # not square
             measure(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="nonempty"):   # one state, not a stack
+        with pytest.raises(ValueError, match="nonempty"):   # one row, not a matrix
             measure(BELL.amps)
