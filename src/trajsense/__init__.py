@@ -13,6 +13,9 @@ Subsystems, roughly bottom-up:
 - ``cli``      command-line front end over the above
 """
 
+import importlib.util
+import sys
+
 __version__ = "0.1.0"
 
 __all__ = [
@@ -26,3 +29,11 @@ __all__ = [
     "qec",
     "cli",
 ]
+
+# Each layer but cli (`python -m` runs it) runs on first use: `import trajsense.cli`
+# runs qcore and trajset, and a command adds the layers it touches.
+for _name in __all__[:-1]:
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = globals()[_name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(globals()[_name])

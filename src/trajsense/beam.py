@@ -18,15 +18,13 @@ direction angle phi uniform on [0,pi) and signed center offset uniform on
 [-1/2,1/2]; this distribution hits all four edges equally often.
 
 Per-line outcome probabilities are available in closed form (the rotated
-state never leaves the span of the four basis outputs).  `line_failures`
-turns a set of lines into both sensors' exact conditional failure
-probabilities in one pass over cache-sized blocks, and `compare_sensors`
-averages them, either over Monte Carlo lines drawn chunk by chunk (the
-sampling noise of the measurement itself drops out, and the same lines feed
-both sensors, so the tiny first-order advantage becomes resolvable at modest
-trial counts) or over a midpoint-quadrature grid (no sampling noise at all).
-The tests check these closed forms against explicit statevectors and against
-trials that sample each measurement outcome.
+state never leaves the span of the four basis outputs).  One kernel, `_fill`,
+writes both sensors' exact conditional failure on each line, in cache-sized
+blocks; `compare_sensors` averages it over Monte Carlo lines drawn chunk by
+chunk (the same lines feed both sensors, so the tiny first-order advantage is
+resolvable at modest trial counts) or over a midpoint-quadrature grid.  The
+tests check the kernel bit for bit against the per-line formulas, and those
+against explicit statevectors and trials that sample each measurement outcome.
 """
 from __future__ import annotations
 
@@ -45,13 +43,12 @@ EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 #: RNG stream of the Monte Carlo lines (slots: phi, offset)
 _STREAM_LINES = 1
 
-#: lines per block in line_failures: the (16, block) vote temporaries stay
-#: cache-sized; 512**2 lines took 0.11-0.13 s at 4096, 0.21 s at 65536 (2 vCPUs)
+#: lines per kernel block: 512**2 lines took 0.039-0.047 s at 4096 or 8192, 0.05 at 2048
 _BLOCK = 1 << 12
-#: Monte Carlo lines drawn per chunk: 10**6 lines took 0.65 s at 65536, 0.99 s at
-#: 4096, where glibc hands the block temporaries back to the OS and refaults them
-_DRAW_CHUNK = 1 << 16
-#: upper bound on Monte Carlo lines; memory grows about 25 bytes per line
+#: Monte Carlo lines drawn per chunk: 10**6 lines took 0.31-0.40 s at 4096, 16384
+#: or 65536 and peaked at 58, 57 and 62 MB RSS (2 vCPUs)
+_DRAW_CHUNK = 1 << 14
+#: upper bound on Monte Carlo lines; memory grows 24 bytes per line (pe, pu, `std`)
 MC_TRIALS_MAX = 10_000_000
 
 
@@ -67,70 +64,114 @@ class BeamScenario:
             raise ValueError(f"beam waist must be positive, got w={self.w}")
 
 
-def _distances(phi, offset):
-    """Perpendicular distances of the four atoms to the line(s).
-
-    Accepts scalars or equal-length arrays; returns shape (..., 4).
-    """
-    phi = np.asarray(phi, dtype=float)
-    offset = np.asarray(offset, dtype=float)
-    pos = np.asarray(ATOM_POSITIONS)                   # (4, 2)
-    nx, ny = -np.sin(phi), np.cos(phi)                 # unit normal
-    proj = np.multiply.outer(nx, pos[:, 0]) + np.multiply.outer(ny, pos[:, 1])
-    return np.abs(proj - offset[..., None])
-
-
-def _nearest_indices(d):
-    """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag.
-
-    ``d`` holds the four atom distances of each line, shape (..., 4).
-    """
-    sums = np.stack([d[..., i - 1] + d[..., j - 1] for i, j in EDGES], axis=-1)
-    order = np.argsort(sums, axis=-1, kind="stable")
-    two = np.take_along_axis(sums, order[..., :2], -1)     # smallest, second
-    return order[..., 0], (two[..., 1] - two[..., 0]) <= 1e-12
-
-
-def entangled_outcome_probs(angles: np.ndarray) -> np.ndarray:
-    """Probabilities of the four basis outcomes given per-atom angles.
-
-    Closed form for the pi/2 window TS state: with A = (t1+t2-t3-t4)/2 and
-    B = (t1-t2-t3+t4)/2 the amplitudes onto the rotated-output basis are
-    (sinA+cosB)/2, (cosA-sinB)/2, (cosB-sinA)/2, (cosA+sinB)/2; they already
-    exhaust the norm, so the complement outcome has probability zero here.
-    """
-    t = np.asarray(angles, dtype=float)
-    A = 0.5 * (t[..., 0] + t[..., 1] - t[..., 2] - t[..., 3])
-    B = 0.5 * (t[..., 0] - t[..., 1] - t[..., 2] + t[..., 3])
-    sA, cA, sB, cB = np.sin(A), np.cos(A), np.sin(B), np.cos(B)
-    amp = np.stack([sA + cB, cA - sB, cB - sA, cA + sB], axis=-1)
-    return 0.25 * amp ** 2
-
-
 # decision table for the unentangled rule: 16 X-outcome patterns x true edge
 _SCORES = np.stack([qcore.weight_on(4, edge) for edge in EDGES], axis=1)
 _WINNERS = _SCORES == _SCORES.max(axis=1, keepdims=True)
 _WIN_WEIGHT = _WINNERS / _WINNERS.sum(axis=1, keepdims=True)    # uniform tie-break
 
-
-def unentangled_flip_probs(angles: np.ndarray) -> np.ndarray:
-    """P(X measurement reads minus) per qubit: sin^2(theta_i/2)."""
-    return np.sin(np.asarray(angles) / 2.0) ** 2
+#: rows of the per-call workspace of `_fill`, each one block of lines long
+_ROWS = 36
 
 
-def _unentangled_win_prob(q: np.ndarray, true_idx: np.ndarray) -> np.ndarray:
-    """Exact success probability of the vote rule given flip probs (L,4).
+def _mirror(atoms, shape) -> None:
+    """Atoms 3 and 4's rows: atoms 1 and 2's, reversed within each grid row of ``shape``."""
+    for src, dst in zip(atoms[:2], atoms[2:]):
+        np.copyto(dst.reshape(shape), src.reshape(shape)[:, ::-1])
 
-    Pattern-major (16, L) products ((f1*f2)*f3)*f4 of f_i in {1 - q_i, q_i}, added
-    in numpy's pairwise order for a 16-wide row: an (L, 16) row sum, bit for bit.
+
+def _fill(scenario: BeamScenario, phi, off, pe, pu, tied=None, mirror: bool = False) -> None:
+    """Write both sensors' failure on every line into pe and pu, the tie flags into tied.
+
+    Line (i, j) has direction phi[i] and offset off[i, j]; pe, pu and tied have
+    off's shape.  With ``mirror`` (each row of off is its negation reversed) atoms
+    3 and 4 take atoms 1 and 2's values reversed within the row.  Blocks of whole
+    rows work in one workspace, each step with the per-line formulas' operations.
     """
-    qT = np.atleast_2d(q).T                            # (4, L)
-    pb = np.stack([1.0 - qT[0], qT[0]])
-    for qi in qT[1:]:
-        pb = (pb[:, None] * np.stack([1.0 - qi, qi])).reshape(-1, qi.size)
-    t = pb * _WIN_WEIGHT[:, true_idx]
-    r = t[:8] + t[8:]
-    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    rows, cols = off.shape
+    step = max(1, min(rows, _BLOCK // cols))
+    ws, per_row = np.empty(_ROWS * step * cols), np.empty((4, step))
+    pick, less = np.empty(step * cols, np.intp), np.empty((3, step * cols), bool)
+    theta0, neg_w2 = scenario.theta0, -scenario.w ** 2
+    for r0 in range(0, rows, step):
+        r, blk = min(step, rows - r0), slice(r0, r0 + step)
+        shape, n = (r, cols), r * cols
+        W = ws[:_ROWS * n].reshape(_ROWS, n)
+        idx, (b1, b2, b3) = pick[:n], less[:, :n]
+        # atom projections on the unit normal (-sin phi, cos phi): s, t, -s, -t
+        a, b, s, t = per_row[:, :r]
+        np.multiply(np.sin(phi[blk], out=a), -0.5, out=a)
+        np.multiply(np.cos(phi[blk], out=b), 0.5, out=b)
+        S, T, O = W[16:19]
+        np.copyto(S.reshape(shape), np.add(a, b, out=s)[:, None])
+        np.copyto(T.reshape(shape), np.subtract(b, a, out=t)[:, None])
+        np.copyto(O.reshape(shape), off[blk])
+        # each atom's distance, angle, then flip probability: odd rows of F (0-7)
+        atoms = W[1:8:2]
+        own = atoms[:2] if mirror else atoms
+        for row, proj, op in zip(own, (S, T, S, T), (np.subtract, np.subtract, np.add, np.add)):
+            np.abs(op(proj, O, out=row), out=row)
+        if mirror:
+            _mirror(atoms, shape)
+        # nearest edge: first index of the smallest sum, as a stable argsort
+        e, lo, hi = W[8:12], W[12:14], W[14:16]
+        np.add(atoms[:3], atoms[1:], out=e[:3])
+        np.add(atoms[0], atoms[3], out=e[3])
+        np.less(e[1::2], e[0::2], out=less[:2, :n])          # e1 < e0, e3 < e2
+        np.minimum(e[0::2], e[1::2], out=lo)                # min(e0, e1), min(e2, e3)
+        np.less(lo[1], lo[0], out=b3)
+        np.copyto(idx, b1)
+        np.copyto(idx, b2, where=b3)
+        np.add(idx, 2, out=idx, where=b3)
+        if tied is not None:                    # second-smallest minus smallest sum
+            np.minimum(*np.maximum(e[0::2], e[1::2], out=hi), out=hi[0])
+            np.minimum(np.maximum(*lo, out=hi[1]), hi[0], out=hi[0])
+            np.subtract(hi[0], np.minimum(*lo, out=lo[0]), out=hi[0])
+            np.less_equal(hi[0], 1e-12, out=tied[blk].reshape(n))
+        np.multiply(own, own, out=own)
+        np.exp(np.divide(own, neg_w2, out=own), out=own)
+        np.multiply(own, theta0, out=own)                   # theta0 * exp(-d^2 / w^2)
+        if mirror:
+            _mirror(atoms, shape)
+        # entangled arm: A and B, the four outcome probabilities, the true one
+        t0, t1, t2, t3 = atoms
+        A, B = AB = W[16:18]
+        np.multiply(np.subtract(np.subtract(np.add(t0, t1, out=A), t2, out=A), t3, out=A),
+                    0.5, out=A)
+        np.multiply(np.add(np.subtract(np.subtract(t0, t1, out=B), t2, out=B), t3, out=B),
+                    0.5, out=B)
+        (sA, sB), (cA, cB) = np.sin(AB, out=W[18:20]), np.cos(AB, out=W[20:22])
+        p, p_true, rest = W[24:28], W[22], W[23]
+        np.add(sA, cB, out=p[0])
+        np.subtract(cA, sB, out=p[1])
+        np.subtract(cB, sA, out=p[2])
+        np.add(cA, sB, out=p[3])
+        np.multiply(np.square(p, out=p), 0.25, out=p)
+        np.copyto(p_true, p[0])                             # p[idx], by the same compares
+        np.copyto(p_true, p[1], where=b1)
+        np.copyto(rest, p[2])
+        np.copyto(rest, p[3], where=b2)
+        np.copyto(p_true, rest, where=b3)
+        np.add(np.add(np.add(p[0], p[1], out=rest), p[2], out=rest), p[3], out=rest)
+        np.maximum(np.subtract(1.0, rest, out=rest), 0.0, out=rest)   # leftover
+        np.add(p_true, np.divide(rest, 4.0, out=rest), out=rest)
+        np.subtract(1.0, rest.reshape(shape), out=pe[blk])
+        # unentangled arm: q = sin^2(theta/2) per qubit; F_k = (1 - q_k, q_k)
+        np.square(np.sin(np.divide(own, 2.0, out=own), out=own), out=own)
+        if mirror:
+            _mirror(atoms, shape)
+        np.subtract(1.0, atoms, out=W[0:8:2])
+        # pattern-major products ((f1*f2)*f3)*f4: pattern 2i + bit extends i
+        prev = W[0:2]
+        for k, level in ((1, W[8:12]), (2, W[12:20]), (3, W[20:36])):
+            for j in range(len(level)):
+                np.multiply(prev[j // 2], W[2 * k + j % 2], out=level[j])
+            prev = level
+        np.multiply(prev, np.take(_WIN_WEIGHT, idx, axis=1, out=W[0:16], mode="clip"), out=prev)
+        # numpy's pairwise order, 16 wide: r_j = t_j + t_j+8, then ((r0+r1)+(r2+r3))+...
+        np.add(prev[:8], prev[8:], out=prev[:8])
+        np.add(prev[0:8:2], prev[1:8:2], out=prev[0:8:2])
+        np.add(prev[0:8:4], prev[2:8:4], out=prev[0:8:4])
+        np.subtract(1.0, np.add(prev[0], prev[4], out=prev[0]).reshape(shape), out=pu[blk])
 
 
 def line_failures(scenario: BeamScenario, phi, offset):
@@ -138,24 +179,12 @@ def line_failures(scenario: BeamScenario, phi, offset):
 
     ``pe`` is the entangled sensor's conditional failure probability on each
     line, ``pu`` the unentangled one's, and ``tied`` marks lines whose nearest
-    edge is not unique.  Distances, angles and nearest edges are computed once
-    per line, in fixed blocks of lines; every step works line by line, so the
-    values do not depend on the blocking.
+    edge is not unique.
     """
     phi = np.asarray(phi, dtype=float).ravel()
     offset = np.asarray(offset, dtype=float).ravel()
-    pe, pu = np.empty(phi.size), np.empty(phi.size)
-    tied = np.empty(phi.size, dtype=bool)
-    for start in range(0, phi.size, _BLOCK):
-        blk = slice(start, start + _BLOCK)
-        d = _distances(phi[blk], offset[blk])
-        angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-        true_idx, tied[blk] = _nearest_indices(d)
-        probs = entangled_outcome_probs(angles)
-        leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
-        win = np.take_along_axis(probs, true_idx[:, None], -1)[:, 0] + leftover / 4
-        pe[blk] = 1.0 - win
-        pu[blk] = 1.0 - _unentangled_win_prob(unentangled_flip_probs(angles), true_idx)
+    pe, pu, tied = np.empty(phi.size), np.empty(phi.size), np.empty(phi.size, dtype=bool)
+    _fill(scenario, phi, offset[:, None], pe[:, None], pu[:, None], tied[:, None])
     return pe, pu, tied
 
 
@@ -169,14 +198,9 @@ def _check_trials(trials: int) -> None:
 
 
 def _lines(seed: int, start: int, stop: int):
-    """Monte Carlo lines ``start .. stop-1`` of ``seed``: (phi, offset)."""
+    """Monte Carlo lines ``start .. stop-1`` of ``seed``: phi, and the offsets as a column."""
     u = rng.uniforms(seed, _STREAM_LINES, start, stop - start, slots=2)
-    return u[:, 0] * math.pi, u[:, 1] - 0.5
-
-
-def _sample_lines(trials: int, seed: int):
-    _check_trials(trials)
-    return _lines(seed, 0, trials)
+    return u[:, 0] * math.pi, u[:, 1:] - 0.5
 
 
 @dataclass
@@ -203,16 +227,17 @@ def compare_sensors(scenario: BeamScenario, mode: str = "quadrature",
         g_phi, g_off = grid
         phi = (np.arange(g_phi) + 0.5) * math.pi / g_phi
         off = -0.5 + (np.arange(g_off) + 0.5) / g_off
-        P, O = np.meshgrid(phi, off, indexing="ij")
-        pe, pu, _ = line_failures(scenario, P, O)
+        pe, pu = np.empty((2, g_phi, g_off))
+        _fill(scenario, phi, np.broadcast_to(off, pe.shape), pe, pu,
+              mirror=np.array_equal(off, -off[::-1]))
         ent, un = float(pe.mean()), float(pu.mean())
         adv, err = un - ent, 0.0
     elif mode == "mc":
         _check_trials(trials)
         pe, pu = np.empty(trials), np.empty(trials)
         for start in range(0, trials, _DRAW_CHUNK):
-            blk = slice(start, min(start + _DRAW_CHUNK, trials))
-            pe[blk], pu[blk], _ = line_failures(scenario, *_lines(seed, blk.start, blk.stop))
+            stop = min(start + _DRAW_CHUNK, trials)
+            _fill(scenario, *_lines(seed, start, stop), pe[start:stop, None], pu[start:stop, None])
         ent, un = float(pe.mean()), float(pu.mean())
         diff = np.subtract(pu, pe, out=pu)             # pu is not read again
         adv, err = float(diff.mean()), float(diff.std(ddof=1) / math.sqrt(trials))

@@ -15,8 +15,10 @@ to a manifest recording the configuration; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
 import datetime
+import gc
 import math
 import re
 import subprocess
@@ -26,6 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import beam, discrim, qcore, qec, solver, trajset
+
+atexit.register(gc.freeze)      # the exit's collections then skip every object
 
 _ANGLE_RE = re.compile(r"^(\d+(?:\.\d+)?)?\s*\*?\s*pi(?:\s*/\s*(\d+(?:\.\d+)?))?$",
                        re.IGNORECASE)

@@ -6,12 +6,15 @@ Bit placement reads every qubit's bit from its own column of a bit table, so
 composition by an independent route.  `sample_measurement` draws projective
 outcomes from the counter-based streams of `trajsense.rng`.
 
-The beam oracles check `beam`'s closed forms: `entangled_outcome_probs_statevector`
-rotates the window TS state and projects it on its own rotated outputs,
-`unentangled_win_prob_rows` sums the vote's 16 weighted outcome patterns as
-one (L, 16) row per line, and `run_beam_trials` draws each trial's measurement
-outcome on the same lines that `beam.compare_sensors` scores by exact
-conditional failure.
+The beam oracles check `beam`'s line kernel.  `line_failures` is the per-line
+pipeline on whole arrays: atom distances from the normal's projections, the
+nearest edge by a stable argsort, the closed-form outcome probabilities, and
+the vote as pattern-major (16, L) products; the kernel must match it bit for
+bit.  `entangled_outcome_probs_statevector` rotates the window TS state and
+projects it on its own rotated outputs, `unentangled_win_prob_rows` sums the
+vote's 16 weighted outcome patterns as one (L, 16) row per line, and
+`run_beam_trials` draws each trial's measurement outcome on the same lines
+that `beam.compare_sensors` scores by exact conditional failure.
 
 `discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|).
 The reference here keeps the stacked (k, d, d) elements: the PGM as
@@ -151,11 +154,89 @@ _STREAM_MEAS = 2       # slots: one (entangled) or four (per-qubit)
 _STREAM_TIE = 3
 
 
+def sample_lines(trials, seed):
+    """The first ``trials`` Monte Carlo lines of ``seed``, as `beam.compare_sensors` draws them."""
+    beam._check_trials(trials)
+    phi, offset = beam._lines(seed, 0, trials)
+    return phi, offset[:, 0]
+
+
+def distances(phi, offset):
+    """Perpendicular distances of the four atoms to the line(s).
+
+    Accepts scalars or equal-length arrays; returns shape (..., 4).
+    """
+    phi = np.asarray(phi, dtype=float)
+    offset = np.asarray(offset, dtype=float)
+    pos = np.asarray(beam.ATOM_POSITIONS)              # (4, 2)
+    nx, ny = -np.sin(phi), np.cos(phi)                 # unit normal
+    proj = np.multiply.outer(nx, pos[:, 0]) + np.multiply.outer(ny, pos[:, 1])
+    return np.abs(proj - offset[..., None])
+
+
+def nearest_indices(d):
+    """Edge index minimizing its two atoms' distance sum (first wins ties), tied flag.
+
+    ``d`` holds the four atom distances of each line, shape (..., 4).
+    """
+    sums = np.stack([d[..., i - 1] + d[..., j - 1] for i, j in beam.EDGES], axis=-1)
+    order = np.argsort(sums, axis=-1, kind="stable")
+    two = np.take_along_axis(sums, order[..., :2], -1)     # smallest, second
+    return order[..., 0], (two[..., 1] - two[..., 0]) <= 1e-12
+
+
 def beam_angles(scenario, beam_line):
     """Rotation angles theta0 * exp(-d^2/w^2) for a (phi, offset) line."""
     phi, offset = beam_line
-    d = beam._distances(phi, offset)
+    d = distances(phi, offset)
     return scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+
+
+def entangled_outcome_probs(angles):
+    """Probabilities of the four basis outcomes given per-atom angles.
+
+    Closed form for the pi/2 window TS state: with A = (t1+t2-t3-t4)/2 and
+    B = (t1-t2-t3+t4)/2 the amplitudes onto the rotated-output basis are
+    (sinA+cosB)/2, (cosA-sinB)/2, (cosB-sinA)/2, (cosA+sinB)/2; they already
+    exhaust the norm, so the complement outcome has probability zero here.
+    """
+    t = np.asarray(angles, dtype=float)
+    A = 0.5 * (t[..., 0] + t[..., 1] - t[..., 2] - t[..., 3])
+    B = 0.5 * (t[..., 0] - t[..., 1] - t[..., 2] + t[..., 3])
+    sA, cA, sB, cB = np.sin(A), np.cos(A), np.sin(B), np.cos(B)
+    amp = np.stack([sA + cB, cA - sB, cB - sA, cA + sB], axis=-1)
+    return 0.25 * amp ** 2
+
+
+def unentangled_flip_probs(angles):
+    """P(X measurement reads minus) per qubit: sin^2(theta_i/2)."""
+    return np.sin(np.asarray(angles) / 2.0) ** 2
+
+
+def unentangled_win_prob(q, true_idx):
+    """Exact success probability of the vote rule given flip probs (L,4).
+
+    Pattern-major (16, L) products ((f1*f2)*f3)*f4 of f_i in {1 - q_i, q_i}, added
+    in numpy's pairwise order for a 16-wide row: an (L, 16) row sum, bit for bit.
+    """
+    qT = np.atleast_2d(q).T                            # (4, L)
+    pb = np.stack([1.0 - qT[0], qT[0]])
+    for qi in qT[1:]:
+        pb = (pb[:, None] * np.stack([1.0 - qi, qi])).reshape(-1, qi.size)
+    t = pb * beam._WIN_WEIGHT[:, true_idx]
+    r = t[:8] + t[8:]
+    return ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+
+
+def line_failures(scenario, phi, offset):
+    """`beam.line_failures` from the per-line formulas above, on all lines at once."""
+    d = distances(np.ravel(phi), np.ravel(offset))
+    angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
+    true_idx, tied = nearest_indices(d)
+    probs = entangled_outcome_probs(angles)
+    leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
+    win = np.take_along_axis(probs, true_idx[:, None], -1)[:, 0] + leftover / 4
+    return 1.0 - win, 1.0 - unentangled_win_prob(unentangled_flip_probs(angles), true_idx), tied
 
 
 #: (16, 4) bit table of the X-outcome patterns; column i holds qubit i+1's bit
@@ -163,7 +244,7 @@ BITS4 = bit_table(4)
 
 
 def unentangled_win_prob_rows(q, true_idx):
-    """`beam._unentangled_win_prob` as a row sum over an (L, 16) pattern table."""
+    """`unentangled_win_prob` as a row sum over an (L, 16) pattern table."""
     q = np.atleast_2d(q)
     pb = np.ones((q.shape[0], 16))
     for i in range(4):
@@ -184,7 +265,7 @@ def measurement_basis():
 
 
 def entangled_outcome_probs_statevector(angles):
-    """`beam.entangled_outcome_probs` via explicit statevectors."""
+    """`entangled_outcome_probs` via explicit statevectors."""
     amps = ts_sensor_state().amps
     for i, th in enumerate(angles, start=1):
         amps = amps * trajset.phase_matrix([Trajectory((i,))], 4, float(th))[0]
@@ -195,20 +276,20 @@ def sample_outcomes(scenario, sensor, trials, seed):
     """Sampled (true_idx, guess_idx, complement_mask, tied) for each trial."""
     if sensor not in ("entangled_ts", "unentangled_plus"):
         raise ValueError(f"unknown sensor {sensor!r}")
-    phi, offset = beam._sample_lines(trials, seed)
-    d = beam._distances(phi, offset)
+    phi, offset = sample_lines(trials, seed)
+    d = distances(phi, offset)
     angles = scenario.theta0 * np.exp(-(d ** 2) / scenario.w ** 2)
-    true_idx, tied = beam._nearest_indices(d)
+    true_idx, tied = nearest_indices(d)
     tie_u = rng.uniforms(seed, _STREAM_TIE, 0, trials)[:, 0]
     if sensor == "entangled_ts":
-        cdf = np.cumsum(beam.entangled_outcome_probs(angles), axis=1)
+        cdf = np.cumsum(entangled_outcome_probs(angles), axis=1)
         u = rng.uniforms(seed, _STREAM_MEAS, 0, trials)[:, 0]
         outcome = np.sum(u[:, None] >= cdf, axis=1)     # 4 = complement
         complement = outcome >= 4
         guess = np.where(complement, (tie_u * 4).astype(int), outcome)
     else:
         u4 = rng.uniforms(seed, _STREAM_MEAS, 0, trials, slots=4)
-        flips = (u4 < beam.unentangled_flip_probs(angles)).astype(int)
+        flips = (u4 < unentangled_flip_probs(angles)).astype(int)
         scores = np.stack([flips[:, i - 1] + flips[:, j - 1] for i, j in beam.EDGES],
                           axis=1)
         mx = scores.max(axis=1, keepdims=True)

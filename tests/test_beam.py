@@ -1,5 +1,6 @@
 """Beam-scenario tests: geometry, Born probabilities, advantage scaling."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_wide_beam_limit_all_angles_theta0():
 
 
 def nearest(beam_line):
-    idx, tied = beam._nearest_indices(beam._distances(*beam_line))
+    idx, tied = oracles.nearest_indices(oracles.distances(*beam_line))
     return Trajectory(beam.EDGES[int(idx)]), bool(tied)
 
 
@@ -76,7 +77,7 @@ def test_closed_form_matches_statevector_route():
     for _ in range(25):
         line = (rs.uniform(0, math.pi), rs.uniform(-0.5, 0.5))
         ang = oracles.beam_angles(sc, line)
-        fast = beam.entangled_outcome_probs(ang)
+        fast = oracles.entangled_outcome_probs(ang)
         slow = oracles.entangled_outcome_probs_statevector(ang)
         assert np.allclose(fast, slow, atol=1e-12)
 
@@ -84,13 +85,13 @@ def test_closed_form_matches_statevector_route():
 def test_outcome_probs_sum_to_one():
     # diagonal rotations keep the state inside the measurement span
     ang = oracles.beam_angles(beam.BeamScenario(1.4, 0.8), (2.0, -0.31))
-    p = beam.entangled_outcome_probs(ang)
+    p = oracles.entangled_outcome_probs(ang)
     assert np.all(p >= 0)
     assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_amplitude_gives_uniform_quarters():
-    p = beam.entangled_outcome_probs(np.zeros(4))
+    p = oracles.entangled_outcome_probs(np.zeros(4))
     assert np.allclose(p, 0.25, atol=1e-15)
     # and the basis overlaps themselves are 1/2
     psi = oracles.ts_sensor_state()
@@ -119,17 +120,17 @@ def test_vote_matches_the_row_sum_bit_for_bit(rows, data):
         q[:] = q[:, :1]
     for edge in range(4):
         true_idx = np.full(len(q), edge)
-        assert np.array_equal(beam._unentangled_win_prob(q, true_idx),
+        assert np.array_equal(oracles.unentangled_win_prob(q, true_idx),
                               oracles.unentangled_win_prob_rows(q, true_idx))
 
 
 def test_unentangled_rule_hand_cases():
     # both top atoms flipped for sure -> always guess the top edge
-    win = beam._unentangled_win_prob(np.array([[1.0, 1.0, 0.0, 0.0]]),
-                                     np.array([0]))
+    win = oracles.unentangled_win_prob(np.array([[1.0, 1.0, 0.0, 0.0]]),
+                                       np.array([0]))
     assert win[0] == pytest.approx(1.0)
     # nothing ever flips -> pure guesswork
-    win = beam._unentangled_win_prob(np.zeros((1, 4)), np.array([2]))
+    win = oracles.unentangled_win_prob(np.zeros((1, 4)), np.array([2]))
     assert win[0] == pytest.approx(0.25)
 
 
@@ -138,7 +139,7 @@ def test_born_frequencies_match_sampled_outcomes():
     sc = beam.BeamScenario(1.1, 1.0)
     line = (0.7, 0.12)
     ang = oracles.beam_angles(sc, line)
-    probs = beam.entangled_outcome_probs(ang)
+    probs = oracles.entangled_outcome_probs(ang)
     psi = oracles.ts_sensor_state()
     amps = psi.amps.copy()
     for i, th in enumerate(ang, start=1):
@@ -158,14 +159,14 @@ def test_born_frequencies_match_sampled_outcomes():
 
 def _per_sensor_reference(sc, phi, offset):
     """Each sensor's per-line formulas, on the whole line set in one piece."""
-    d = beam._distances(phi, offset)
+    d = oracles.distances(phi, offset)
     angles = sc.theta0 * np.exp(-(d ** 2) / sc.w ** 2)
     sums = np.stack([d[:, i - 1] + d[:, j - 1] for i, j in beam.EDGES], axis=-1)
     order = np.argsort(sums, axis=-1, kind="stable")
     true_idx = order[:, 0]
     gap = (np.take_along_axis(sums, order[:, 1:2], -1)
            - np.take_along_axis(sums, order[:, :1], -1))[:, 0]
-    probs = beam.entangled_outcome_probs(angles)
+    probs = oracles.entangled_outcome_probs(angles)
     leftover = np.clip(1.0 - probs.sum(axis=-1), 0.0, None)
     pe = 1.0 - (probs[np.arange(len(phi)), true_idx] + leftover / 4)
     pu = 1.0 - oracles.unentangled_win_prob_rows(np.sin(angles / 2.0) ** 2, true_idx)
@@ -175,7 +176,7 @@ def _per_sensor_reference(sc, phi, offset):
 @pytest.mark.parametrize("theta0,w", [(1.2, 0.8), (0.05, 10.0)])
 def test_line_failures_blocking_keeps_bits(theta0, w):
     # one line past a block boundary, with a tied diagonal and an edge line
-    phi, offset = beam._sample_lines(beam._BLOCK - 1, 5)
+    phi, offset = oracles.sample_lines(beam._BLOCK - 1, 5)
     phi = np.append(phi, [DIAGONAL[0], TOP_EDGE[0]])
     offset = np.append(offset, [DIAGONAL[1], TOP_EDGE[1]])
     assert phi.size == beam._BLOCK + 1
@@ -185,6 +186,63 @@ def test_line_failures_blocking_keeps_bits(theta0, w):
     for g, r in zip(got, want):
         assert np.array_equal(g, r)
     assert got[2][-2] and not got[2][-1]
+
+
+# lines through atoms 1 and 3 and through atoms 1 and 2, whose nearest edge
+# is tied and untied, and random lines
+_LINES = st.one_of(st.sampled_from([DIAGONAL, TOP_EDGE]),
+                   st.tuples(st.floats(0.0, math.pi, exclude_max=True),
+                             st.floats(-0.5, 0.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, beam._BLOCK - 1, beam._BLOCK + 1]),
+       st.one_of(st.sampled_from([0.0, math.pi]), st.floats(0.0, math.pi)),
+       st.one_of(st.sampled_from([1e-3, 1e9]), st.floats(1e-3, 1e9)),
+       st.lists(_LINES, min_size=1, max_size=8),
+       st.integers(0, 2**32))
+def test_kernel_matches_the_oracle_bit_for_bit(size, theta0, w, picked, seed):
+    """pe, pu and tie flags equal the per-line pipeline's on lines of any blocking."""
+    phi, offset = np.random.default_rng(seed).uniform((0.0, -0.5), (math.pi, 0.5),
+                                                      (size, 2)).T
+    for k, (p, o) in enumerate(picked[:size]):
+        phi[k], offset[k] = p, o
+    sc = beam.BeamScenario(theta0, w)
+    for got, want in zip(beam.line_failures(sc, phi, offset),
+                         oracles.line_failures(sc, phi, offset)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid,mirror", [((512, 512), True), ((7, 9), False),
+                                         ((512, 100), False)])
+def test_quadrature_matches_the_oracle_pipeline(grid, mirror):
+    """Mean failures on the grid are the oracle's bytes, with and without the mirror."""
+    g_phi, g_off = grid
+    phi = (np.arange(g_phi) + 0.5) * math.pi / g_phi
+    off = -0.5 + (np.arange(g_off) + 0.5) / g_off
+    assert np.array_equal(off, -off[::-1]) == mirror
+    P, O = np.meshgrid(phi, off, indexing="ij")
+    for sc in (beam.BeamScenario(0.3, 1.0), beam.BeamScenario(1.0, 10.0)):
+        pe, pu, _ = oracles.line_failures(sc, P, O)
+        row = beam.compare_sensors(sc, grid=grid)
+        ent, un = float(pe.mean()), float(pu.mean())
+        assert (row.p_fail_entangled, row.p_fail_unentangled, row.advantage) == \
+            (ent, un, un - ent)
+
+
+@pytest.mark.parametrize("args,mib", [(("quadrature",), 10.5), (("mc", 10**6, 12345), 22.9)])
+def test_compare_sensors_memory(args, mib):
+    """Peak traced allocation of the benchmark's two beam runs stays within bound:
+    the Monte Carlo run holds pe, pu and the copy `std` makes (8 bytes per line
+    each), the quadrature run pe and pu, and neither any per-line array more."""
+    beam.compare_sensors(beam.BeamScenario(0.3, 1.0), "mc", 2, 1)  # numpy.random loads
+    tracemalloc.start()
+    try:
+        beam.compare_sensors(beam.BeamScenario(0.3, 1.0), *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= mib * 2**20
 
 
 # ------------------------------------------------------------- trial running
@@ -208,7 +266,7 @@ def test_exact_conditional_reduces_variance():
     sc = beam.BeamScenario(0.8, 1.5)
     mc_p_fail, mc_stderr = oracles.run_beam_trials(sc, "entangled_ts", 4000, 123)
     # the same lines, each contributing its exact conditional failure
-    pe, _, _ = beam.line_failures(sc, *beam._sample_lines(4000, 123))
+    pe, _, _ = beam.line_failures(sc, *oracles.sample_lines(4000, 123))
     ex_p_fail, ex_stderr = pe.mean(), pe.std(ddof=1) / math.sqrt(4000)
     assert ex_stderr < mc_stderr
     assert abs(ex_p_fail - mc_p_fail) < 4 * mc_stderr
@@ -241,7 +299,7 @@ def test_sampled_outcomes_give_the_trial_failure():
 def test_chunked_draws_match_one_pass():
     # two whole draw chunks and a ragged tail of three lines
     sc, trials, seed = beam.BeamScenario(0.3, 1.0), 2 * beam._DRAW_CHUNK + 3, 17
-    pe, pu, _ = beam.line_failures(sc, *beam._sample_lines(trials, seed))
+    pe, pu, _ = beam.line_failures(sc, *oracles.sample_lines(trials, seed))
     diff = pu - pe
     row = beam.compare_sensors(sc, "mc", trials, seed)
     assert row.p_fail_entangled == float(pe.mean())
@@ -277,7 +335,7 @@ def test_four_fold_symmetry():
     phi = (np.arange(g) + 0.5) * math.pi / g
     off = -0.5 + (np.arange(g) + 0.5) / g
     P, O = np.meshgrid(phi, off, indexing="ij")
-    true_idx, _ = beam._nearest_indices(beam._distances(P.ravel(), O.ravel()))
+    true_idx, _ = oracles.nearest_indices(oracles.distances(P.ravel(), O.ravel()))
     shares = np.bincount(true_idx, minlength=4) / true_idx.size
     assert np.allclose(shares, 0.25, atol=0.02)
     pfail, _, _ = beam.line_failures(sc, P.ravel(), O.ravel())

@@ -741,8 +741,8 @@ def test_manifest_describes_the_package_checkout_not_the_cwd(tmp_path, monkeypat
 
 # ----------------------------------------------------------- console script
 
-def _python(code):
-    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+def _python(code, *argv):
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": _SRC})
 
 
@@ -769,6 +769,35 @@ def test_solve_runs_with_scipy_blocked():
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines() == ["cyc(12,4) at theta=2.094395: feasible (marginal)",
                                      "sym(8,4) at theta=2.827433: feasible", "0 0"]
+
+
+def test_cli_import_runs_only_the_layers_a_command_needs():
+    """`import trajsense.cli` runs qcore and trajset; a quadrature `beam` adds beam
+    alone (rng waits for a draw).  The package registers every layer at once, but a
+    layer's body runs on first use: until then its sys.modules entry is a
+    LazyLoader placeholder, not a module."""
+    code = ("import sys, types, trajsense.cli\n"
+            "ran = lambda: print(sorted(m[10:] for m, v in sys.modules.items()\n"
+            "                           if m.startswith('trajsense.') and type(v) is types.ModuleType))\n"
+            "ran(); trajsense.cli.main(['beam', '--theta0', '0.3', '--w', '1.0']); ran()")
+    r = _python(code)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert lines[0] == str(["cli", "qcore", "trajset"])
+    assert lines[2] == str(["beam", "cli", "qcore", "trajset"])
+
+
+def test_beam_process_prints_and_writes_the_in_process_bytes(tmp_path, capsys):
+    """A whole `trajsense` process, exit with its frozen collector included, prints
+    the in-process stdout and writes the same artifact bytes."""
+    argv = ["beam", "--theta0", "0.3", "--w", "1.0", "--mode", "quadrature", "--format", "json"]
+    assert run(argv + ["--out", str(tmp_path / "here")]) == 0
+    r = _python("import sys; from trajsense.cli import main; sys.exit(main(sys.argv[1:]))",
+                *argv, "--out", str(tmp_path / "child"))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == capsys.readouterr().out
+    assert ((tmp_path / "child" / "beam.json").read_bytes()
+            == (tmp_path / "here" / "beam.json").read_bytes())
 
 
 def test_installed_entry_point():
