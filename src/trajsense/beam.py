@@ -43,7 +43,7 @@ EDGES = ((1, 2), (2, 3), (3, 4), (1, 4))
 #: RNG stream of the Monte Carlo lines (slots: phi, offset)
 _STREAM_LINES = 1
 
-#: lines per kernel block: 512**2 lines took 0.039-0.047 s at 4096 or 8192, 0.05 at 2048
+#: lines per kernel block: 512**2 lines took 0.04 s at 4096 or 8192, 0.05 s at 2048 (2 vCPUs)
 _BLOCK = 1 << 12
 #: Monte Carlo lines drawn per chunk: 10**6 lines took 0.31-0.40 s at 4096, 16384
 #: or 65536 and peaked at 58, 57 and 62 MB RSS (2 vCPUs)
@@ -80,12 +80,12 @@ def _mirror(atoms, shape) -> None:
 
 
 def _fill(scenario: BeamScenario, phi, off, pe, pu, tied=None, mirror: bool = False) -> None:
-    """Write both sensors' failure on every line into pe and pu, the tie flags into tied.
+    """Write both sensors' failure on every line into pe and pu, tie flags into tied if given.
 
     Line (i, j) has direction phi[i] and offset off[i, j]; pe, pu and tied have
     off's shape.  With ``mirror`` (each row of off is its negation reversed) atoms
     3 and 4 take atoms 1 and 2's values reversed within the row.  Blocks of whole
-    rows work in one workspace, each step with the per-line formulas' operations.
+    rows work in one workspace; each step repeats the per-line formulas' operations.
     """
     rows, cols = off.shape
     step = max(1, min(rows, _BLOCK // cols))
@@ -146,7 +146,7 @@ def _fill(scenario: BeamScenario, phi, off, pe, pu, tied=None, mirror: bool = Fa
         np.subtract(cB, sA, out=p[2])
         np.add(cA, sB, out=p[3])
         np.multiply(np.square(p, out=p), 0.25, out=p)
-        np.copyto(p_true, p[0])                             # p[idx], by the same compares
+        np.copyto(p_true, p[0])                             # p[idx], by the compares above
         np.copyto(p_true, p[1], where=b1)
         np.copyto(rest, p[2])
         np.copyto(rest, p[3], where=b2)

@@ -215,17 +215,27 @@ def test_kernel_matches_the_oracle_bit_for_bit(size, theta0, w, picked, seed):
 
 @pytest.mark.parametrize("grid,mirror", [((512, 512), True), ((7, 9), False),
                                          ((512, 100), False)])
-def test_quadrature_matches_the_oracle_pipeline(grid, mirror):
-    """Mean failures on the grid are the oracle's bytes, with and without the mirror."""
+def test_quadrature_matches_the_oracle_pipeline(grid, mirror, monkeypatch):
+    """Every grid line's failures are the oracle's bits, mirrored only where the
+    offsets are exactly antisymmetric, and so are the means."""
+    calls, fill = [], beam._fill
+
+    def spy(scenario, phi, off, pe, pu, tied=None, mirror=False):
+        fill(scenario, phi, off, pe, pu, tied, mirror)
+        calls.append((pe.ravel(), pu.ravel(), mirror))
+    monkeypatch.setattr(beam, "_fill", spy)
     g_phi, g_off = grid
     phi = (np.arange(g_phi) + 0.5) * math.pi / g_phi
     off = -0.5 + (np.arange(g_off) + 0.5) / g_off
-    assert np.array_equal(off, -off[::-1]) == mirror
     P, O = np.meshgrid(phi, off, indexing="ij")
     for sc in (beam.BeamScenario(0.3, 1.0), beam.BeamScenario(1.0, 10.0)):
-        pe, pu, _ = oracles.line_failures(sc, P, O)
         row = beam.compare_sensors(sc, grid=grid)
-        ent, un = float(pe.mean()), float(pu.mean())
+        (pe, pu, mirrored), = calls
+        calls.clear()
+        want_pe, want_pu, _ = oracles.line_failures(sc, P, O)
+        assert mirrored == mirror
+        assert np.array_equal(pe, want_pe) and np.array_equal(pu, want_pu)
+        ent, un = float(want_pe.mean()), float(want_pu.mean())
         assert (row.p_fail_entangled, row.p_fail_unentangled, row.advantage) == \
             (ent, un, un - ent)
 
