@@ -36,6 +36,7 @@ print("confusion matrix:\n", np.round(res.confusion, 12))
 
 # a product state cannot do this at theta = pi/2
 plus = qcore.make_ket(2, [("00", 1), ("01", 1), ("10", 1), ("11", 1)])
-res_plus = discrim.optimal_measurement(discrim.make_ensemble(plus, family, theta))
-print(f"\nbest collective measurement on |+>|+>: p_fail = {res_plus.p_fail:.4f}")
+res_plus = discrim.pgm(discrim.make_ensemble(plus, family, theta))
+print(f"\nbest collective measurement on |+>|+>: p_fail = {res_plus.p_fail:.4f}"
+      f"  (PGM, certified minimum-error: {res_plus.optimal})")
 print("entanglement buys exact identification; the product sensor guesses.")

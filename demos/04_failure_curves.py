@@ -34,7 +34,7 @@ per_shot = discrim.classical_baseline(ts, theta)
 print(f"\nproduct sensor at 3pi/4: per-shot failure {per_shot.p_fail:.5f}")
 reps = discrim.repetition_analysis(per_shot, eps)
 cert = solver.solve_symmetric(4, 2, theta)
-q_shot = discrim.optimal_measurement(discrim.make_ensemble(cert.witness_state, ts, theta))
+q_shot = discrim.pgm(discrim.make_ensemble(cert.witness_state, ts, theta))
 q_reps = discrim.repetition_analysis(q_shot, eps)
 
 print(f"  {'epsilon':>9} {'product shots':>14} {'entangled shots':>16}")

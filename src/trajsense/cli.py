@@ -151,8 +151,7 @@ def cmd_curve(args) -> int:
         cert = solver.solve(solver.TSProblem(ts, theta))
         if not cert.feasible:
             raise ValueError(f"no feasible sensing state at theta={theta:.4f}")
-        quantum = discrim.optimal_measurement(
-            discrim.make_ensemble(cert.witness_state, ts, theta))
+        quantum = discrim.pgm(discrim.make_ensemble(cert.witness_state, ts, theta))
         table = discrim.repetition_csv(discrim.repetition_analysis(classical, eps),
                                        discrim.repetition_analysis(quantum, eps))
         filename, what = "inset.csv", "repetition table"

@@ -7,33 +7,33 @@ vote tails here are under the uniform prior.  A measurement depends on the
 outputs only through their k x k Gram, which is what every measurement takes.
 
 * `verify_ts` checks the orthogonality conditions directly (Gram vs identity).
-* `pgm` is the square-root measurement, optimal for the geometrically uniform
-  ensembles that appear here (Eldar & Forney, IEEE TIT 47, 858 (2001)).
-* `optimal_measurement` runs the fixed-point iteration for the minimum-error
-  POVM (Jezek, Rehacek & Fiurasek 2002), seeded from the PGM so it can only
-  improve on it.
+* `pgm` is the square-root measurement, the one measurement here.  Every
+  family the CLI builds has group-covariant outputs, and for those the PGM is
+  the minimum-error measurement exactly when diag(G^(1/2)) is constant
+  (Eldar & Forney, IEEE TIT 47, 858 (2001); Dalla Pozza & Pierobon, PRA 91,
+  042334 (2015)); `pgm` certifies that off its own eigh (`optimal`).
 * `classical_baseline` is the unentangled arm: |+>^n under the optimal
   measurement, which no product or separable input beats (the proof is in
   its docstring; Alberti & Uhlmann 1980, Chefles, Jozsa & Winter 2004), so
   entangled-vs-classical gaps are measured against the best unentangled
   sensor with matched generosity on the measurement side.
 * `failure_curve` sweeps theta once for both arms, the paper's curve table
-  (below the onset, `_screen`'s Gram spectra spare `optimal_measurement` the
-  candidates that cannot hold the minimum); `repetition_analysis` turns a
-  per-shot result into plurality-vote repetition counts, the inset, from one
-  sequence of exact vote errors (`plurality_error`, a tail DP with one matrix
-  step per category) for every k and r.
+  (below the onset, `_screen`'s Gram spectra spare `pgm` the candidates that
+  cannot hold the minimum); `repetition_analysis` turns a per-shot result
+  into plurality-vote repetition counts, the inset, from one sequence of
+  exact vote errors (`plurality_error`, a tail DP with one matrix step per
+  category) for every k and r.
 
-Measurements live in the span of the ensemble (dimension d <= k, state j at
-coordinates c_j from the Gram's eigh in `_reduce`) as rank-one factors: G_j =
-|c_j><c_j|/k has rank one, so the PGM and every fixed-point iterate are
-P_j = |m_j><m_j|, one (k, d) array.  The span keeps lam > `_SPAN_CUT`
-lam_max, the PGM's pseudo-inverse cut, so the PGM is V itself.  The
-optimality test Gamma - G_j >= -tol is a downdate test: for A = Gamma +
-tol*I, A - |g><g| >= 0 iff A > 0 and <g|A^-1|g> <= 1.  I_d minus the guess
-elements, with a state's mass off the span, is the abstain outcome, resolved
-by a uniform random guess.  The entangled arm takes its witness from
-`solver.solve`, so families are dispatched in one place.
+The |+>^n arm and the entangled arm below the onset claim a minimum-error
+value, so there the PGM must carry its certificate (`_minimum_error`), or the
+run stops with a ValueError; a family without it, such as a custom one, is
+for the dense fixed point of the test oracles.  Measurements live in the span of the ensemble (dimension
+d <= k, state j at coordinates c_j from the Gram's eigh in `_reduce`) as
+rank-one factors P_j = |m_j><m_j|, one (k, d) array.  The span keeps lam >
+`_SPAN_CUT` lam_max, the PGM's pseudo-inverse cut, so the PGM is V itself.
+I_d minus the guess elements, with a state's mass off the span, is the
+abstain outcome, resolved by a uniform random guess.  The entangled arm takes
+its witness from `solver.solve`, so families are dispatched in one place.
 """
 from __future__ import annotations
 
@@ -51,9 +51,8 @@ from .trajset import TrajectorySet
 
 #: exact factorial arithmetic in the vote tail runs out of float range here
 _VOTE_R_CAP = 170
-#: the fixed point stops once the optimality operator is PSD within this
-_FP_TOL = 1e-9
-_FP_MAX_ITER = 10_000
+#: the PGM is certified minimum-error where Gamma - G_j >= -_OPT_TOL for every j
+_OPT_TOL = 1e-9
 #: `verify_ts` calls a state a TS state below this Gram residual
 _VERIFY_TOL = 1e-8
 #: draws per profile in the symmetrized candidate sweep below the onset
@@ -72,10 +71,9 @@ def make_ensemble(psi: Ket, ts: TrajectorySet, theta: float) -> np.ndarray:
 class DiscriminationResult:
     povm: np.ndarray | None      # (k, d) factors m_j of P_j = |m_j><m_j| in the span
     p_fail: float
-    method: str                  # projective_orthogonal | pgm | fixed_point_optimal
+    method: str                  # projective_orthogonal | pgm
     confusion: np.ndarray        # row = true T, column = guess (abstain folded in)
-    converged: bool = True
-    iterations: int = 0
+    optimal: bool = False        # certified minimum-error (`pgm`)
     note: str = ""
 
 
@@ -105,7 +103,7 @@ def verify_ts(psi: Ket, ts: TrajectorySet, theta: float) -> VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# span reduction
+# span reduction and the measurement (every trajectory equally likely)
 
 def _reduce(gram):
     """V and lam**0.5 over the d eigenvalues lam > `_SPAN_CUT` lam_max of the Gram
@@ -118,90 +116,44 @@ def _reduce(gram):
     return vecs[:, -d:], np.sqrt(lam[-d:])
 
 
-def _overlaps(coords, m):
-    """<c_j|m_j> for every j."""
-    return np.einsum("ja,ja->j", coords.conj(), m)
+def pgm(gram) -> DiscriminationResult:
+    """Square-root measurement m_j = rho^(-1/2) c_j/sqrt(k) = row j of V, with its
+    confusion matrix |<c_i|m_j>|^2 (abstain folded in) and its certificate.
 
-
-def _result_from_reduced(coords, m, method, **kw) -> DiscriminationResult:
-    """Confusion matrix |<c_i|m_j>|^2 and p_fail, abstain folded in."""
-    k = len(coords)
-    confusion = np.abs(coords.conj() @ m.T) ** 2
+    `optimal` holds where ptp(g) sqrt(lam_max)/k <= `_OPT_TOL`, g = |V|^2 lam**0.5
+    being diag(G^(1/2)) over the span: then Gamma - G_j >= -`_OPT_TOL` for every
+    j, the minimum-error condition (the bound is `_screen`'s), one matrix-vector
+    product off the eigh the PGM already takes.
+    """
+    v, root = _reduce(gram)
+    k = len(v)
+    coords = v * root
+    confusion = np.abs(coords.conj() @ v.T) ** 2
     abstain = np.clip(1.0 - confusion.sum(axis=1), 0.0, None)
     confusion += abstain[:, None] / k          # abstain -> uniform random guess
     confusion = np.clip(confusion, 0.0, 1.0)
     # the copy is contiguous: BLAS sums a strided diagonal in another order,
     # which moves the last bit of the p_fail that `curve` prints with repr
     p_fail = float(max(0.0, 1.0 - np.full(k, 1.0 / k) @ confusion.diagonal().copy()))
-    return DiscriminationResult(m, p_fail, method, confusion, **kw)
+    optimal = bool(np.ptp(np.abs(v) ** 2 @ root) * root[-1] / k <= _OPT_TOL)
+    note = "rank-deficient ensemble operator (pseudo-inverse)" if len(root) < k else ""
+    return DiscriminationResult(v, p_fail, "pgm", confusion, optimal, note)
 
 
-# ---------------------------------------------------------------------------
-# measurements (every trajectory equally likely)
-
-def _is_optimal(coords, m, overlaps) -> bool:
-    """Gamma - G_j >= -`_FP_TOL` for every j, Gamma = (1/k) sum_j <c_j|m_j>
-    |c_j><m_j| hermitized, as the downdate test: one eigh and k quadratic forms."""
-    gamma = (coords.T * overlaps) @ m.conj() / len(coords)
-    vals, vecs = np.linalg.eigh(0.5 * (gamma + gamma.conj().T))
-    vals = vals + _FP_TOL
-    if vals[0] <= 0.0:
-        return False
-    quad = (np.abs(coords @ vecs.conj()) ** 2 / vals).sum(axis=1) / len(coords)
-    return bool((quad <= 1.0).all())
-
-
-def _fixed_point_step(coords, overlaps):
-    """m_j <- (|<c_j|m_j>|/k) L c_j, L = (sum_j |<c_j|m_j>|^2 |c_j><c_j|/k^2)^(-1/2)."""
-    w = np.abs(overlaps) / len(coords)
-    vals, vecs = np.linalg.eigh((coords.T * w ** 2) @ coords.conj())
-    keep = vals > max(vals.max(), 0.0) * 1e-14       # pseudo-inverse square root
-    L = (vecs[:, keep] * vals[keep] ** -0.5) @ vecs[:, keep].conj().T
-    return w[:, None] * (coords @ L.T)
-
-
-def pgm(gram) -> DiscriminationResult:
-    """Square-root measurement m_j = rho^(-1/2) c_j/sqrt(k) = row j of V."""
-    v, root = _reduce(gram)
-    note = "rank-deficient ensemble operator (pseudo-inverse)" if len(root) < len(v) else ""
-    return _result_from_reduced(v * root, v, "pgm", note=note)
-
-
-def optimal_measurement(gram) -> DiscriminationResult:
-    """Fixed-point iteration to the minimum-error POVM, seeded from the PGM.
-
-    Every iterate P_j = |m_j><m_j| has rank one, because G_j does, so the
-    update P_j <- L G_j P_j G_j L with L = (sum_j G_j P_j G_j)^(-1/2)
-    (Jezek, Rehacek & Fiurasek, PRA 65, 060301 (2002)) runs on the (k, d)
-    factors (`_fixed_point_step`).  Returns the first iterate that passes
-    `_is_optimal`; if none does within `_FP_MAX_ITER` steps, the iterate of
-    highest success, so the result never does worse than the PGM.
-    """
-    m, root = _reduce(gram)
-    coords = m * root
-    best, best_succ, it = m, -1.0, 0
-    while True:
-        a = _overlaps(coords, m)
-        if _is_optimal(coords, m, a):
-            return _result_from_reduced(coords, m, "fixed_point_optimal",
-                                        converged=True, iterations=it)
-        s = float(np.abs(a) @ np.abs(a)) / len(coords)
-        if s > best_succ:
-            best_succ, best = s, m
-        if it == _FP_MAX_ITER:
-            break
-        m = _fixed_point_step(coords, a)
-        it += 1
-    note = f"fixed point not reached after {_FP_MAX_ITER} iterations"
-    return _result_from_reduced(coords, best, "fixed_point_optimal",
-                                converged=False, iterations=it, note=note)
+def _minimum_error(gram) -> DiscriminationResult:
+    """`pgm`, refused unless its certificate makes it the minimum-error measurement."""
+    res = pgm(gram)
+    if not res.optimal:
+        raise ValueError("PGM not certified minimum-error: ptp(diag G^(1/2)) sqrt(lam_max)/k "
+                         f"> _OPT_TOL = {_OPT_TOL:g} (outputs not group covariant)")
+    return res
 
 
 # ---------------------------------------------------------------------------
 # classical baselines and curves
 
 def classical_baseline(ts: TrajectorySet, theta: float) -> DiscriminationResult:
-    """|+>^n under the optimal measurement: the best unentangled sensor.
+    """|+>^n under the optimal measurement, the certified PGM: the best unentangled sensor.
 
     Per qubit, <phi|R_Z(theta)|phi> = cos(theta/2) - i cos(alpha) sin(theta/2)
     for the Bloch angles (alpha, phi) of |phi>, so the pair {|+>, R_Z|+>}
@@ -218,12 +170,15 @@ def classical_baseline(ts: TrajectorySet, theta: float) -> DiscriminationResult:
     arm is the optimum over all unentangled inputs, for every family and angle.
     Its Gram needs no phase matrix: each qubit in just one of T_a, T_b adds a
     factor <+|R_Z(theta)|+> = cos(theta/2), so G_ab = cos(theta/2)^|T_a xor T_b|.
+    A sym or cyc family's group keeps |T_a xor T_b| and acts transitively on
+    the members, so the PGM is the optimum there; a family without `pgm`'s
+    certificate, such as a custom one, is refused (`_minimum_error`).
     """
     if not 0.0 <= theta <= np.pi:
         raise ValueError(f"theta={theta} outside the modeled range [0, pi]")
     trajset.check_phase_cap(len(ts), ts.n)
     masks = np.array([sum(1 << q for q in t.qubits) for t in ts.members], dtype=np.int64)
-    return optimal_measurement(math.cos(theta / 2) ** np.bitwise_count(masks[:, None] ^ masks))
+    return _minimum_error(math.cos(theta / 2) ** np.bitwise_count(masks[:, None] ^ masks))
 
 
 def _symmetrized_candidates(n: int):
@@ -244,7 +199,7 @@ def _screen(grams, weights):
     w = weights[i], is G = sum_c w_c B_c over `grams`, B_c = (phases gens[c])
     phases^H: its eigenvalues lam above `_SPAN_CUT` lam_max span the PGM,
     g = diag(G^(1/2)) over them, and state i's weight a_i on the cut
-    eigenvectors goes to the uniform abstain guess (`_result_from_reduced`),
+    eigenvectors goes to the uniform abstain guess (as in `pgm`),
     so p = 1 - (g.g + sum(a)/k)/k, sum(a) being the sum of the cut lam.  To
     first order either route's g is within k eps (lam_max/sqrt(lam_min) + 1)
     of exact (backward error k eps lam_max over lam_min, the least kept
@@ -257,8 +212,8 @@ def _screen(grams, weights):
     + 1) + C k eps/sqrt(lam_min) of these.  With g0 = max g, Gamma0 = g0
     rho^(1/2)/sqrt(k) has <c_j|Gamma0^-1|c_j>/k = g_j/g0 <= 1, so Gamma0 >=
     G_j, and the PGM's Gamma lies within (ptp g) sqrt(lam_max)/k of it.  So
-    `optimal_measurement` stops at the PGM (value p within err) where no lam
-    is in that band and that bound with ptp g + err is at most `_FP_TOL`/2.
+    `pgm` of that Gram is certified (value p within err) where no lam is in
+    that band and that bound with ptp g + err is at most `_OPT_TOL`/2.
     """
     (C, k), eps, out = grams.shape[:2], np.finfo(float).eps, []
     for lo in range(0, len(weights), C):
@@ -272,7 +227,7 @@ def _screen(grams, weights):
         root = np.sqrt(np.where(kept, lam, np.inf).min(axis=1))
         err = 4 * k * eps * (lmax / root + 1) + C * k * eps / root
         band = (np.abs(lam - cut) > k * eps * (lmax[:, None] + C)).all(axis=1)
-        cert = band & ((np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _FP_TOL / 2)
+        cert = band & ((np.ptp(g, axis=1) + err) * np.sqrt(lmax) / k <= _OPT_TOL / 2)
         out.append((1.0 - ((g * g).sum(axis=1) + dropped / k) / k, err, cert))
     return tuple(map(np.concatenate, zip(*out)))
 
@@ -292,8 +247,8 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
     symmetrized-state sweep below; the classical arm is `classical_baseline`.
     At each angle the entangled arm runs first.  Below the onset only the
     candidates `_screen` leaves uncertified, and the certified ones with
-    p - err <= min(p + err) over the certified, meet `optimal_measurement`:
-    any other is strictly worse than that min's one.
+    p - err <= min(p + err) over the certified, meet `_minimum_error`: any
+    other is strictly worse than that min's one.
     """
     k, points = len(ts), []
     gens = None                        # built at the first angle below the onset
@@ -320,7 +275,7 @@ def failure_curve(ts: TrajectorySet, theta_grid) -> list[CurvePoint]:
             del phases, phases_h
             p, err, cert = _screen(grams, weights)
             top = np.min(p + err, where=cert, initial=np.inf)
-            best = min((optimal_measurement(np.einsum("c,cab->ab", w, grams))
+            best = min((_minimum_error(np.einsum("c,cab->ab", w, grams))
                         for w in weights[(p - err <= top) | ~cert]), key=lambda res: res.p_fail)
             q_fail, q_method = best.p_fail, best.method
         classical = classical_baseline(ts, theta)

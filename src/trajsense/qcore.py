@@ -66,7 +66,8 @@ class Ket:
         object.__setattr__(self, "amps", a)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        # numpy's pairwise sum, not a BLAS dot: the same bits at any thread count
+        return math.sqrt(float(self.probs().sum()))
 
     def normalize(self) -> "Ket":
         with np.errstate(over="ignore"):

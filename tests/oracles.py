@@ -16,13 +16,16 @@ vote's 16 weighted outcome patterns as one (L, 16) row per line, and
 `run_beam_trials` draws each trial's measurement outcome on the same lines
 that `beam.compare_sensors` scores by exact conditional failure.
 
-`discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|).
-The reference here keeps the stacked (k, d, d) elements: the PGM as
+`discrim` stores every POVM element as a rank-one factor m_j (P_j = |m_j><m_j|),
+and its one measurement is the PGM with a minimum-error certificate.  The
+reference here keeps the stacked (k, d, d) elements: the PGM as
 rho^(-1/2) G_j rho^(-1/2), the Jezek-Rehacek-Fiurasek fixed point
-P_j <- L G_j P_j G_j L, and the optimality test as one `eigvalsh` of
-Gamma - G_j per element.  Like `discrim`'s, its measurements take the outputs'
-k x k Gram S S^H, and its results are `discrim.DiscriminationResult`s, so it
-can stand in for `discrim.pgm` and `discrim.optimal_measurement`.
+P_j <- L G_j P_j G_j L (PRA 65, 060301 (2002)), which reaches the minimum
+error on any ensemble, custom families and product inputs included, and the
+optimality test as one `eigvalsh` of Gamma - G_j per element (`kkt_residual`).
+Like `discrim`'s, its measurements take the outputs' k x k Gram S S^H, and its
+results are `discrim.DiscriminationResult`s, so it can stand in for
+`discrim.pgm` and for the certified minimum-error measurement.
 
 `ket_to_dict` is the state file's {"n": n, "amps": {bitstring: (re, im)}}
 map as a plain dict, built one key at a time; `json.dumps` of it with sorted
@@ -380,8 +383,14 @@ def pgm(gram):
     return _result(coords, _pgm_elements(coords)[1], "pgm")
 
 
+#: the fixed point stops once Gamma - G_j >= -FP_TOL for every j, or after FP_MAX_ITER steps
+FP_TOL = 1e-9
+FP_MAX_ITER = 10_000
+
+
 def optimal_measurement(gram):
-    """Dense fixed point seeded from the PGM, stopped by the `eigvalsh` test."""
+    """Dense fixed point seeded from the PGM, stopped by the `eigvalsh` test; the
+    result is `optimal` where it passed that test, and its note counts the steps."""
     coords = span_coords(gram)
     G, povm = _pgm_elements(coords)
 
@@ -391,7 +400,7 @@ def optimal_measurement(gram):
     best, best_succ = povm, success(povm)
     resid = kkt_residual(coords, povm)
     it = 0
-    while resid > discrim._FP_TOL and it < discrim._FP_MAX_ITER:
+    while resid > FP_TOL and it < FP_MAX_ITER:
         L = _inv_sqrt(_hermitize((G @ povm @ G).sum(axis=0)), 1e-14)
         povm = _hermitize(L @ G @ povm @ G @ L)
         s = success(povm)
@@ -399,9 +408,9 @@ def optimal_measurement(gram):
             best_succ, best = s, povm
         resid = kkt_residual(coords, povm)
         it += 1
-    converged = resid <= discrim._FP_TOL
-    return _result(coords, povm if converged else best, "fixed_point_optimal",
-                   converged=converged, iterations=it)
+    optimal = resid <= FP_TOL
+    return _result(coords, povm if optimal else best, "fixed_point_optimal", optimal=optimal,
+                   note=f"{it} iterations")
 
 
 def helstrom_pair(gram):

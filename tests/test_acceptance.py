@@ -190,8 +190,7 @@ def test_criterion_6_repetition_scaling():
         discrim.classical_baseline(ts, theta), eps)
     cert = solver.solve_symmetric(4, 2, theta)
     quantum = discrim.repetition_analysis(
-        discrim.optimal_measurement(discrim.make_ensemble(cert.witness_state, ts, theta)),
-        eps)
+        discrim.pgm(discrim.make_ensemble(cert.witness_state, ts, theta)), eps)
     assert all(rep.r == 1 for rep in quantum)
     rs = [rep.r for rep in classical]
     assert all(isinstance(r, int) for r in rs)

@@ -347,14 +347,14 @@ _INSET_EPS = ["--epsilons", "1e-1,1e-3,1e-6,1e-9,1e-12", "--format", "csv"]
 
 @pytest.mark.parametrize("argv,digest", [
     (["--family", "sym", "--n", "6", "--m", "3", "--points", "25", "--format", "csv"],
-     "cae62b74c8e71a9cf721139436c5d4ff309316bf9dcaa54f70d4566e851b0d76"),
+     "171915b1f186529fccac9c343c47361f5015695f9b1f6371ff570a44e27e1b0a"),
     (["--family", "sym", "--n", "4", "--m", "2", "--points", "40", "--format", "csv"],
-     "822a0f42a724d4a1d6fc55a5e0c880fe63d025d4c5ef68e36257a0568053a02a"),
+     "7b065c7410108eb2245142cab47e08ee688aa87561abed898d5f2ffafdf3e018"),
     (["--family", "cyc", "--n", "8", "--m", "2", "--points", "13", "--format", "csv"],
-     "b26fa26cbe15ed14beb4f7c18188a999cbd7d311b87ff63949802afd7c4112b0"),
+     "e8347ec02216d5f9a110c11218f3e38dc1f3011f0b2d7b61a3a10df585a65230"),
     (["--family", "sym", "--n", "3", "--m", "1", "--points", "5", "--format", "csv",
       "--classical", "classical_best"],
-     "745dde3c5089a8ad475feea48ec9f4d1fa783690d97958806692f710f4f30953"),
+     "1c3221cc881e584966e817133b29404c66d0e15811b131cf3c79ba93daed5a8d"),
     (["--inset", "--family", "sym", "--n", "4", "--m", "2", "--theta", "3pi/4"] + _INSET_EPS,
      "e54c012afe2789a43b3bc67a96a64ff72034ecaccd7a5b0f24d2df2b976c94b1"),
     (["--inset", "--family", "cyc", "--n", "8", "--m", "2", "--theta", "0.7pi"] + _INSET_EPS,
@@ -657,7 +657,7 @@ def test_cyc16_curve_runs_in_one_gib():
                             "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == \
-        "363fca7c0f788cb6a92395bc96cd90c23c85074e2dcba99617514c16cf01c12f"
+        "6813e1e78427363c6ab0e429ffc13ee53e239c3e367b237448b1e9e8437184a4"
 
 
 @pytest.mark.parametrize("argv,digest", [
@@ -686,10 +686,22 @@ def test_solve_json_stdout_pinned(argv, digest):
     ["curve", "--family", "sym", "--n", "8", "--m", "4", "--points", "9", "--format", "csv"],
     ["solve", "--family", "sym", "--n", "16", "--m", "8", "--theta", "3.066556304490821",
      "--format", "json"],
-], ids=["curve-sym84", "solve-sym16-8"])
-def test_stdout_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    ["verify", "--state", "{state}", "--family", "sym", "--n", "14", "--m", "7",
+     "--theta", "0.97pi", "--format", "json"],
+], ids=["curve-sym84", "solve-sym16-8", "verify-sym14-7"])
+def test_stdout_bytes_do_not_depend_on_the_blas_thread_count(argv, tmp_path, capsys):
     """The same bytes at one and two BLAS threads: the Gram residual sums in numpy's
-    pairwise order and the candidate Grams in numpy's loops, not in BLAS's."""
+    pairwise order, the candidate Grams in numpy's loops and `Ket.norm` in numpy's
+    pairwise sum, not in BLAS's.  The sym(14,7) witness is the smallest sym(n, n/2)
+    one whose `verify` residual moved with the thread count under a BLAS norm."""
+    if "{state}" in argv:
+        assert run(["solve", "--family", "sym", "--n", "14", "--m", "7", "--theta", "0.97pi",
+                    "--format", "json", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(json.loads(
+            (tmp_path / "certificate.json").read_text())["witness_state"]))
+        argv = [a.format(state=state) for a in argv]
     outs = []
     for threads in ("1", "2"):
         r = subprocess.run([sys.executable, "-m", "trajsense.cli", *argv], capture_output=True,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
-from trajsense import discrim, qcore, rng, solver, trajset
+from trajsense import cli, discrim, qcore, rng, solver, trajset
 from trajsense.discrim import make_ensemble
 
 PI = math.pi
@@ -112,22 +112,27 @@ def test_pgm_confusion_rows_stochastic():
     assert res.confusion.min() >= 0.0
 
 
-# --- fixed-point optimum ---------------------------------------------------
+# --- the PGM's minimum-error certificate ------------------------------------
 
 def test_optimal_matches_helstrom_on_pairs():
+    """Two outputs of equal prior: the PGM is Helstrom's measurement, and certified."""
     for theta in [0.4, 1.1, 2.0]:
         ens = make_ensemble(plus_state(2), TS21, theta)
-        o = discrim.optimal_measurement(ens)
+        o = discrim.pgm(ens)
         h = oracles.helstrom_pair(ens)
-        assert abs(o.p_fail - h.p_fail) < 1e-8
+        assert o.optimal and abs(o.p_fail - h.p_fail) < 1e-8
         assert oracles.kkt_residual(oracles.span_coords(ens),
                                     oracles.elements(o.povm)) <= 1e-9
 
 
 def test_optimal_never_worse_than_pgm():
+    """The oracle's fixed point starts from the PGM, so it never does worse; on the
+    sym |+>^n outputs the PGM carries its certificate and the two agree."""
     for theta in [0.3 * PI, 0.6 * PI, 0.9 * PI]:
         ens = make_ensemble(plus_state(4), TS42, theta)
-        assert discrim.optimal_measurement(ens).p_fail <= discrim.pgm(ens).p_fail + 1e-9
+        res, ref = discrim.pgm(ens), oracles.optimal_measurement(ens)
+        assert ref.p_fail <= res.p_fail + 1e-9
+        assert res.optimal and abs(ref.p_fail - res.p_fail) < 1e-8
 
 
 def test_optimal_equals_pgm_on_cyclic_ensembles():
@@ -135,7 +140,9 @@ def test_optimal_equals_pgm_on_cyclic_ensembles():
     cyc = trajset.gen_cyclic(4, 2)
     for theta in [0.4 * PI, 0.7 * PI]:
         ens = make_ensemble(plus_state(4), cyc, theta)
-        assert abs(discrim.optimal_measurement(ens).p_fail - discrim.pgm(ens).p_fail) < 1e-8
+        res = discrim.pgm(ens)
+        assert res.optimal
+        assert abs(oracles.optimal_measurement(ens).p_fail - res.p_fail) < 1e-8
 
 
 @pytest.mark.parametrize("theta_pi,iterations,p_fail", [
@@ -143,27 +150,30 @@ def test_optimal_equals_pgm_on_cyclic_ensembles():
     (0.7, 9, 0.3990645542697552),
 ])
 def test_fixed_point_iterates_on_custom_family(theta_pi, iterations, p_fail):
-    """An ensemble where the PGM seed is not optimal, so the update loop runs."""
+    """An ensemble where the PGM is not optimal: the oracle's update loop runs and
+    beats it, and the PGM's certificate does not hold."""
     ts = trajset.TrajectorySet(3, "custom", 1, tuple(
         trajset.Trajectory(q) for q in [(1,), (2,), (1, 3)]))
     ens = make_ensemble(oracles.product_input([0.4] * 3), ts, theta_pi * PI)
-    res = discrim.optimal_measurement(ens)
-    assert res.converged and res.iterations == iterations
-    assert oracles.kkt_residual(oracles.span_coords(ens),
-                                oracles.elements(res.povm)) <= 1e-9
+    res = oracles.optimal_measurement(ens)
+    assert res.optimal and res.note == f"{iterations} iterations"
+    assert oracles.kkt_residual(oracles.span_coords(ens), res.povm) <= 1e-9
     assert abs(res.p_fail - p_fail) < 1e-12
     assert res.p_fail < discrim.pgm(ens).p_fail
+    assert not discrim.pgm(ens).optimal
 
 
 @st.composite
 def small_ensembles(draw):
     """Grams of k <= 12 outputs on n <= 4 qubits, with the degenerate shapes
-    that stress the rank-one test: duplicated, near-parallel and rank-deficient
-    rows, and the outputs of custom families."""
+    that stress the certificate: duplicated, near-parallel and rank-deficient
+    rows, the outputs of custom families, and geometrically uniform outputs
+    U^j s (U^k = I), exact or with one row moved by up to 1e-4, where the
+    certificate is near its tolerance."""
     n = draw(st.integers(1, 4))
     dim = 1 << n
     kind = draw(st.sampled_from(["random", "duplicated", "near_parallel",
-                                 "rank_deficient", "custom"]))
+                                 "rank_deficient", "custom", "covariant"]))
     gen = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     def gauss(*shape):
@@ -179,7 +189,11 @@ def small_ensembles(draw):
         return make_ensemble(qcore.Ket(n, amps / np.linalg.norm(amps)), ts, theta)
     k = draw(st.integers(1, 12))
     S = gauss(k, dim)
-    if kind == "rank_deficient" and min(k, dim) > 1:
+    if kind == "covariant":
+        phases = np.exp(2j * PI * gen.integers(0, k, size=dim) / k)
+        S = S[0] * phases ** np.arange(k)[:, None]
+        S[-1] += draw(st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4])) * gauss(dim)
+    elif kind == "rank_deficient" and min(k, dim) > 1:
         r = draw(st.integers(1, min(k, dim) - 1))
         S = gauss(k, r) @ gauss(r, dim)
     elif kind in ("duplicated", "near_parallel") and k > 1:
@@ -189,32 +203,21 @@ def small_ensembles(draw):
     return gram_of(S / np.linalg.norm(S, axis=1, keepdims=True))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(small_ensembles())
-def test_rank_one_optimality_test_matches_dense_eigvalsh(G):
-    """`_is_optimal` decides as lambda_min(Gamma - G_j) >= -tol for every j does,
-    on the PGM, the first fixed-point iterates and the returned measurement,
-    and a converged result passes the dense test.  Draws whose dense residual
-    lies within 1e-12 of the tolerance are skipped."""
-    m, sv = discrim._reduce(G)
-    coords = m * sv
-    measurements = [m]
-    for _ in range(3):
-        m = discrim._fixed_point_step(coords, discrim._overlaps(coords, m))
-        measurements.append(m)
-    res = discrim.optimal_measurement(G)
-    measurements.append(res.povm)
-    residuals = [oracles.kkt_residual(coords, oracles.elements(m)) for m in measurements]
-    assume(all(abs(r - discrim._FP_TOL) > 1e-12 for r in residuals))
-    for m, resid in zip(measurements, residuals):
-        assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m)) == \
-            (resid <= discrim._FP_TOL)
-    assert not res.converged or residuals[-1] <= discrim._FP_TOL
+def test_pgm_certificate_is_sound(G):
+    """Wherever `pgm` certifies itself, the dense optimality test passes on its
+    elements: lambda_min(Gamma - G_j) >= -`_OPT_TOL` for every j, in the span
+    coordinates the PGM measures."""
+    res = discrim.pgm(G)
+    if res.optimal:
+        m, sv = discrim._reduce(G)
+        assert oracles.kkt_residual(m * sv, oracles.elements(res.povm)) <= discrim._OPT_TOL
 
 
 def _unscreened(grams, weights):
     """A `discrim._screen` that certifies nothing: every candidate meets
-    `optimal_measurement`."""
+    `_minimum_error`."""
     zero = np.zeros(len(weights))
     return zero, zero, zero.astype(bool)
 
@@ -228,16 +231,18 @@ def _unscreened(grams, weights):
 def test_curve_sweep_matches_the_dense_oracle(monkeypatch, family, n, m, points):
     """The benchmark's four curves on rank-one factors and on (k, d, d) elements
     (sym31-best is its `--classical classical_best` run, the same |+>^n arm).
-    The oracle side tries every candidate, so the screened shortlist must
-    keep each point's argmin."""
+    The oracle side tries every candidate with the dense fixed point, so the
+    screened shortlist must keep each point's argmin, and the certified PGM
+    must reach the fixed point's value."""
     ts = {"sym": trajset.gen_symmetric, "cyc": trajset.gen_cyclic}[family](n, m)
     grid = np.linspace(0.0, PI, points)
     got = discrim.failure_curve(ts, grid)
     monkeypatch.setattr(discrim, "_screen", _unscreened)
     monkeypatch.setattr(discrim, "pgm", oracles.pgm)
-    monkeypatch.setattr(discrim, "optimal_measurement", oracles.optimal_measurement)
+    monkeypatch.setattr(discrim, "_minimum_error", oracles.optimal_measurement)
     want = discrim.failure_curve(ts, grid)
-    assert [(p.theta, p.method) for p in got] == [(p.theta, p.method) for p in want]
+    assert [(p.theta, p.method) for p in got] == \
+        [(p.theta, p.method.replace("fixed_point_optimal", "pgm")) for p in want]
     for arm in ("p_fail_quantum", "p_fail_classical"):
         assert max(abs(getattr(g, arm) - getattr(w, arm)) for g, w in zip(got, want)) <= 1e-14
 
@@ -279,22 +284,27 @@ def _gram(phases, probs):
 @example((trajset.phase_matrix(TS21.members, 2, 3 * PI / 8),      # mass on a cut direction
           np.array([[0.0, 2e-14, 2e-14, 1.0]]) / (1.0 + 4e-14), np.ones((1, 1))))
 def test_screen_certificate_holds_on_the_direct_gram(case):
-    """Where `_screen` certifies a candidate from its sum of generator Grams,
-    the PGM of its Gram formed directly from phases (w @ gens) passes
-    `_is_optimal`, and the screened value is `optimal_measurement`'s on that
-    Gram within the stated error bound."""
+    """An orbit-constant |psi|^2 gives a Gram the family's group permutes, whose
+    G^(1/2) has a constant diagonal, so the PGM of every candidate's Gram formed
+    directly from phases (w @ gens) carries its certificate; where `_screen`
+    certifies a candidate from its sum of generator Grams, the screened value
+    is that PGM's within the stated error bound."""
     phases, gens, weights = case
     grams = np.array([_gram(phases, g) for g in gens])
     for w, p, err, ok in zip(weights, *discrim._screen(grams, weights)):
-        if not ok:
-            continue
-        G = _gram(phases, w @ gens)
-        m, sv = discrim._reduce(G)
-        coords = m * sv
-        assert discrim._is_optimal(coords, m, discrim._overlaps(coords, m))
-        res = discrim.optimal_measurement(G)
-        assert res.iterations == 0
-        assert abs(p - res.p_fail) <= err
+        res = discrim.pgm(_gram(phases, w @ gens))
+        assert res.optimal
+        assert not ok or abs(p - res.p_fail) <= err
+
+
+def test_pgm_certifies_the_plus_arm_up_to_n_8():
+    """The |+>^n arm of every sym and cyc family with n <= 8, at j pi/16 and at
+    pi/314, where the Gram's small eigenvalues meet the span cut."""
+    families = [trajset.gen_symmetric(n, m) for n in range(1, 9) for m in range(n + 1)]
+    families += [trajset.gen_cyclic(n, m) for n in range(2, 9) for m in range(1, n)]
+    for ts in families:
+        for theta in [PI / 314] + [j * PI / 16 for j in range(1, 17)]:
+            assert discrim.classical_baseline(ts, theta).optimal, (ts.family, ts.n, ts.m, theta)
 
 
 def test_screen_leaves_a_candidate_at_the_cut_uncertified():
@@ -310,45 +320,48 @@ def test_screen_leaves_a_candidate_at_the_cut_uncertified():
     assert not discrim._screen(G[None], np.ones((1, 1)))[2][0]
 
 
-def test_a_non_invariant_candidate_meets_optimal_measurement(monkeypatch):
+def test_a_non_invariant_candidate_is_refused(monkeypatch, capsys):
     """A candidate off the invariant subspace, joined as one more generator, is
-    left uncertified, so it runs `optimal_measurement` at every angle, and the
-    curve is the unscreened one.  The sweep sums its Gram from |psi|^2, on
-    which the Gram alone depends, so it is `make_ensemble`'s."""
+    left uncertified by `_screen`, and its PGM lacks the certificate, so the
+    curve stops with a ValueError that names it, and `curve` exits 2.  The sweep
+    sums its Gram from |psi|^2, on which the Gram alone depends, so it is
+    `make_ensemble`'s."""
     ts, grid = trajset.gen_symmetric(4, 2), np.linspace(0.0, PI, 13)
     amps = np.array([1.0, 1.0j]) @ np.random.default_rng(3).normal(size=(2, 16))
     odd = qcore.Ket(4, amps / np.linalg.norm(amps))
-    sweep, om = discrim._symmetrized_candidates, discrim.optimal_measurement
+    sweep, minimum_error = discrim._symmetrized_candidates, discrim._minimum_error
 
     def with_odd(n):
         gens, weights = sweep(n)
         return (np.vstack([gens, odd.probs()]),
                 np.vstack([np.pad(weights, ((0, 0), (0, 1))), np.eye(len(gens) + 1)[-1]]))
     monkeypatch.setattr(discrim, "_symmetrized_candidates", with_odd)
-    seen = []
-    monkeypatch.setattr(discrim, "optimal_measurement",
-                        lambda gram: seen.append(gram) or om(gram))
-    screened = discrim.failure_curve(ts, grid)
     below = [t for t in grid[1:] if not solver.solve(solver.TSProblem(ts, t)).feasible]
-    assert below
-    for theta in below:
-        G = make_ensemble(odd, ts, theta)
-        assert not discrim._screen(G[None], np.ones((1, 1)))[2][0]
-        assert any(np.array_equal(s, G) for s in seen)
-    monkeypatch.setattr(discrim, "_screen", _unscreened)
-    assert discrim.failure_curve(ts, grid) == screened
+    assert below and below[0] == grid[1]
+    G = make_ensemble(odd, ts, below[0])
+    assert not discrim._screen(G[None], np.ones((1, 1)))[2][0]
+    assert not discrim.pgm(G).optimal
+    seen = []
+    monkeypatch.setattr(discrim, "_minimum_error",
+                        lambda gram: seen.append(gram) or minimum_error(gram))
+    with pytest.raises(ValueError, match="PGM not certified minimum-error"):
+        discrim.failure_curve(ts, grid)
+    assert np.array_equal(seen[-1], G)
+    assert cli.main(["curve", "--family", "sym", "--n", "4", "--m", "2", "--points", "13",
+                     "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "PGM not certified minimum-error" in err
 
 
-def test_small_angle_sweep_converges(monkeypatch):
+def test_small_angle_sweep_certifies(monkeypatch):
     """On sym(6,3) at pi/314 the candidates' Grams have eigenvalues
-    lam ~ 1e-15 lam_max.  The span cuts them as the PGM does, so every fixed
-    point inside `failure_curve` converges; with the span keeping them, 26
-    candidates ran to `_FP_MAX_ITER`."""
-    om, results = discrim.optimal_measurement, []
-    monkeypatch.setattr(discrim, "optimal_measurement",
-                        lambda gram: results.append(om(gram)) or results[-1])
+    lam ~ 1e-15 lam_max.  The span cuts them as the PGM does, so every
+    measurement inside `failure_curve` carries the certificate."""
+    results = []
+    measure = discrim.pgm
+    monkeypatch.setattr(discrim, "pgm", lambda gram: results.append(measure(gram)) or results[-1])
     discrim.failure_curve(trajset.gen_symmetric(6, 3), [PI / 314])
-    assert results and all(res.converged for res in results)
+    assert len(results) > 1 and all(res.optimal for res in results)
 
 
 # --- classical baselines ---------------------------------------------------
@@ -374,10 +387,22 @@ _CUSTOM = trajset.TrajectorySet(5, "custom", 1, tuple(
     trajset.gen_cyclic(7, 3), _CUSTOM], ids=["sym63", "sym42", "cyc82", "cyc73", "custom"])
 def test_classical_closed_form_gram_matches_the_phase_matrix(ts, monkeypatch):
     """cos(theta/2)^|T_a xor T_b| is the |+>^n outputs' Gram from the phase matrix."""
-    monkeypatch.setattr(discrim, "optimal_measurement", lambda gram: gram)
+    monkeypatch.setattr(discrim, "_minimum_error", lambda gram: gram)
     for theta in [0.0, 0.1, 0.35 * PI, 0.7 * PI, PI]:
         dense = make_ensemble(plus_state(ts.n), ts, theta)
         assert np.abs(discrim.classical_baseline(ts, theta) - dense).max() <= 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.35 * PI, 0.7 * PI])
+def test_classical_baseline_refuses_an_uncertified_family(theta):
+    """A custom family's |+>^n outputs are not group covariant: the PGM lacks its
+    certificate, and the arm that claims the minimum error refuses it, naming
+    the certificate.  The oracle's fixed point does better than that PGM."""
+    dense = make_ensemble(plus_state(_CUSTOM.n), _CUSTOM, theta)
+    assert not discrim.pgm(dense).optimal
+    with pytest.raises(ValueError, match=r"PGM not certified minimum-error: ptp\(diag G"):
+        discrim.classical_baseline(_CUSTOM, theta)
+    assert oracles.optimal_measurement(dense).p_fail < discrim.pgm(dense).p_fail
 
 
 def test_classical_baseline_builds_no_phase_matrix(monkeypatch):
@@ -421,10 +446,13 @@ def product_inputs(draw):
 @given(product_inputs())
 def test_no_product_input_beats_plus(case):
     """|+>^n is the optimal unentangled input: per qubit it has the smallest
-    overlap with its rotated copy, so no product input fails less often."""
+    overlap with its rotated copy, so no product input fails less often.  Both
+    sides of a custom family take the oracle's fixed point."""
     ts, psi, theta = case
-    res = discrim.optimal_measurement(make_ensemble(psi, ts, theta))
-    assert res.p_fail >= discrim.classical_baseline(ts, theta).p_fail - 1e-12
+    res = oracles.optimal_measurement(make_ensemble(psi, ts, theta))
+    plus = (oracles.optimal_measurement(make_ensemble(plus_state(ts.n), ts, theta))
+            if ts.family == "custom" else discrim.classical_baseline(ts, theta))
+    assert res.p_fail >= plus.p_fail - 1e-12
 
 
 @pytest.mark.parametrize("ts", [
@@ -436,12 +464,12 @@ def test_product_p_fail_independent_of_phi(ts):
     """Every R^(T) is diagonal, so p_fail depends on |psi|^2 alone."""
     for theta in [0.3 * PI, 0.55 * PI, 0.8 * PI]:
         for alpha in [0.4, 1.3, 2.5]:
-            ref = discrim.optimal_measurement(
+            ref = oracles.optimal_measurement(
                 make_ensemble(oracles.product_input([alpha] * ts.n), ts, theta)).p_fail
             for phi in [0.0, 0.7, 2.0, 4.1]:
                 psi = oracles.product_input([alpha] * ts.n, [phi] * ts.n)
                 ens = make_ensemble(psi, ts, theta)
-                assert abs(discrim.optimal_measurement(ens).p_fail - ref) <= 1e-12
+                assert abs(oracles.optimal_measurement(ens).p_fail - ref) <= 1e-12
 
 
 # --- failure curves --------------------------------------------------------
@@ -725,7 +753,7 @@ def test_repetition_csv():
 
 def test_ensemble_validation():
     """Every measurement takes a nonempty square Gram array, checked in `_reduce`."""
-    for measure in (discrim.pgm, discrim.optimal_measurement):
+    for measure in (discrim.pgm, discrim._minimum_error):
         with pytest.raises(ValueError, match="nonempty"):
             measure(())
         with pytest.raises(ValueError):                  # ragged rows
